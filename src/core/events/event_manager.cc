@@ -81,7 +81,10 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
     // StorageManager::Open carried the surviving event records into the
     // fresh log epoch; partition them once, consume per DefineComposite.
     std::vector<WalRecord> records;
-    Status st = wal->ReadAll(&records);
+    Status st = wal->Scan([&records](WalRecord& rec) {
+      if (IsEventRecord(rec.type)) records.push_back(std::move(rec));
+      return Status::OK();
+    });
     if (st.ok()) {
       recovered_ = eventlog::PartitionEventRecords(records);
       if (recovered_.max_sequence > 0) {

@@ -287,6 +287,18 @@ Status RunParallel(const ScanContext& ctx, const Session::ExtentScan& scan,
 void EmitAggregateRows(const SelectStatement& stmt, const GroupMap& groups,
                        QueryResult* result) {
   size_t n_items = stmt.items.size();
+  if (groups.empty() && stmt.group_by.empty()) {
+    // Aggregates without GROUP BY yield one row even over no objects:
+    // counts are 0, every other aggregate is null.
+    QueryRow row;
+    for (const SelectItem& item : stmt.items) {
+      row.values.push_back(item.kind == SelectItem::Kind::kCount
+                               ? Value(int64_t{0})
+                               : Value());
+    }
+    result->rows.push_back(std::move(row));
+    return;
+  }
   for (const auto& [_, g] : groups) {
     QueryRow row;
     for (size_t i = 0; i < n_items; ++i) {

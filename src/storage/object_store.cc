@@ -1,6 +1,7 @@
 #include "storage/object_store.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 namespace reach {
@@ -61,6 +62,7 @@ Status ObjectStore::Bootstrap() {
   for (auto& stripe : stripes_) {
     std::lock_guard<std::mutex> slock(stripe->mu);
     stripe->free_space.clear();
+    stripe->by_space.clear();
   }
   // The disk manager knows how many pages exist; scan the data range in
   // readahead-sized chunks so the cold pass goes down as batched backend
@@ -104,18 +106,26 @@ Status ObjectStore::LogPhysical(TxnId txn, SlottedPage* sp, PageId page,
 }
 
 void ObjectStore::NoteFreeSpace(PageId page, const SlottedPage& sp) {
+  const size_t space = sp.FreeSpaceForInsert();
   Stripe& stripe = StripeFor(page);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.free_space[page] = sp.FreeSpaceForInsert();
+  auto [it, inserted] = stripe.free_space.try_emplace(page, space);
+  if (!inserted) {
+    if (it->second == space) return;
+    stripe.by_space.erase({it->second, page});
+    it->second = space;
+  }
+  stripe.by_space.emplace(space, page);
 }
 
 Result<PageId> ObjectStore::PageWithSpace(size_t need) {
+  std::pair<size_t, PageId> best{SIZE_MAX, kInvalidPageId};
   for (auto& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe->mu);
-    for (const auto& [page, space] : stripe->free_space) {
-      if (space >= need) return page;
-    }
+    auto it = stripe->by_space.lower_bound({need, 0});
+    if (it != stripe->by_space.end() && *it < best) best = *it;
   }
+  if (best.second != kInvalidPageId) return best.second;
   REACH_ASSIGN_OR_RETURN(Page * page, pool_->NewPage());
   PageGuard guard(pool_, page);
   guard.MarkDirty();

@@ -18,12 +18,15 @@
 // recovery applies) fall back to the operation lock exclusive. No path ever
 // holds two page stripes at once, so the stripes cannot deadlock. The
 // free-space map is striped separately by `page % N` (N = buffer pool shard
-// count); page stripes are always taken before free-space stripes.
+// count) and indexed by free bytes, so picking a page for an insert costs
+// O(stripes x log pages) however large the store grows; page stripes are
+// always taken before free-space stripes.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -118,7 +121,9 @@ class ObjectStore {
   // that in-place head updates usually succeed).
   static constexpr size_t kHeadChunk = 1024;
 
-  /// Pick (or allocate) a page with at least `need` insertable bytes.
+  /// Pick (or allocate) a page with at least `need` insertable bytes: the
+  /// best fit (least such space, then lowest page id) over all stripes,
+  /// O(stripes x log pages).
   Result<PageId> PageWithSpace(size_t need);
 
   /// Insert one raw cell; logs the mutation; returns its OID.
@@ -166,12 +171,15 @@ class ObjectStore {
 
   // One stripe of the free-space map (insertable bytes per data page),
   // keyed `page % stripes_.size()`. Heap-allocated and cache-line-aligned
-  // like the buffer pool shards. The stripe mutex guards the map itself;
+  // like the buffer pool shards. The stripe mutex guards both containers;
   // lock order is always op_mu_ first, then at most one stripe at a time,
   // so stripes can never deadlock against each other.
   struct alignas(64) Stripe {
     std::mutex mu;
     std::unordered_map<PageId, size_t> free_space;
+    // The same entries ordered by (insertable bytes, page), so
+    // PageWithSpace's best fit is one lower_bound per stripe.
+    std::set<std::pair<size_t, PageId>> by_space;
   };
 
   Stripe& StripeFor(PageId page) {

@@ -6,14 +6,12 @@
 namespace reach {
 
 Status RecoveryManager::Recover(RecoveryStats* stats) {
-  std::vector<WalRecord> records;
-  REACH_RETURN_IF_ERROR(wal_->ReadAll(&records));
-  stats->records_scanned = records.size();
-
-  std::unordered_set<TxnId> finished;  // committed or fully aborted
+  // Analysis: which transactions finished (committed or fully aborted).
+  std::unordered_set<TxnId> finished;
   std::unordered_set<TxnId> seen;
-  size_t committed = 0, aborted = 0;
-  for (const WalRecord& rec : records) {
+  size_t scanned = 0, committed = 0, aborted = 0;
+  REACH_RETURN_IF_ERROR(wal_->Scan([&](WalRecord& rec) {
+    ++scanned;
     if (rec.txn != kNoTxn) seen.insert(rec.txn);
     if (rec.type == WalRecordType::kCommit) {
       finished.insert(rec.txn);
@@ -24,28 +22,40 @@ Status RecoveryManager::Recover(RecoveryStats* stats) {
       finished.insert(rec.txn);
       ++aborted;
     }
-  }
+    return Status::OK();
+  }));
+  stats->records_scanned = scanned;
   stats->committed_txns = committed;
   stats->aborted_txns = aborted;
 
-  // Pass 1: repeat history. Conditional on the page LSN — pages flushed
-  // after a record already contain its effect and are left untouched.
-  for (const WalRecord& rec : records) {
-    if (rec.type != WalRecordType::kPhysical) continue;
-    REACH_RETURN_IF_ERROR(
-        store_->ApplyImage(rec.page, rec.slot, rec.after, rec.lsn));
-    ++stats->records_redone;
-  }
-
-  // Pass 2: roll back losers.
   std::unordered_set<TxnId> losers;
   for (TxnId txn : seen) {
     if (!finished.contains(txn)) losers.insert(txn);
   }
   stats->loser_txns = losers.size();
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    if (it->type != WalRecordType::kPhysical) continue;
-    if (!losers.contains(it->txn)) continue;
+
+  // Redo: repeat history. Conditional on the page LSN — pages flushed after
+  // a record already contain its effect and are left untouched. The losers'
+  // before-images are collected on the way: undo needs nothing else.
+  struct UndoImage {
+    PageId page;
+    SlotId slot;
+    WalCellImage before;
+  };
+  std::vector<UndoImage> undo;
+  REACH_RETURN_IF_ERROR(wal_->Scan([&](WalRecord& rec) {
+    if (rec.type != WalRecordType::kPhysical) return Status::OK();
+    REACH_RETURN_IF_ERROR(
+        store_->ApplyImage(rec.page, rec.slot, rec.after, rec.lsn));
+    ++stats->records_redone;
+    if (losers.contains(rec.txn)) {
+      undo.push_back({rec.page, rec.slot, std::move(rec.before)});
+    }
+    return Status::OK();
+  }));
+
+  // Undo: roll back losers, newest first.
+  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
     REACH_RETURN_IF_ERROR(store_->ApplyImage(it->page, it->slot, it->before));
     ++stats->records_undone;
   }

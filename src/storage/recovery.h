@@ -1,6 +1,8 @@
 // Crash recovery: repeat history (redo every physical record in LSN order),
 // then roll back losers (apply before-images of unfinished transactions in
 // reverse LSN order). Full before/after images make both passes idempotent.
+// The log is streamed twice through Wal::Scan (analysis, then redo); only
+// the losers' before-images are held in memory.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@ class RecoveryManager {
  public:
   RecoveryManager(Wal* wal, ObjectStore* store) : wal_(wal), store_(store) {}
 
-  /// Run the two recovery passes. Pages are modified in the buffer pool;
+  /// Run analysis, redo and undo. Pages are modified in the buffer pool;
   /// the caller is responsible for flushing and truncating the log after.
   Status Recover(RecoveryStats* stats);
 

@@ -125,16 +125,15 @@ Status StorageManager::Checkpoint() {
 Status StorageManager::RotateLogKeepingEventHistory(size_t* carried) {
   if (carried != nullptr) *carried = 0;
   REACH_FAULT_POINT(faults::kEventHistoryCarryover);
-  std::vector<WalRecord> records;
-  REACH_RETURN_IF_ERROR(wal_->ReadAll(&records));
   // Keep the last event checkpoint and every event record after it; with no
   // checkpoint the whole history is the replay tail.
   std::vector<WalRecord> keep;
-  for (WalRecord& rec : records) {
-    if (!IsEventRecord(rec.type)) continue;
+  REACH_RETURN_IF_ERROR(wal_->Scan([&keep](WalRecord& rec) {
+    if (!IsEventRecord(rec.type)) return Status::OK();
     if (rec.type == WalRecordType::kEventCheckpoint) keep.clear();
     keep.push_back(std::move(rec));
-  }
+    return Status::OK();
+  }));
   REACH_RETURN_IF_ERROR(wal_->Truncate());
   if (keep.empty()) return Status::OK();
   for (WalRecord& rec : keep) {

@@ -155,13 +155,13 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
       new Wal(path, fd, options, DiskBackend::Create(backend)));
   // Restore next_lsn from the existing log tail; everything already in the
   // file is durable as far as this process can know.
-  std::vector<WalRecord> records;
-  Status st = wal->ReadAll(&records);
-  if (!st.ok()) return st;
-  for (const WalRecord& r : records) {
-    if (r.lsn >= wal->next_lsn_) wal->next_lsn_ = r.lsn + 1;
-  }
-  wal->durable_lsn_.store(wal->next_lsn_ - 1, std::memory_order_release);
+  Lsn next = 1;
+  REACH_RETURN_IF_ERROR(wal->Scan([&next](WalRecord& r) {
+    next = std::max(next, r.lsn + 1);
+    return Status::OK();
+  }));
+  wal->next_lsn_ = next;
+  wal->durable_lsn_.store(next - 1, std::memory_order_release);
   if (options.group_commit) {
     wal->flusher_ = std::thread(&Wal::FlusherLoop, wal.get());
   }
@@ -469,26 +469,53 @@ void Wal::EnsureNextLsnAtLeast(Lsn floor) {
   }
 }
 
-Status Wal::ReadAll(std::vector<WalRecord>* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  durable_cv_.wait(lock, [this] { return !io_in_flight_; });
-  off_t size = ::lseek(fd_, 0, SEEK_END);
-  if (size < 0) return Status::IoError("wal lseek");
-  std::string data(static_cast<size_t>(size), '\0');
-  if (size > 0) {
-    ssize_t n = ::pread(fd_, data.data(), data.size(), 0);
-    if (n != size) return Status::IoError("wal read");
+Status Wal::Scan(const ScanVisitor& visit, size_t window_bytes) {
+  uint64_t file_size = 0;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    durable_cv_.wait(lock, [this] { return !io_in_flight_; });
+    off_t size = ::lseek(fd_, 0, SEEK_END);
+    if (size < 0) return Status::IoError("wal lseek");
+    file_size = static_cast<uint64_t>(size);
   }
-  size_t pos = 0;
-  while (pos < data.size()) {
+  // Bytes [0, file_size) stay put without the lock: the flusher only
+  // appends past them, and Truncate never overlaps a scan.
+  std::string window;     // undecoded file bytes end at read_off
+  size_t pos = 0;         // next record's offset in window
+  uint64_t read_off = 0;  // next file offset to read
+  for (;;) {
+    // A record is framed as [u32 body_len][body][u32 crc].
+    const size_t avail = window.size() - pos;
+    size_t need = sizeof(uint32_t);
+    if (avail >= sizeof(uint32_t)) {
+      uint32_t body_len = 0;
+      std::memcpy(&body_len, window.data() + pos, sizeof(body_len));
+      need = sizeof(uint32_t) + size_t{body_len} + sizeof(uint32_t);
+    }
+    if (avail < need) {
+      const uint64_t left = file_size - read_off;
+      // Torn tail: the file ends inside this record.
+      if (avail + left < need) break;
+      // Slide the partial record to the front, then refill to one window,
+      // or to the record's declared length when that is larger.
+      window.erase(0, pos);
+      pos = 0;
+      const size_t fill = static_cast<size_t>(std::min<uint64_t>(
+          left, std::max(window_bytes, need) - window.size()));
+      const size_t old = window.size();
+      window.resize(old + fill);
+      ssize_t n = ::pread(fd_, window.data() + old, fill,
+                          static_cast<off_t>(read_off));
+      if (n != static_cast<ssize_t>(fill)) return Status::IoError("wal read");
+      read_off += fill;
+      continue;
+    }
     WalRecord rec;
     size_t consumed = 0;
-    if (!DecodeRecord(data.data() + pos, data.size() - pos, &consumed, &rec)) {
-      // Torn tail write: stop at the last complete record.
-      break;
-    }
-    out->push_back(std::move(rec));
+    // A bad CRC ends the log like a torn tail: stop at the last good record.
+    if (!DecodeRecord(window.data() + pos, avail, &consumed, &rec)) break;
     pos += consumed;
+    REACH_RETURN_IF_ERROR(visit(rec));
   }
   return Status::OK();
 }

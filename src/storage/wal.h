@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -128,8 +129,23 @@ class Wal {
   /// Highest LSN known to be on stable storage (monotonic watermark).
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
 
-  /// Read every record currently in the log (for recovery).
-  Status ReadAll(std::vector<WalRecord>* out);
+  /// Read window of Scan: records are decoded from a buffer of this many
+  /// bytes, grown only as far as one record's declared length.
+  static constexpr size_t kScanWindowBytes = 1u << 20;
+
+  /// Visitor of Scan. May move from the record; a non-OK status stops the
+  /// scan and is returned by it.
+  using ScanVisitor = std::function<Status(WalRecord& record)>;
+
+  /// Visit every record in the log file in LSN order, stopping at the first
+  /// torn or corrupt record (the tail of a crashed write). Records still
+  /// buffered in memory are not visited. Memory is bounded by
+  /// max(window_bytes, largest record) whatever the log size. mu_ is not
+  /// held while `visit` runs, so a visitor may force the log (recovery's
+  /// redo can evict a dirty page, whose pre-write hook calls FlushUpTo).
+  /// Must not run concurrently with Truncate.
+  Status Scan(const ScanVisitor& visit,
+              size_t window_bytes = kScanWindowBytes);
 
   /// Discard the log contents (after a checkpoint has made them redundant).
   Status Truncate();
@@ -206,7 +222,7 @@ class Wal {
   std::thread flusher_;
   bool stop_ = false;
   /// Set while the flusher holds the fd without mu_ (its write/fsync);
-  /// ReadAll/Truncate wait for it to clear before touching the file.
+  /// Scan/Truncate wait for it to clear before touching the file.
   bool io_in_flight_ = false;
   Lsn next_lsn_ = 1;
   std::string buffer_;  // encoded records not yet written to the file

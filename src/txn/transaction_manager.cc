@@ -199,9 +199,9 @@ Status TransactionManager::Commit(TxnId txn_id) {
     locks_.UnregisterTxn(txn_id);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      txns_.erase(txn_id);
+      FinishLocked(txn_id, /*committed=*/true);
     }
-    FinishOutcome(txn_id, /*committed=*/true);
+    outcome_cv_.notify_all();
     if (commit_start_ns != 0) {
       TxnMetrics::Get().commit_ns->RecordAlways(obs::NowNanos() -
                                                 commit_start_ns);
@@ -233,11 +233,11 @@ Status TransactionManager::Commit(TxnId txn_id) {
     par.abort_deps.insert(par.abort_deps.end(), child.abort_deps.begin(),
                           child.abort_deps.end());
     par.active_children--;
-    txns_.erase(it);
+    FinishLocked(txn_id, /*committed=*/true);
   }
+  outcome_cv_.notify_all();
   locks_.TransferLocks(txn_id, parent);
   locks_.UnregisterTxn(txn_id);
-  FinishOutcome(txn_id, /*committed=*/true);
   std::lock_guard<std::mutex> lock(listener_mu_);
   for (TxnListener* l : listeners_) l->OnCommitChild(txn_id, parent);
   return Status::OK();
@@ -317,9 +317,9 @@ Status TransactionManager::DoAbort(TxnId txn_id) {
       auto pit = txns_.find(parent);
       if (pit != txns_.end()) pit->second.active_children--;
     }
-    txns_.erase(txn_id);
+    FinishLocked(txn_id, /*committed=*/false);
   }
-  FinishOutcome(txn_id, /*committed=*/false);
+  outcome_cv_.notify_all();
   TxnMetrics::Get().aborted->Inc();
   {
     std::lock_guard<std::mutex> lock(listener_mu_);
@@ -363,12 +363,9 @@ Result<bool> TransactionManager::WaitForOutcome(TxnId txn_id) {
   }
 }
 
-void TransactionManager::FinishOutcome(TxnId txn_id, bool committed) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    outcomes_[txn_id] = committed;
-  }
-  outcome_cv_.notify_all();
+void TransactionManager::FinishLocked(TxnId txn_id, bool committed) {
+  txns_.erase(txn_id);
+  outcomes_[txn_id] = committed;
 }
 
 bool TransactionManager::IsActive(TxnId txn_id) const {

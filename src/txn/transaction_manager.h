@@ -124,7 +124,11 @@ class TransactionManager {
   /// releases locks, notifies listeners. Expects mu_ NOT held.
   Status DoAbort(TxnId txn);
 
-  void FinishOutcome(TxnId txn, bool committed);
+  /// Retire a finished transaction: erase it from txns_ and record its
+  /// outcome in one mu_ critical section, so WaitForOutcome always finds
+  /// it in one of the two maps. Callers hold mu_ and notify outcome_cv_
+  /// after releasing it.
+  void FinishLocked(TxnId txn, bool committed);
 
   StorageManager* storage_;
   LockManager locks_;

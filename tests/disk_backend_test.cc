@@ -214,7 +214,7 @@ TEST(DiskBackendRoundtripTest, WalAppendSyncAcrossBackends) {
     EXPECT_EQ(wal->unflushed_records(), 0u);
 
     std::vector<WalRecord> records;
-    ASSERT_TRUE(wal->ReadAll(&records).ok());
+    ASSERT_TRUE(reach::testing::ScanRecords(wal.get(), &records).ok());
     ASSERT_EQ(records.size(), 20u);
     for (int i = 0; i < 20; ++i) {
       EXPECT_EQ(records[i].after.bytes, "record_" + std::to_string(i));

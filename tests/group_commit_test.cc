@@ -121,7 +121,7 @@ TEST_F(GroupCommitTest, BatchFailureFailsEveryWaiterWithSameStatus) {
   EXPECT_TRUE(retry.ok()) << retry.ToString();
   EXPECT_EQ(wal->durable_lsn(), static_cast<Lsn>(kWaiters));
   std::vector<WalRecord> records;
-  ASSERT_TRUE(wal->ReadAll(&records).ok());
+  ASSERT_TRUE(reach::testing::ScanRecords(wal.get(), &records).ok());
   EXPECT_EQ(records.size(), static_cast<size_t>(kWaiters));
 }
 

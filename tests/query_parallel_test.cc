@@ -149,6 +149,27 @@ TEST_F(QueryParallelTest, AggregateMergeIsDeterministic) {
   }
 }
 
+TEST_F(QueryParallelTest, AggregatesOverEmptySelection) {
+  Seed(120, 40);
+  const std::string q =
+      "select count(*), sum(v), avg(v), min(k), max(k) from P where k > 5000";
+  QueryResult serial = Run(q, Serial());
+  QueryResult parallel = Run(q, Parallel(4, 1));
+  EXPECT_GT(parallel.workers, 1u);
+  ExpectSameRows(serial, parallel, q);
+  ASSERT_EQ(parallel.rows.size(), 1u);
+  const auto& v = parallel.rows[0].values;
+  ASSERT_EQ(v.size(), 5u);
+  EXPECT_EQ(v[0], Value(0));
+  for (size_t i = 1; i < v.size(); ++i) {
+    EXPECT_TRUE(v[i].is_null()) << "column " << i;
+  }
+  const std::string grouped =
+      "select cat, count(*) from P where k > 5000 group by cat";
+  EXPECT_TRUE(Run(grouped, Serial()).rows.empty());
+  EXPECT_TRUE(Run(grouped, Parallel(4, 1)).rows.empty());
+}
+
 TEST_F(QueryParallelTest, SubclassExtentsAreCovered) {
   Seed(60, 25);
   QueryResult serial = Run("select k from P", Serial());

@@ -274,6 +274,33 @@ TEST_F(QueryPmTest, AggregatesWithoutGrouping) {
   EXPECT_EQ(v[4], Value(50.0));        // max
 }
 
+TEST_F(QueryPmTest, AggregatesOverEmptySelection) {
+  // No GROUP BY: exactly one row even when nothing matches — counts are 0,
+  // the other aggregates null.
+  auto r = qpm_.Execute(
+      *session_,
+      "select count(*), count(price), sum(volume), avg(price), min(price), "
+      "max(price) from Stock where price > 1000.0");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  const auto& v = r->rows[0].values;
+  ASSERT_EQ(v.size(), 6u);
+  EXPECT_EQ(v[0], Value(0));
+  EXPECT_EQ(v[1], Value(0));
+  for (size_t i = 2; i < v.size(); ++i) {
+    EXPECT_TRUE(v[i].is_null()) << "column " << i;
+  }
+  EXPECT_EQ(r->scanned, 5u);
+
+  // With GROUP BY an empty selection has no groups, hence no rows.
+  auto grouped = qpm_.Execute(
+      *session_,
+      "select symbol, count(*) from Stock where price > 1000.0 "
+      "group by symbol");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_TRUE(grouped->rows.empty());
+}
+
 TEST_F(QueryPmTest, GroupByAggregates) {
   // Two groups by price band: make a second object share a symbol.
   ASSERT_TRUE(session_

@@ -3,6 +3,11 @@
 // buffer are lost), then reopening — Open() runs recovery.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/storage_manager.h"
 #include "test_util.h"
 
@@ -183,6 +188,70 @@ TEST(RecoveryTest, MixedWinnersAndLosers) {
     EXPECT_TRUE((*sm)->objects()->Read(oid).ok());
   }
   for (const Oid& oid : losers) {
+    EXPECT_TRUE((*sm)->objects()->Read(oid).status().IsNotFound());
+  }
+}
+
+TEST(RecoveryTest, LoserSpanningScanWindowsIsUndone) {
+  // A log several Wal::Scan windows long with one loser whose records sit
+  // in every window: redo streams over all of it, and undo restores the
+  // loser's before-images collected on the way, newest first.
+  TempDir dir;
+  constexpr TxnId kLoser = 1;
+  constexpr int kRounds = 1200;
+  std::vector<std::pair<Oid, std::string>> committed;
+  std::vector<Oid> loser_inserts;
+  size_t loser_records = 0;
+  {
+    auto sm = StorageManager::Open(dir.DbPath());
+    ASSERT_TRUE(sm.ok());
+    ObjectStore* store = (*sm)->objects();
+    store->set_mutation_listener(
+        [&loser_records](TxnId txn, PageId, SlotId, const WalCellImage&) {
+          if (txn == kLoser) ++loser_records;
+        });
+    ASSERT_TRUE((*sm)->LogBegin(kLoser).ok());
+    for (int r = 0; r < kRounds; ++r) {
+      const TxnId winner = 2 + r;
+      ASSERT_TRUE((*sm)->LogBegin(winner).ok());
+      std::string value = "w" + std::to_string(r) + std::string(2500, 'w');
+      auto oid = store->Insert(winner, value);
+      ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+      ASSERT_TRUE(DurableLogCommit(sm->get(), winner).ok());
+      committed.emplace_back(*oid, std::move(value));
+
+      auto mine = store->Insert(kLoser, std::string(1000, 'L'));
+      ASSERT_TRUE(mine.ok()) << mine.status().ToString();
+      loser_inserts.push_back(*mine);
+      if (r % 100 == 50) {
+        // Overwrite an older committed object twice: undo must apply the
+        // before-images in reverse to land on the committed value.
+        const Oid& victim = committed[r - 50].first;
+        const size_t len = committed[r - 50].second.size();
+        ASSERT_TRUE(store->Update(kLoser, victim, std::string(len, '1')).ok());
+        ASSERT_TRUE(store->Update(kLoser, victim, std::string(len, '2')).ok());
+      }
+    }
+    // Make the loser's page changes durable so undo has to act on disk.
+    ASSERT_TRUE((*sm)->buffer_pool()->FlushAll().ok());
+    // Crash: the loser never commits.
+  }
+  ASSERT_GE(std::filesystem::file_size(dir.DbPath() + ".wal"),
+            3 * Wal::kScanWindowBytes);
+  auto sm = StorageManager::Open(dir.DbPath());
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  const RecoveryStats& stats = (*sm)->recovery_stats();
+  EXPECT_EQ(stats.loser_txns, 1u);
+  EXPECT_EQ(stats.committed_txns, static_cast<size_t>(kRounds));
+  EXPECT_EQ(stats.records_undone, loser_records);
+  EXPECT_GE(stats.records_redone, kRounds + loser_records);
+  for (const auto& [oid, value] : committed) {
+    auto read = (*sm)->objects()->Read(oid);
+    ASSERT_TRUE(read.ok()) << oid.ToString() << ": "
+                           << read.status().ToString();
+    ASSERT_EQ(*read, value);
+  }
+  for (const Oid& oid : loser_inserts) {
     EXPECT_TRUE((*sm)->objects()->Read(oid).status().IsNotFound());
   }
 }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/storage_manager.h"
@@ -17,6 +18,18 @@ inline Status DurableLogCommit(StorageManager* sm, TxnId txn) {
   auto lsn = sm->LogCommit(txn);
   if (!lsn.ok()) return lsn.status();
   return sm->wal()->WaitDurable(*lsn);
+}
+
+/// Collect every record Wal::Scan visits, decoding through a read window of
+/// `window_bytes`.
+inline Status ScanRecords(Wal* wal, std::vector<WalRecord>* out,
+                          size_t window_bytes = Wal::kScanWindowBytes) {
+  return wal->Scan(
+      [out](WalRecord& rec) {
+        out->push_back(std::move(rec));
+        return Status::OK();
+      },
+      window_bytes);
 }
 
 /// Unique scratch directory, removed on destruction.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "storage/storage_manager.h"
 #include "test_util.h"
@@ -396,6 +398,76 @@ TEST_F(TxnManagerTest, NestedLoserUndoneAfterCrash) {
 
 TEST_F(TxnManagerTest, WaitForOutcomeUnknownTxn) {
   EXPECT_TRUE(tm_->WaitForOutcome(9999).status().IsNotFound());
+}
+
+TEST_F(TxnManagerTest, WaitForOutcomeNeverMissesAFinishingTxn) {
+  // A finished transaction leaves txns_ and enters outcomes_ atomically: a
+  // waiter racing the finish (top-level commit, abort, nested commit) must
+  // get the outcome, never NotFound. Each finisher publishes the id it is
+  // about to finish together with the expected outcome (id << 1 | commit);
+  // its waiter hammers WaitForOutcome on that id.
+  constexpr int kFinishers = 4;
+  constexpr int kPerFinisher = 3000;  // 12k transactions in all
+  std::atomic<int> not_found{0};
+  std::atomic<int> wrong_outcome{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int f = 0; f < kFinishers; ++f) {
+    auto published = std::make_shared<std::atomic<uint64_t>>(0);
+    threads.emplace_back([&, published] {
+      while (done.load() < kFinishers) {
+        const uint64_t p = published->load();
+        if (p == 0) continue;
+        auto outcome = tm_->WaitForOutcome(p >> 1);
+        if (!outcome.ok()) {
+          not_found++;
+        } else if (*outcome != static_cast<bool>(p & 1)) {
+          wrong_outcome++;
+        }
+      }
+    });
+    threads.emplace_back([&, f, published] {
+      auto publish = [&](TxnId id, bool commit) {
+        published->store(id << 1 | static_cast<uint64_t>(commit));
+      };
+      for (int i = 0; i < kPerFinisher; ++i) {
+        auto root = tm_->Begin();
+        Status st = root.status();
+        if (!st.ok()) {
+          ADD_FAILURE() << st.ToString();
+          break;
+        }
+        switch ((i + f) % 3) {
+          case 0:
+            publish(*root, true);
+            st = tm_->Commit(*root);
+            break;
+          case 1:
+            publish(*root, false);
+            st = tm_->Abort(*root);
+            break;
+          default: {
+            auto child = tm_->Begin(*root);
+            st = child.status();
+            if (!st.ok()) break;
+            publish(*child, true);
+            st = tm_->Commit(*child);
+            if (st.ok()) st = tm_->Commit(*root);
+            break;
+          }
+        }
+        if (!st.ok()) {
+          ADD_FAILURE() << st.ToString();
+          break;
+        }
+      }
+      done++;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(not_found.load(), 0) << "WaitForOutcome lost a finishing txn";
+  EXPECT_EQ(wrong_outcome.load(), 0);
+  EXPECT_EQ(tm_->active_count(), 0u);
 }
 
 }  // namespace
