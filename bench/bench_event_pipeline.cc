@@ -1,20 +1,19 @@
 // Event pipeline scaling — the acceptance benchmark for the lock-free
 // dispatch path (docs/EVENTS.md): N detecting threads push occurrences
-// through EventManager::Signal while the composition backend and the
-// composite fan-out are swept.
+// through EventManager::Signal while batching and the composite fan-out are
+// swept.
 //
 //   BM_SignalFanout         work-stealing composition, batch_mode off (the
 //                           per-occurrence path, kept as the scaling
 //                           baseline)
 //   BM_SignalFanoutBatched  work-stealing with the batched admission/
 //                           dequeue/eval pipeline (the default config)
-//   BM_SignalFanoutCentral  central mutex+deque pool (the pre-striping path)
 //   BM_SignalFanout/comp:0  pure dispatch: snapshot load + history append,
 //                           no composition enqueue at all
 //   BM_CompositeLatency*    single-thread Signal->Quiesce round trip for a
 //                           conjunction: full completion latency including
-//                           the pool handoff, per backend — batch_mode off
-//                           (latency mode must not regress)
+//                           the pool handoff, inline and work-stealing —
+//                           batch_mode off (latency mode must not regress)
 //
 // Each detecting thread signals its own primitive event type inside its own
 // transaction, so per-type histories and per-txn compositor instances are
@@ -27,8 +26,8 @@
 // CI gates ratios, not absolutes (RATIO_PAIRS in scripts/bench_compare.py):
 //   * threads:8 / threads:1 of BM_SignalFanout/comp:4 — multicore Signal
 //     scaling losing ground is a property of the code;
-//   * BM_SignalFanout / BM_SignalFanoutCentral at threads:8 — work
-//     stealing must not fall behind the central pool it replaced.
+//   * BM_SignalFanoutBatched / BM_SignalFanout at threads:8 — the batched
+//     pipeline must keep its edge over per-occurrence dispatch.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -69,13 +68,12 @@ struct SharedEm {
 };
 SharedEm g_em;
 
-void SetupPipeline(CompositionMode mode, int composites_per_type,
-                   bool batch, const std::string& tag) {
+void SetupPipeline(int composites_per_type, bool batch,
+                   const std::string& tag) {
   auto db = Database::Open(ScratchBase(tag), {});
   if (!db.ok()) std::abort();
   g_em.db = std::move(*db);
   EventManagerOptions opts;
-  opts.composition_mode = mode;
   opts.composition_threads = 2;
   opts.batch_mode = batch;
   // The producers never commit, so don't buffer per-txn history forever.
@@ -112,11 +110,10 @@ void TeardownPipeline(benchmark::State& state) {
   g_em.db.reset();
 }
 
-void FanoutBody(benchmark::State& state, CompositionMode mode, bool batch,
-                const std::string& tag) {
+void FanoutBody(benchmark::State& state, bool batch, const std::string& tag) {
   const int comp = static_cast<int>(state.range(0));
   if (state.thread_index() == 0) {
-    SetupPipeline(mode, comp, batch, tag + std::to_string(comp));
+    SetupPipeline(comp, batch, tag + std::to_string(comp));
   }
   const TxnId txn = static_cast<TxnId>(state.thread_index()) + 1;
   EventTypeId type = 0;
@@ -145,14 +142,10 @@ void FanoutBody(benchmark::State& state, CompositionMode mode, bool batch,
 }
 
 void BM_SignalFanout(benchmark::State& state) {
-  FanoutBody(state, CompositionMode::kWorkStealing, /*batch=*/false, "ws");
+  FanoutBody(state, /*batch=*/false, "ws");
 }
 void BM_SignalFanoutBatched(benchmark::State& state) {
-  FanoutBody(state, CompositionMode::kWorkStealing, /*batch=*/true, "wsb");
-}
-void BM_SignalFanoutCentral(benchmark::State& state) {
-  FanoutBody(state, CompositionMode::kCentralPool, /*batch=*/false,
-             "central");
+  FanoutBody(state, /*batch=*/true, "wsb");
 }
 
 BENCHMARK(BM_SignalFanout)
@@ -174,24 +167,15 @@ BENCHMARK(BM_SignalFanoutBatched)
     ->Threads(16)
     ->UseRealTime()
     ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_SignalFanoutCentral)
-    ->ArgName("comp")
-    ->Arg(4)
-    ->Threads(1)
-    ->Threads(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kNanosecond);
 
 // Completion latency: And(A, B) per iteration — Signal both legs, then
 // Quiesce so the composite has provably been raised. Measures the full
 // signal -> enqueue -> compose -> completion-signal round trip.
-void LatencyBody(benchmark::State& state, CompositionMode mode, bool async,
-                 const std::string& tag) {
+void LatencyBody(benchmark::State& state, bool async, const std::string& tag) {
   auto db = Database::Open(ScratchBase("lat_" + tag), {});
   if (!db.ok()) std::abort();
   EventManagerOptions opts;
   opts.async_composition = async;
-  opts.composition_mode = mode;
   opts.composition_threads = 2;
   opts.batch_mode = false;  // latency mode: per-occurrence dispatch
   opts.maintain_global_history = false;
@@ -217,17 +201,13 @@ void LatencyBody(benchmark::State& state, CompositionMode mode, bool async,
 }
 
 void BM_CompositeLatencyInline(benchmark::State& state) {
-  LatencyBody(state, CompositionMode::kInline, false, "inline");
-}
-void BM_CompositeLatencyCentral(benchmark::State& state) {
-  LatencyBody(state, CompositionMode::kCentralPool, true, "central");
+  LatencyBody(state, /*async=*/false, "inline");
 }
 void BM_CompositeLatencyWS(benchmark::State& state) {
-  LatencyBody(state, CompositionMode::kWorkStealing, true, "ws");
+  LatencyBody(state, /*async=*/true, "ws");
 }
 
 BENCHMARK(BM_CompositeLatencyInline)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_CompositeLatencyCentral)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CompositeLatencyWS)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -19,7 +19,7 @@
 //   begin | commit | abort                   manual transaction control
 //   history                                  global event history size
 //   metrics [on|off|reset]                   observability snapshot (JSON)
-//   storage                                  buffer pool / disk backend stats
+//   storage                                  buffer pool stats
 //   help | quit
 //
 // Without explicit begin/commit each command runs in its own transaction.
@@ -295,20 +295,9 @@ class Shell {
         std::printf("%s\n", reg.SnapshotJson().c_str());
       }
     } else if (cmd == "storage") {
-      StorageManager* sm = db_->database()->storage();
-      BufferPool* pool = sm->buffer_pool();
-      auto wb = pool->writeback_stats();
-      std::printf("backend          %s\n", sm->disk()->backend_name());
+      BufferPool* pool = db_->database()->storage()->buffer_pool();
+      std::printf("shards           %zu\n", pool->shard_count());
       std::printf("dirty_ratio      %.3f\n", pool->dirty_ratio());
-      std::printf("writeback        %s (watermark %zu%%)\n",
-                  wb.enabled ? "on" : "off", wb.watermark_pct);
-      std::printf("  pages cleaned  %llu in %llu batches\n",
-                  static_cast<unsigned long long>(wb.pages),
-                  static_cast<unsigned long long>(wb.batches));
-      std::printf("  stall          %.3f ms total\n",
-                  static_cast<double>(wb.stall_ns) / 1e6);
-      std::printf("  sync fallbacks %llu\n",
-                  static_cast<unsigned long long>(wb.sync_fallbacks));
       auto lock_wait = obs::MetricsRegistry::Instance()
                            .histogram(obs::kBufShardLockWaitNs)
                            ->Snapshot();

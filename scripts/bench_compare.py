@@ -75,10 +75,6 @@ RATIO_PAIRS = [
     ("event_signal_scaling_t4",
      "bench_event_pipeline/BM_SignalFanout/comp:0/real_time/threads:4",
      "bench_event_pipeline/BM_SignalFanout/comp:0/real_time/threads:1"),
-    # Work stealing must not fall behind the central pool it replaced.
-    ("event_compose_backend_t8",
-     "bench_event_pipeline/BM_SignalFanout/comp:4/real_time/threads:8",
-     "bench_event_pipeline/BM_SignalFanoutCentral/comp:4/real_time/threads:8"),
     # Batched pipeline (docs/EVENTS.md "Batched pipeline"): per-iteration
     # wall clock of the batched admission/dequeue/eval path over the
     # per-occurrence path at the same fan-out and thread count. The
@@ -87,45 +83,6 @@ RATIO_PAIRS = [
     ("event_batch_fanout_t8",
      "bench_event_pipeline/BM_SignalFanoutBatched/comp:4/real_time/threads:8",
      "bench_event_pipeline/BM_SignalFanout/comp:4/real_time/threads:8"),
-    # Pluggable disk backends (docs/STORAGE.md "Async disk backend"):
-    # batched/coalesced backends over the synchronous posix loop on the
-    # same workload. backend:0=posix, 1=async, 2=uring (uring resolves to
-    # async where io_uring is unavailable, so the names always exist).
-    # Rising ratio = the batched path lost its edge over per-page syscalls.
-    ("disk_cold_scan_uring",
-     "bench_disk_backend/BM_ColdScan/backend:2/real_time",
-     "bench_disk_backend/BM_ColdScan/backend:0/real_time"),
-    ("disk_cold_scan_async",
-     "bench_disk_backend/BM_ColdScan/backend:1/real_time",
-     "bench_disk_backend/BM_ColdScan/backend:0/real_time"),
-    ("disk_checkpoint_uring",
-     "bench_disk_backend/BM_Checkpoint/backend:2/real_time",
-     "bench_disk_backend/BM_Checkpoint/backend:0/real_time"),
-    ("disk_checkpoint_async",
-     "bench_disk_backend/BM_Checkpoint/backend:1/real_time",
-     "bench_disk_backend/BM_Checkpoint/backend:0/real_time"),
-    # WAL append + commit force on the batched backends over posix. The
-    # path is flusher-scheduling and fsync bound, so its run-to-run
-    # variance is far above the default tolerance — the widened bar (3x)
-    # only catches the backend genuinely falling off a cliff.
-    ("disk_wal_append_uring",
-     "bench_disk_backend/BM_WalAppend/backend:2/real_time",
-     "bench_disk_backend/BM_WalAppend/backend:0/real_time", 3.0),
-    ("disk_wal_append_async",
-     "bench_disk_backend/BM_WalAppend/backend:1/real_time",
-     "bench_disk_backend/BM_WalAppend/backend:0/real_time", 3.0),
-    # Background writeback (docs/STORAGE.md "Background writeback"):
-    # dirty-pool mixed read/update wall clock with the cleaner on over the
-    # same workload paying synchronous eviction writes. Rising ratio = the
-    # cleaner lost its edge. Disk-bound, so the tolerance is widened.
-    ("writeback_dirty_read_t4",
-     "bench_writeback/BM_DirtyPoolRead/writeback:1/real_time/threads:4",
-     "bench_writeback/BM_DirtyPoolRead/writeback:0/real_time/threads:4",
-     2.0),
-    ("writeback_dirty_read_t1",
-     "bench_writeback/BM_DirtyPoolRead/writeback:1/real_time/threads:1",
-     "bench_writeback/BM_DirtyPoolRead/writeback:0/real_time/threads:1",
-     2.0),
     # Morsel-parallel extent scans (docs/QUERY.md): parallel query wall
     # clock at 8 workers over the serial executor on the same 50%-
     # selectivity scan. The baseline ratio records the parallel speedup on

@@ -1,10 +1,10 @@
-// Completion plumbing for asynchronous I/O: a latch that fans a batch of
+// Completion plumbing for fanned-out work: a latch that joins a batch of
 // submitted operations back into one blocking caller, merging per-operation
 // statuses into a single result (first error wins, later ones are dropped).
 //
-// Used by the async disk backends (storage/disk_backend.h): the submitting
-// thread creates one latch per batch, hands CountDown to each worker/
-// completion, and blocks in Wait until every operation reported in.
+// Used by the morsel-parallel query executor (query/executor.cc): the
+// submitting thread creates one latch per query, hands CountDown to each
+// worker, and blocks in Wait until every worker reported in.
 #pragma once
 
 #include <condition_variable>

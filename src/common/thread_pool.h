@@ -1,5 +1,6 @@
 // Fixed-size worker pool used for parallel rule execution, detached
-// transactions, event compositors, and the global-history background process.
+// transactions, parallel query scans, and the global-history background
+// process.
 #pragma once
 
 #include <condition_variable>
@@ -54,13 +55,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks currently queued (excluding running ones); for tests/benches.
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;

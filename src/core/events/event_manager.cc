@@ -43,35 +43,23 @@ struct EventMetrics {
 
 EventManager::EventManager(Database* db, EventManagerOptions options)
     : db_(db), options_(options), scheduler_(db->clock()) {
-  mode_ = options_.async_composition ? options_.composition_mode
-                                     : CompositionMode::kInline;
   dispatch_.store(std::make_shared<const DispatchSnapshot>(),
                   std::memory_order_release);
-  switch (mode_) {
-    case CompositionMode::kInline:
-      break;
-    case CompositionMode::kCentralPool:
-      composition_pool_ =
-          std::make_unique<ThreadPool>(options_.composition_threads);
-      break;
-    case CompositionMode::kWorkStealing:
-      steal_pool_ = std::make_unique<WorkStealingPool<ComposeTask>>(
-          options_.composition_threads, [this](ComposeTask& task) {
-            if (task.batch) {
-              ComposeBatch(task.compositor, *task.batch);
-              return;
-            }
-            for (Compositor* compositor : task.table->downstream) {
-              Compose(compositor, task.occ);
-            }
-            FinishFeed(task.occ);
-          });
-      steal_pool_->set_steal_callback(
-          [] { EventMetrics::Get().steals->Inc(); });
-      break;
+  if (options_.async_composition) {
+    steal_pool_ = std::make_unique<WorkStealingPool<ComposeTask>>(
+        options_.composition_threads, [this](ComposeTask& task) {
+          if (task.batch) {
+            ComposeBatch(task.compositor, *task.batch);
+            return;
+          }
+          for (Compositor* compositor : task.table->downstream) {
+            Compose(compositor, task.occ);
+          }
+          FinishFeed(task.occ);
+        });
+    steal_pool_->set_steal_callback([] { EventMetrics::Get().steals->Inc(); });
   }
-  batch_enabled_ =
-      options_.batch_mode && mode_ == CompositionMode::kWorkStealing;
+  batch_enabled_ = options_.batch_mode && options_.async_composition;
   if (options_.maintain_global_history) {
     history_pool_ = std::make_unique<ThreadPool>(1);
   }
@@ -111,7 +99,6 @@ EventManager::~EventManager() {
   // drains its queues, so nothing admitted before destruction is dropped.
   if (batch_enabled_) FlushBatches();
   if (steal_pool_) steal_pool_->Shutdown();
-  if (composition_pool_) composition_pool_->Shutdown();
   if (history_pool_) history_pool_->Shutdown();
   db_->bus()->Unsubscribe(this);
 }
@@ -580,26 +567,15 @@ void EventManager::Signal(std::shared_ptr<EventOccurrence> occ) {
   //    type — asynchronously unless configured inline. One enqueue per
   //    occurrence; the task carries the downstream list via its table.
   if (!table->downstream.empty()) {
-    switch (mode_) {
-      case CompositionMode::kInline:
-        for (Compositor* compositor : table->downstream) {
-          Compose(compositor, shared);
-        }
-        FinishFeed(shared);
-        break;
-      case CompositionMode::kCentralPool:
-        composition_pool_->Submit([this, shared, table = table] {
-          for (Compositor* compositor : table->downstream) {
-            Compose(compositor, shared);
-          }
-          FinishFeed(shared);
-        });
-        break;
-      case CompositionMode::kWorkStealing:
-        steal_pool_->Submit(ComposeTask{shared, table});
-        EventMetrics::Get().queue_depth->Set(
-            static_cast<int64_t>(steal_pool_->QueueDepth()));
-        break;
+    if (steal_pool_) {
+      steal_pool_->Submit(ComposeTask{shared, table});
+      EventMetrics::Get().queue_depth->Set(
+          static_cast<int64_t>(steal_pool_->QueueDepth()));
+    } else {
+      for (Compositor* compositor : table->downstream) {
+        Compose(compositor, shared);
+      }
+      FinishFeed(shared);
     }
   } else {
     FinishFeed(shared);
@@ -754,7 +730,6 @@ void EventManager::Quiesce() {
   for (;;) {
     const size_t flushed = batch_enabled_ ? FlushBatches() : 0;
     if (steal_pool_) steal_pool_->WaitIdle();
-    if (composition_pool_) composition_pool_->WaitIdle();
     if (flushed == 0 && (!batch_enabled_ || batched_pending() == 0)) break;
   }
   if (history_pool_) history_pool_->WaitIdle();

@@ -46,20 +46,12 @@
 
 namespace reach {
 
-/// How composite events are fed from the detecting thread (§6.4).
-enum class CompositionMode {
-  kInline,       // detecting thread runs the compositors (bench E2 baseline)
-  kCentralPool,  // shared mutex+deque ThreadPool (the pre-work-stealing path)
-  kWorkStealing, // per-worker queues + stealing (the default)
-};
-
 struct EventManagerOptions {
-  /// Compose composite events asynchronously (the REACH architecture);
-  /// false runs compositors inline in the detecting thread (bench E2's
-  /// blocking baseline), overriding `composition_mode`.
+  /// How composite events are fed from the detecting thread (§6.4): true
+  /// (the REACH architecture) hands them to a work-stealing pool of
+  /// `composition_threads` workers; false runs compositors inline in the
+  /// detecting thread (bench E2's blocking baseline).
   bool async_composition = true;
-  /// Backend for asynchronous composition.
-  CompositionMode composition_mode = CompositionMode::kWorkStealing;
   size_t composition_threads = 2;
   size_t history_capacity = 4096;
   /// Background merge of committed events into the global history.
@@ -81,7 +73,7 @@ struct EventManagerOptions {
   /// durable cross-txn participants, temporal events, composite
   /// completions — always take the single-occurrence path. `false` is the
   /// latency mode: every occurrence dispatches individually, exactly the
-  /// pre-batching pipeline. Only the kWorkStealing backend batches.
+  /// pre-batching pipeline. Inline composition never batches.
   bool batch_mode = true;
   /// Admission-buffer capacity; a full buffer flushes (the size trigger).
   size_t batch_max_events = 64;
@@ -191,25 +183,19 @@ class EventManager : public PolicyManager {
   uint64_t signaled_count() const { return signaled_.load(); }
   uint64_t composite_count() const { return composed_.load(); }
 
-  /// Effective composition backend after resolving `async_composition`.
-  CompositionMode composition_mode() const { return mode_; }
-
   /// Snapshot republish count (dispatch-table copy-on-write writes).
   uint64_t dispatch_republish_count() const { return republished_.load(); }
 
-  /// Tasks stolen across composition worker queues (0 unless the
-  /// work-stealing backend is active).
+  /// Tasks stolen across composition worker queues (0 when composing
+  /// inline).
   uint64_t composition_steal_count() const {
     return steal_pool_ ? steal_pool_->steal_count() : 0;
   }
 
-  /// Composition tasks currently queued (across all worker queues for the
-  /// work-stealing backend, the central queue otherwise; 0 inline).
-  /// Producers can poll this for backpressure.
+  /// Composition tasks currently queued across all worker queues (0
+  /// inline). Producers can poll this for backpressure.
   size_t composition_queue_depth() const {
-    if (steal_pool_) return steal_pool_->QueueDepth();
-    if (composition_pool_) return composition_pool_->QueueDepth();
-    return 0;
+    return steal_pool_ ? steal_pool_->QueueDepth() : 0;
   }
 
   /// Occurrences admitted to per-thread batch buffers but not yet flushed
@@ -326,8 +312,7 @@ class EventManager : public PolicyManager {
 
   Database* db_;
   EventManagerOptions options_;
-  CompositionMode mode_ = CompositionMode::kInline;
-  /// batch_mode resolved against the backend (only kWorkStealing batches).
+  /// batch_mode resolved against async_composition (inline never batches).
   bool batch_enabled_ = false;
   /// All threads' admission buffers, for the EOT/Quiesce flush sweep.
   /// Owned here; thread-locals hold weak_ptrs so a dead manager's buffers
@@ -336,7 +321,7 @@ class EventManager : public PolicyManager {
   mutable std::mutex batch_buffers_mu_;
   EventRegistry registry_;
   TemporalScheduler scheduler_;
-  std::unique_ptr<ThreadPool> composition_pool_;  // kCentralPool backend
+  /// Composition workers; null when composing inline.
   std::unique_ptr<WorkStealingPool<ComposeTask>> steal_pool_;
   std::unique_ptr<ThreadPool> history_pool_;
 

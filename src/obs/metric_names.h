@@ -22,10 +22,6 @@ inline constexpr const char* kWalFlushedBytes = "storage.wal.flushed_bytes";
 inline constexpr const char* kWalGroupSize = "storage.wal.group.size";
 inline constexpr const char* kWalGroupWaitNs = "storage.wal.group.wait_ns";
 inline constexpr const char* kWalFsyncSaved = "storage.wal.fsync_saved";
-/// Current coalescing delay chosen by the adaptive policy (REACH_WAL=
-/// adaptive), in microseconds.
-inline constexpr const char* kWalAdaptiveDelayUs =
-    "storage.wal.adaptive_delay_us";
 inline constexpr const char* kBufHit = "storage.bufferpool.hit";
 inline constexpr const char* kBufMiss = "storage.bufferpool.miss";
 inline constexpr const char* kBufEvictWriteback =
@@ -40,29 +36,16 @@ inline constexpr const char* kBufShardHitRate =
 /// is near-zero when the shard count matches the core count).
 inline constexpr const char* kBufShardLockWaitNs =
     "storage.bufferpool.shard.lock_wait_ns";
-/// Background writeback (docs/STORAGE.md "Background writeback"): percent
-/// of pool frames currently dirty (gauge), frames cleaned and passes
-/// completed by the writeback thread (counters), cumulative nanoseconds the
-/// writeback passes spent forcing the log and writing batches — I/O time
-/// taken off the foreground eviction path — and dirty evictions that still
-/// had to write synchronously because no clean victim existed.
+/// Percent of pool frames currently dirty (gauge).
 inline constexpr const char* kBufDirtyRatio = "storage.bufferpool.dirty_ratio";
-inline constexpr const char* kBufWritebackPages =
-    "storage.bufferpool.writeback.pages";
-inline constexpr const char* kBufWritebackBatches =
-    "storage.bufferpool.writeback.batches";
-inline constexpr const char* kBufWritebackStallNs =
-    "storage.bufferpool.writeback.stall_ns";
+/// Always 0: nothing records this counter. The name stays because the
+/// end-to-end benchmark (bench/e2e/layers.cc) reads it.
 inline constexpr const char* kBufEvictSyncFallback =
     "storage.bufferpool.evict.sync_fallback";
-/// Batched disk backend (docs/STORAGE.md "Async disk backend"): pages per
-/// batched ReadPages/WritePages call (count histogram), coalesced contiguous
-/// runs per write batch (count histogram), submission depth handed to the
-/// backend in one call (gauge: last batch), and wall time of one batched
-/// call from submit to final completion.
+/// Batched page I/O (DiskManager::ReadPages/WritePages): pages per batched
+/// call (count histogram), pages in the last batch (gauge), and wall time of
+/// one batched call.
 inline constexpr const char* kDiskBatchPages = "storage.disk.batch.pages";
-inline constexpr const char* kDiskCoalescedRuns =
-    "storage.disk.coalesced_runs";
 inline constexpr const char* kDiskSubmitDepth = "storage.disk.submit_depth";
 inline constexpr const char* kDiskCompleteNs = "storage.disk.complete_ns";
 

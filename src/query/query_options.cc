@@ -4,38 +4,25 @@
 #include <string>
 #include <thread>
 
+#include "common/spec.h"
+
 namespace reach {
 
 QueryOptions QueryOptions::Parse(const char* spec) {
   QueryOptions o;
-  if (spec == nullptr) return o;
-  std::string entry;
-  auto apply = [&o](const std::string& e) {
-    if (e.empty()) return;
-    std::string key = e, value;
-    if (size_t eq = e.find('='); eq != std::string::npos) {
-      key = e.substr(0, eq);
-      value = e.substr(eq + 1);
-    }
+  // Unknown entries are ignored so old binaries tolerate new knobs.
+  (void)ForEachSpecEntry(spec, [&o](const std::string&,
+                                    const std::string& key,
+                                    const std::string& value) {
     if (key == "parallel") {
-      o.parallel =
-          (value == "on" || value == "1" || value == "true") ? 1 : 0;
+      o.parallel = (value == "on" || value == "1" || value == "true") ? 1 : 0;
     } else if (key == "morsel_pages") {
       o.morsel_pages = std::strtoull(value.c_str(), nullptr, 0);
     } else if (key == "workers") {
       o.workers = std::strtoull(value.c_str(), nullptr, 0);
     }
-    // Unknown entries are ignored so old binaries tolerate new knobs.
-  };
-  for (const char* p = spec;; ++p) {
-    if (*p == '\0' || *p == ',' || *p == ';') {
-      apply(entry);
-      entry.clear();
-      if (*p == '\0') break;
-    } else {
-      entry.push_back(*p);
-    }
-  }
+    return Status::OK();
+  });
   return o;
 }
 

@@ -1,13 +1,13 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "common/spec.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "storage/slotted_page.h"
@@ -22,10 +22,6 @@ struct PoolMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
   obs::Counter* evict_writebacks;
-  obs::Counter* sync_fallbacks;
-  obs::Counter* wb_pages;
-  obs::Counter* wb_batches;
-  obs::Counter* wb_stall_ns;
   obs::Gauge* hit_rate;
   obs::Gauge* dirty_ratio;
   obs::Histogram* shard_hit_rate;
@@ -37,10 +33,6 @@ struct PoolMetrics {
       return PoolMetrics{reg.counter(obs::kBufHit),
                          reg.counter(obs::kBufMiss),
                          reg.counter(obs::kBufEvictWriteback),
-                         reg.counter(obs::kBufEvictSyncFallback),
-                         reg.counter(obs::kBufWritebackPages),
-                         reg.counter(obs::kBufWritebackBatches),
-                         reg.counter(obs::kBufWritebackStallNs),
                          reg.gauge(obs::kBufHitRate),
                          reg.gauge(obs::kBufDirtyRatio),
                          reg.histogram(obs::kBufShardHitRate),
@@ -54,43 +46,29 @@ constexpr size_t kNoFrame = ~size_t{0};
 
 }  // namespace
 
-BufferPoolOptions BufferPoolOptions::Parse(const char* spec) {
+Result<BufferPoolOptions> BufferPoolOptions::Parse(const char* spec) {
   BufferPoolOptions o;
-  if (spec == nullptr) return o;
-  std::string entry;
-  auto apply = [&o](const std::string& e) {
-    if (e.empty()) return;
-    std::string key = e, value;
-    if (size_t eq = e.find('='); eq != std::string::npos) {
-      key = e.substr(0, eq);
-      value = e.substr(eq + 1);
-    }
-    if (key == "shards") {
-      o.shards = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (key == "writeback") {
-      o.writeback =
-          (value == "on" || value == "1" || value == "true") ? 1 : 0;
-    } else if (key == "writeback_watermark") {
-      o.writeback_watermark = std::strtoull(value.c_str(), nullptr, 0);
-      if (o.writeback_watermark > 100) o.writeback_watermark = 100;
-    }
-    // Unknown entries are ignored so old binaries tolerate new knobs.
-  };
-  for (const char* p = spec;; ++p) {
-    if (*p == '\0' || *p == ',' || *p == ';') {
-      apply(entry);
-      entry.clear();
-      if (*p == '\0') break;
-    } else {
-      entry.push_back(*p);
-    }
-  }
+  REACH_RETURN_IF_ERROR(ForEachSpecEntry(
+      spec, [&o](const std::string& entry, const std::string& key,
+                 const std::string& value) {
+        if (key != "shards") {
+          return Status::InvalidArgument("REACH_STORAGE: unknown setting '" +
+                                         entry + "'");
+        }
+        uint64_t n = 0;
+        if (!ParseSpecUnsigned(value, UINT32_MAX, &n)) {
+          return Status::InvalidArgument(
+              "REACH_STORAGE: malformed value in '" + entry + "'");
+        }
+        o.shards = static_cast<size_t>(n);
+        return Status::OK();
+      }));
   return o;
 }
 
 BufferPoolOptions BufferPoolOptions::FromEnv() {
   static const BufferPoolOptions parsed =
-      Parse(std::getenv("REACH_STORAGE"));
+      Parse(std::getenv("REACH_STORAGE")).value_or(BufferPoolOptions{});
   return parsed;
 }
 
@@ -105,29 +83,9 @@ size_t BufferPoolOptions::ResolveShards(size_t requested) {
   return pow2;
 }
 
-bool BufferPoolOptions::ResolveWriteback(int requested) {
-  if (requested >= 0) return requested != 0;
-  return FromEnv().writeback == 1;
-}
-
-size_t BufferPoolOptions::ResolveWatermark(size_t requested) {
-  size_t pct = requested != 0 ? requested : FromEnv().writeback_watermark;
-  if (pct == 0) pct = kDefaultWatermarkPct;
-  return std::min<size_t>(pct, 100);
-}
-
 BufferPool::BufferPool(DiskManager* disk, size_t pool_size, size_t shards)
-    : BufferPool(disk, pool_size, [shards] {
-        BufferPoolOptions o;
-        o.shards = shards;
-        return o;
-      }()) {}
-
-BufferPool::BufferPool(DiskManager* disk, size_t pool_size,
-                       const BufferPoolOptions& options)
     : disk_(disk) {
   if (pool_size == 0) pool_size = 1;
-  size_t shards = options.shards;
   if (shards == 0) shards = BufferPoolOptions::FromEnv().shards;
   shards = BufferPoolOptions::ResolveShards(shards);
   // More shards than frames would force the pool to grow past its budget
@@ -157,34 +115,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t pool_size,
     shard.table_mask = cap - 1;
     shard.table_empties = cap;
     pool_size_ += slice;
-  }
-  // Hand the frames to the disk backend so io_uring can pre-register them
-  // (READ_FIXED/WRITE_FIXED land page I/O directly in the frames); a no-op
-  // for the posix/async backends.
-  std::vector<char*> frame_bufs;
-  frame_bufs.reserve(pool_size_);
-  for (auto& shard_ptr : shards_) {
-    for (auto& frame : shard_ptr->frames) {
-      frame_bufs.push_back(frame->data());
-    }
-  }
-  disk_->RegisterFrameBuffers(frame_bufs, kPageSize);
-  wb_enabled_ = BufferPoolOptions::ResolveWriteback(options.writeback);
-  wb_watermark_pct_ =
-      BufferPoolOptions::ResolveWatermark(options.writeback_watermark);
-  if (wb_enabled_) {
-    wb_thread_ = std::thread(&BufferPool::WritebackThreadMain, this);
-  }
-}
-
-BufferPool::~BufferPool() {
-  if (wb_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wb_mu_);
-      wb_stop_ = true;
-    }
-    wb_cv_.notify_all();
-    wb_thread_.join();
   }
 }
 
@@ -304,9 +234,6 @@ void BufferPool::MarkDirty(Page* page) {
   const size_t d = dirty_count_.fetch_add(1, std::memory_order_relaxed) + 1;
   PoolMetrics::Get().dirty_ratio->Set(
       static_cast<int64_t>(d * 100 / pool_size_));
-  if (wb_enabled_ && d * 100 >= wb_watermark_pct_ * pool_size_) {
-    MaybeKickWriteback();
-  }
 }
 
 void BufferPool::MarkClean(Page* page) {
@@ -332,8 +259,7 @@ Status BufferPool::WriteBack(Page* page) {
 
 // -- Replacement --------------------------------------------------------------
 
-Result<size_t> BufferPool::GetVictimFrame(Shard& shard,
-                                          std::unique_lock<std::mutex>& lock) {
+Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
   for (;;) {
     if (!shard.free_frames.empty()) {
       size_t frame = shard.free_frames.back();
@@ -347,19 +273,13 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard,
       return frame;
     }
     // Approximate LRU: scan for the unpinned frame with the oldest access
-    // tick. Clean victims are preferred — with background writeback keeping
-    // the pool below the watermark, the dirty fallback below (a log force +
-    // write under the shard mutex) should be rare.
+    // tick. Clean victims are preferred — a dirty victim costs a log force
+    // and a write under the shard mutex.
     size_t best_clean = kNoFrame, best_dirty = kNoFrame;
     uint64_t clean_tick = 0, dirty_tick = 0;
-    bool saw_wb_in_flight = false;
     for (size_t f = 0; f < shard.frames.size(); ++f) {
       Page* page = shard.frames[f].get();
       if (page->pin_count() != 0) continue;  // pinned, mid-fill, or latched
-      if (page->wb_in_flight()) {
-        saw_wb_in_flight = true;
-        continue;
-      }
       const uint64_t tick = page->last_access();
       if (!page->dirty()) {
         if (best_clean == kNoFrame || tick < clean_tick) {
@@ -382,8 +302,8 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard,
     if (best_dirty != kNoFrame) {
       Page* page = shard.frames[best_dirty].get();
       if (!page->TryLatchForEvict()) continue;
-      // Foreground fallback: every evictable frame is dirty, so this miss
-      // pays for the log force + write itself.
+      // Every evictable frame is dirty, so this miss pays for the log
+      // force + write itself.
       Status st = REACH_FAULT_HIT(faults::kBufEvictWriteback);
       if (st.ok()) st = WriteBack(page);
       if (!st.ok()) {
@@ -391,19 +311,8 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard,
         return st;
       }
       PoolMetrics::Get().evict_writebacks->Inc();
-      if (wb_enabled_) {
-        wb_sync_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        PoolMetrics::Get().sync_fallbacks->Inc();
-        MaybeKickWriteback();  // the pool is saturated dirty: get help
-      }
       TableErase(shard, page->page_id());
       return best_dirty;
-    }
-    if (saw_wb_in_flight) {
-      // Everything evictable has a writeback snapshot in flight; wait for a
-      // completion (which cleans the frame) and rescan.
-      shard.io_cv.wait_for(lock, std::chrono::milliseconds(50));
-      continue;
     }
     return Status::Busy("all buffer frames pinned");
   }
@@ -465,19 +374,8 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       NoteAccess(shard, false);
       counted = true;
     }
-    REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame(shard, lock));
+    REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame(shard));
     Page* page = shard.frames[frame].get();
-    // GetVictimFrame can block in io_cv.wait_for — releasing the shard
-    // mutex — while every evictable frame has a writeback snapshot in
-    // flight. Another fetcher may load this very page meanwhile; filling a
-    // second frame would publish a duplicate mapping (and wreck the pin
-    // accounting), so re-probe and return the victim if the page appeared.
-    if (ProbeTable(shard, page_id, &bucket) != kEmptyBucket) {
-      page->Reset();
-      page->UnlatchTo(0);
-      shard.free_frames.push_back(frame);
-      continue;
-    }
     page->Reset();  // preserves the evict latch GetVictimFrame returned with
     if (Status st = disk_->ReadPage(page_id, page->data()); !st.ok()) {
       page->UnlatchTo(0);
@@ -502,14 +400,13 @@ Result<Page*> BufferPool::NewPage() {
   REACH_ASSIGN_OR_RETURN(PageId page_id, disk_->AllocatePage());
   Shard& shard = ShardFor(page_id);
   auto lock = LockShard(shard);
-  REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame(shard, lock));
+  REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame(shard));
   Page* page = shard.frames[frame].get();
   page->Reset();
   page->set_page_id(page_id);
   page->set_last_access(shard.tick.fetch_add(1, std::memory_order_relaxed) +
                         1);
   MarkDirty(page);
-  page->bump_mod_count();
   TableInsert(shard, page_id, frame);
   page->UnlatchTo(1);
   return page;
@@ -543,12 +440,7 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
     return Status::FailedPrecondition("unpin of unpinned page");
   }
   page->Unpin();
-  if (dirty) {
-    if (!page->dirty()) MarkDirty(page);
-    // Guards the writeback snapshot: a pass only clears `dirty` at
-    // completion if no dirtying unpin bumped this meanwhile.
-    page->bump_mod_count();
-  }
+  if (dirty && !page->dirty()) MarkDirty(page);
   return Status::OK();
 }
 
@@ -556,22 +448,14 @@ Status BufferPool::FlushPage(PageId page_id) {
   REACH_FAULT_POINT(faults::kBufFlushPage);
   Shard& shard = ShardFor(page_id);
   auto lock = LockShard(shard);
-  for (;;) {
-    size_t bucket;
-    const uint64_t entry = ProbeTable(shard, page_id, &bucket);
-    if (entry == kEmptyBucket) return Status::OK();  // not cached
-    Page* page = shard.frames[EntryFrame(entry)].get();
-    if (page->wb_in_flight()) {
-      // A background snapshot of this frame is mid-flight; wait it out so
-      // the fresh image below cannot be overtaken by the stale copy.
-      shard.io_cv.wait_for(lock, std::chrono::milliseconds(50));
-      continue;  // re-probe: the frame may have moved or been cleaned
-    }
-    if (page->dirty()) {
-      REACH_RETURN_IF_ERROR(WriteBack(page));
-    }
-    return Status::OK();
+  size_t bucket;
+  const uint64_t entry = ProbeTable(shard, page_id, &bucket);
+  if (entry == kEmptyBucket) return Status::OK();  // not cached
+  Page* page = shard.frames[EntryFrame(entry)].get();
+  if (page->dirty()) {
+    REACH_RETURN_IF_ERROR(WriteBack(page));
   }
+  return Status::OK();
 }
 
 Status BufferPool::ReadAhead(const std::vector<PageId>& pages) {
@@ -589,18 +473,9 @@ Status BufferPool::ReadAhead(const std::vector<PageId>& pages) {
     if (ProbeTable(shard, page_id, &bucket) != kEmptyBucket) {
       continue;  // resident or mid-fill
     }
-    auto frame_or = GetVictimFrame(shard, lock);
+    auto frame_or = GetVictimFrame(shard);
     if (!frame_or.ok()) continue;  // no evictable frame: FetchPage will read
     Page* page = shard.frames[*frame_or].get();
-    // GetVictimFrame can drop the shard mutex waiting on in-flight
-    // writebacks; if a fetcher loaded this page meanwhile, a second fill
-    // would publish a duplicate mapping — return the victim instead.
-    if (ProbeTable(shard, page_id, &bucket) != kEmptyBucket) {
-      page->Reset();
-      page->UnlatchTo(0);
-      shard.free_frames.push_back(*frame_or);
-      continue;
-    }
     page->Reset();
     page->set_page_id(page_id);
     page->set_io_pending(true);
@@ -611,8 +486,8 @@ Status BufferPool::ReadAhead(const std::vector<PageId>& pages) {
     staged.emplace_back(page, *frame_or);
     batch.push_back(PageReadRequest{page_id, page->data()});
   }
-  // One batched submission — even when empty, so the disk.backend.* fault
-  // points see every readahead pass.
+  // One batched read — even when empty, so the disk.backend.* fault points
+  // see every readahead pass.
   Status st = disk_->ReadPages(batch);
   // Publish: clear io_pending and wake waiters; on failure unwind the staged
   // frames so FetchPage retries synchronously instead of serving zeros.
@@ -637,10 +512,6 @@ Status BufferPool::ReadAhead(const std::vector<PageId>& pages) {
 
 Status BufferPool::FlushAll() {
   REACH_FAULT_POINT(faults::kBufFlushAll);
-  // Serialize against writeback passes: a checkpoint must never race a
-  // stale background snapshot to disk (and holding the pass mutex means no
-  // frame is wb_in_flight below).
-  std::lock_guard<std::mutex> pass_lock(wb_pass_mu_);
   // Collect and pin every dirty frame so it stays resident after the shard
   // locks drop; the batched submission below needs the images in place.
   std::vector<std::pair<PageId, const char*>> batch;
@@ -660,9 +531,8 @@ Status BufferPool::FlushAll() {
   // would force up to each pageLSN individually).
   Status st;
   if (!batch.empty() && pre_write_hook_) st = pre_write_hook_(kInvalidLsn);
-  // Single batched submission: DiskManager sorts and coalesces contiguous
-  // pages into runs. Submitted even when empty so the disk.backend.* fault
-  // points see every checkpoint.
+  // One batched write in page order. Issued even when empty so the
+  // disk.backend.* fault points see every checkpoint.
   if (st.ok()) st = disk_->WritePages(std::move(batch));
   for (Page* page : pinned) {
     Shard& shard = ShardFor(page->page_id());
@@ -671,150 +541,6 @@ Status BufferPool::FlushAll() {
     page->Unpin();
   }
   return st;
-}
-
-// -- Background writeback -----------------------------------------------------
-
-Status BufferPool::WritebackPass() {
-  {
-    // Fires even when nothing is dirty (the disk.backend.* convention), so
-    // every pass — including the shutdown flush-behind — crosses the point.
-    Status st = REACH_FAULT_HIT(faults::kBufWriteback);
-    if (!st.ok()) return st;
-  }
-  std::lock_guard<std::mutex> pass_lock(wb_pass_mu_);
-  wb_kick_pending_.store(false, std::memory_order_release);
-  struct Staged {
-    Shard* shard;
-    Page* page;
-    PageId page_id;
-    uint64_t mod_count;
-    std::unique_ptr<char[]> image;
-  };
-  std::vector<Staged> staged;
-  Lsn max_lsn = 0;
-  bool force_all = false;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    auto lock = LockShard(shard);
-    for (auto& frame : shard.frames) {
-      Page* page = frame.get();
-      if (!page->dirty() || page->wb_in_flight()) continue;
-      // The evict latch excludes every pinner for the duration of the copy,
-      // so the snapshot cannot be torn by a concurrent mutator; a pinned
-      // frame is simply skipped and caught by a later pass.
-      if (!page->TryLatchForEvict()) continue;
-      auto image = std::make_unique<char[]>(kPageSize);
-      std::memcpy(image.get(), page->data(), kPageSize);
-      SlottedPage sp(page);
-      if (sp.IsInitialized()) {
-        max_lsn = std::max(max_lsn, sp.lsn());
-      } else {
-        force_all = true;  // meta page: no pageLSN, force the whole log
-      }
-      page->set_wb_in_flight(true);
-      page->UnlatchTo(0);
-      staged.push_back(Staged{&shard, page, page->page_id(),
-                              page->mod_count(), std::move(image)});
-    }
-  }
-  if (staged.empty()) return Status::OK();
-  const uint64_t start = obs::NowNanos();
-  // One log force up to the batch's max pageLSN (the ARIES write-ahead rule
-  // for every snapshot at once), then one batched, coalesced submission.
-  Status st;
-  if (pre_write_hook_) {
-    st = pre_write_hook_(force_all ? kInvalidLsn : max_lsn);
-  }
-  if (st.ok()) {
-    std::vector<std::pair<PageId, const char*>> batch;
-    batch.reserve(staged.size());
-    for (const Staged& s : staged) {
-      batch.emplace_back(s.page_id, s.image.get());
-    }
-    st = disk_->WritePages(std::move(batch));
-  }
-  const uint64_t elapsed = obs::NowNanos() - start;
-  size_t cleaned = 0;
-  for (Staged& s : staged) {
-    auto lock = LockShard(*s.shard);
-    s.page->set_wb_in_flight(false);
-    // Clear dirty only if the frame was not re-dirtied while the snapshot
-    // was in flight — mod_count is bumped by every dirtying unpin.
-    if (st.ok() && s.page->dirty() && s.page->mod_count() == s.mod_count) {
-      MarkClean(s.page);
-      ++cleaned;
-    }
-    s.shard->io_cv.notify_all();
-  }
-  wb_stall_ns_.fetch_add(elapsed, std::memory_order_relaxed);
-  wb_batches_.fetch_add(1, std::memory_order_relaxed);
-  wb_pages_.fetch_add(cleaned, std::memory_order_relaxed);
-  const PoolMetrics& m = PoolMetrics::Get();
-  m.wb_pages->Inc(cleaned);
-  m.wb_batches->Inc();
-  m.wb_stall_ns->Inc(elapsed);
-  return st;
-}
-
-void BufferPool::MaybeKickWriteback() {
-  if (!wb_thread_.joinable()) return;
-  // Collapse kick storms: one wake-up per pass (the pass re-arms this).
-  if (wb_kick_pending_.exchange(true, std::memory_order_acq_rel)) return;
-  {
-    std::lock_guard<std::mutex> lock(wb_mu_);
-    wb_kick_ = true;
-  }
-  wb_cv_.notify_one();
-}
-
-void BufferPool::WritebackThreadMain() {
-  std::unique_lock<std::mutex> lock(wb_mu_);
-  while (!wb_stop_) {
-    wb_cv_.wait_for(lock, std::chrono::milliseconds(250),
-                    [this] { return wb_stop_ || wb_kick_; });
-    if (wb_stop_) break;
-    const bool kicked = wb_kick_;
-    wb_kick_ = false;
-    if (!kicked && dirty_count_.load(std::memory_order_relaxed) * 100 <
-                       wb_watermark_pct_ * pool_size_) {
-      continue;  // periodic wake-up below the watermark: nothing to do
-    }
-    lock.unlock();
-    RunPassOnThread();
-    lock.lock();
-  }
-  // Deliberately no flush-behind pass on shutdown: destruction must not
-  // make buffered WAL records or dirty pages durable — tests simulate a
-  // crash by dropping the stack, and a clean close checkpoints (FlushAll)
-  // before the pool is destroyed anyway.
-}
-
-void BufferPool::RunPassOnThread() {
-  try {
-    // I/O errors stay in the pass (frames simply stay dirty and are retried
-    // by the next pass — or by the foreground fallback, which surfaces
-    // them); nothing to do with the status here.
-    (void)WritebackPass();
-  } catch (const FaultInjectedCrash&) {
-    // A crash fault must not escape a pool-owned thread (fault_registry.h);
-    // park it and rethrow from the next foreground TriggerWriteback —
-    // the same convention as the WAL flusher.
-    std::lock_guard<std::mutex> lock(wb_mu_);
-    wb_parked_crash_ = std::current_exception();
-  }
-}
-
-Status BufferPool::TriggerWriteback() {
-  {
-    std::lock_guard<std::mutex> lock(wb_mu_);
-    if (wb_parked_crash_) {
-      std::exception_ptr crash = wb_parked_crash_;
-      wb_parked_crash_ = nullptr;
-      std::rethrow_exception(crash);
-    }
-  }
-  return WritebackPass();
 }
 
 // -- Statistics ---------------------------------------------------------------
@@ -839,17 +565,6 @@ double BufferPool::dirty_ratio() const {
   if (pool_size_ == 0) return 0.0;
   return static_cast<double>(dirty_count_.load(std::memory_order_relaxed)) /
          static_cast<double>(pool_size_);
-}
-
-BufferPool::WritebackStats BufferPool::writeback_stats() const {
-  WritebackStats s;
-  s.enabled = wb_enabled_;
-  s.watermark_pct = wb_watermark_pct_;
-  s.pages = wb_pages_.load(std::memory_order_relaxed);
-  s.batches = wb_batches_.load(std::memory_order_relaxed);
-  s.stall_ns = wb_stall_ns_.load(std::memory_order_relaxed);
-  s.sync_fallbacks = wb_sync_fallbacks_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace reach

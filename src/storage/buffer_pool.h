@@ -7,21 +7,13 @@
 // concurrency and is overridable via the REACH_STORAGE environment
 // variable (`shards=<N>`, grammar mirroring REACH_WAL).
 //
-// Two mechanisms keep the read path non-blocking (docs/STORAGE.md):
-//
-//  * Lock-free lookup fast path — each shard's page table is an
-//    open-addressing array of atomic<uint64_t> buckets packing
-//    (page_id, frame_idx). A FetchPage hit resolves with an acquire probe,
-//    a pin CAS, and a bucket re-verify; the shard mutex is taken only on
-//    miss, eviction, or a table rebuild.
-//  * Background writeback — an optional thread (REACH_STORAGE
-//    `writeback=on,writeback_watermark=<PCT>`) snapshots dirty unpinned
-//    frames when the dirty ratio crosses the watermark, forces the log up
-//    to the batch's max pageLSN, and writes the snapshots through
-//    DiskManager::WritePages, so GetVictimFrame almost always finds a
-//    clean victim and never does I/O under the shard mutex. When the pool
-//    is dirty wall-to-wall, eviction falls back to the historical
-//    synchronous write (storage.bufferpool.evict.sync_fallback).
+// Lock-free lookup keeps the hit path off the shard mutex
+// (docs/STORAGE.md): each shard's page table is an open-addressing array of
+// atomic<uint64_t> buckets packing (page_id, frame_idx). A FetchPage hit
+// resolves with an acquire probe, a pin CAS, and a bucket re-verify; the
+// shard mutex is taken only on miss, eviction, or a table rebuild.
+// Eviction prefers clean victims; a dirty victim is written synchronously
+// by the evicting thread.
 #pragma once
 
 #include <atomic>
@@ -29,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -43,28 +34,18 @@ namespace reach {
 /// Storage tuning knobs. Defaults come from the REACH_STORAGE environment
 /// variable (entries separated by ',' or ';'): "shards=<N>" sets the buffer
 /// pool shard count (0 = auto: nearest power of two to the hardware
-/// concurrency), "writeback={on,off}" enables the background writeback
-/// thread (default off), "writeback_watermark=<PCT>" sets the dirty-ratio
-/// percentage that triggers a pass (default 50). Unknown entries are
-/// ignored so old binaries tolerate new knobs.
+/// concurrency).
 struct BufferPoolOptions {
   size_t shards = 0;  // 0 = auto
-  /// -1 = defer to REACH_STORAGE (off when unset), 0 = off, 1 = on.
-  int writeback = -1;
-  /// Percent of frames dirty that wakes the writeback thread; 0 = defer to
-  /// REACH_STORAGE, else kDefaultWatermarkPct.
-  size_t writeback_watermark = 0;
 
-  static constexpr size_t kDefaultWatermarkPct = 50;
-
+  /// REACH_STORAGE parsed once. A spec that Parse rejects yields the
+  /// defaults here; StorageManager::Open reports it instead of opening.
   static BufferPoolOptions FromEnv();
-  /// Parse a REACH_STORAGE spec string (exposed for tests; FromEnv caches).
-  static BufferPoolOptions Parse(const char* spec);
+  /// Parse a REACH_STORAGE spec string. An unknown key or a malformed value
+  /// is InvalidArgument naming the entry.
+  static Result<BufferPoolOptions> Parse(const char* spec);
   /// Resolve a requested shard count: 0 becomes the auto default.
   static size_t ResolveShards(size_t requested);
-  /// Resolve the writeback toggle / watermark against REACH_STORAGE.
-  static bool ResolveWriteback(int requested);
-  static size_t ResolveWatermark(size_t requested);
 };
 
 class BufferPool {
@@ -73,11 +54,6 @@ class BufferPool {
   /// budget is sliced evenly across shards; the shard count is clamped to
   /// `pool_size` so the pool never exceeds its frame budget.
   BufferPool(DiskManager* disk, size_t pool_size, size_t shards = 0);
-  /// Full-options constructor (writeback toggle + watermark); the
-  /// three-argument form defers both to REACH_STORAGE.
-  BufferPool(DiskManager* disk, size_t pool_size,
-             const BufferPoolOptions& options);
-  ~BufferPool();
 
   /// Pin the page, reading it from disk if absent. Caller must Unpin.
   /// Blocks briefly if the page is mid-fill by a concurrent ReadAhead.
@@ -97,24 +73,15 @@ class BufferPool {
   /// Drop a pin; `dirty` marks the frame as needing write-back.
   Status UnpinPage(PageId page_id, bool dirty);
 
-  /// Write a specific page back to disk if dirty. Waits out an in-flight
-  /// background writeback of the same frame first, so a stale snapshot and
-  /// the fresh image never race each other to disk.
+  /// Write a specific page back to disk if dirty.
   Status FlushPage(PageId page_id);
 
-  /// Write all dirty frames back to disk in one batched backend submission:
-  /// dirty frames are collected and pinned shard by shard, the log is forced
-  /// once, and the sorted batch goes down as coalesced runs
-  /// (DiskManager::WritePages). Caller must guarantee no concurrent
-  /// mutators (the documented Checkpoint precondition); an in-flight
-  /// background writeback pass is waited out.
+  /// Write all dirty frames back to disk in one batch: dirty frames are
+  /// collected and pinned shard by shard, the log is forced once, and the
+  /// batch goes down in page order (DiskManager::WritePages). Caller must
+  /// guarantee no concurrent mutators (the documented Checkpoint
+  /// precondition).
   Status FlushAll();
-
-  /// Run one writeback pass synchronously on the calling thread (the same
-  /// code path the background thread runs — available with the thread off,
-  /// which is how the crash-injection tests exercise it deterministically).
-  /// Rethrows a crash fault the background thread caught and parked.
-  Status TriggerWriteback();
 
   size_t pool_size() const { return pool_size_; }
   size_t shard_count() const { return shards_.size(); }
@@ -138,25 +105,13 @@ class BufferPool {
   /// Fraction of frames currently dirty (0.0 .. 1.0).
   double dirty_ratio() const;
 
-  struct WritebackStats {
-    bool enabled = false;
-    size_t watermark_pct = 0;
-    uint64_t pages = 0;           // frames cleaned by writeback passes
-    uint64_t batches = 0;         // passes that wrote at least one frame
-    uint64_t stall_ns = 0;        // ns passes spent in log force + I/O
-    uint64_t sync_fallbacks = 0;  // dirty evictions written in foreground
-  };
-  WritebackStats writeback_stats() const;
-  bool writeback_enabled() const { return wb_enabled_; }
-
  private:
   // One independent partition of the pool. Heap-allocated and
   // cache-line-aligned so neighbouring shards' mutexes never share a line.
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    // Signalled when a ReadAhead fill or a writeback snapshot completes
-    // (io_pending / wb_in_flight cleared) so waiting FetchPage / FlushPage
-    // / eviction callers can stop waiting.
+    // Signalled when a ReadAhead fill completes (io_pending cleared) so
+    // waiting FetchPage callers can stop waiting.
     std::condition_variable io_cv;
     std::vector<std::unique_ptr<Page>> frames;
     // Open-addressing page table: each bucket is kEmptyBucket, kTombstone,
@@ -227,13 +182,10 @@ class BufferPool {
 
   /// Find a reusable frame (free list first, then the least-recently-used
   /// unpinned victim). Prefers clean victims; a dirty victim is written
-  /// synchronously (the foreground fallback). Waits out frames whose
-  /// snapshots are mid-writeback when nothing else is evictable. The frame
-  /// is returned latched (pin_count == kEvictLatch) and absent from the
-  /// table; the caller fills it, publishes the new table entry, and
-  /// unlatches. Caller holds `lock` on `shard.mu`.
-  Result<size_t> GetVictimFrame(Shard& shard,
-                                std::unique_lock<std::mutex>& lock);
+  /// synchronously. The frame is returned latched (pin_count ==
+  /// kEvictLatch) and absent from the table; the caller fills it, publishes
+  /// the new table entry, and unlatches. Caller holds `shard.mu`.
+  Result<size_t> GetVictimFrame(Shard& shard);
 
   /// Write one dirty frame back to disk. Caller holds `shard.mu`; the frame
   /// must not be concurrently mutable (latched, or pinned by the caller
@@ -248,44 +200,11 @@ class BufferPool {
   /// Hit/miss bookkeeping for one access (lock-free).
   void NoteAccess(Shard& shard, bool hit);
 
-  // -- Background writeback --------------------------------------------------
-  /// One pass: snapshot dirty unpinned frames shard by shard (each copied
-  /// under an evict latch so no mutator can tear it), force the log up to
-  /// the batch's max pageLSN, write the snapshots as one batch, then clear
-  /// dirty bits whose frames were not re-dirtied meanwhile (mod_count
-  /// check). Serialized against FlushAll and other passes by wb_pass_mu_.
-  Status WritebackPass();
-  void WritebackThreadMain();
-  /// Run a pass on the writeback thread, parking an injected crash fault
-  /// instead of letting it escape the thread (rethrown by the next
-  /// TriggerWriteback).
-  void RunPassOnThread();
-  void MaybeKickWriteback();
-
   DiskManager* disk_;
   size_t pool_size_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   PreWriteHook pre_write_hook_;
-
-  bool wb_enabled_ = false;
-  size_t wb_watermark_pct_ = BufferPoolOptions::kDefaultWatermarkPct;
   std::atomic<size_t> dirty_count_{0};
-  /// Serializes writeback passes against each other and against FlushAll,
-  /// so a checkpoint never races a stale snapshot to disk. Ordered before
-  /// any shard mutex.
-  std::mutex wb_pass_mu_;
-  std::thread wb_thread_;
-  std::mutex wb_mu_;  // guards wb_stop_ / wb_kick_ / wb_parked_crash_
-  std::condition_variable wb_cv_;
-  bool wb_stop_ = false;
-  bool wb_kick_ = false;
-  std::atomic<bool> wb_kick_pending_{false};
-  std::exception_ptr wb_parked_crash_;
-
-  std::atomic<uint64_t> wb_pages_{0};
-  std::atomic<uint64_t> wb_batches_{0};
-  std::atomic<uint64_t> wb_stall_ns_{0};
-  std::atomic<uint64_t> wb_sync_fallbacks_{0};
 };
 
 }  // namespace reach

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -18,7 +19,6 @@ namespace {
 
 struct DiskMetrics {
   obs::Histogram* batch_pages;
-  obs::Histogram* coalesced_runs;
   obs::Gauge* submit_depth;
   obs::Histogram* complete_ns;
 
@@ -26,7 +26,6 @@ struct DiskMetrics {
     static DiskMetrics metrics = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
       return DiskMetrics{reg.histogram(obs::kDiskBatchPages),
-                         reg.histogram(obs::kDiskCoalescedRuns),
                          reg.gauge(obs::kDiskSubmitDepth),
                          reg.histogram(obs::kDiskCompleteNs)};
     }();
@@ -41,14 +40,32 @@ uint64_t NowNs() {
           .count());
 }
 
+Status PreadPage(int fd, PageId page_id, char* out) {
+  ssize_t n =
+      ::pread(fd, out, kPageSize, static_cast<off_t>(page_id) * kPageSize);
+  if (n != static_cast<ssize_t>(kPageSize)) {
+    return Status::IoError("pread page " + std::to_string(page_id));
+  }
+  return Status::OK();
+}
+
+Status PwritePage(int fd, PageId page_id, const char* data) {
+  ssize_t n =
+      ::pwrite(fd, data, kPageSize, static_cast<off_t>(page_id) * kPageSize);
+  if (n != static_cast<ssize_t>(kPageSize)) {
+    return Status::IoError("pwrite page " + std::to_string(page_id));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 DiskManager::~DiskManager() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::unique_ptr<DiskManager>> DiskManager::Open(const std::string& path,
-                                                       DiskBackendKind kind) {
+Result<std::unique_ptr<DiskManager>> DiskManager::Open(
+    const std::string& path) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
@@ -63,8 +80,7 @@ Result<std::unique_ptr<DiskManager>> DiskManager::Open(const std::string& path,
     return Status::Corruption(path + ": size not a multiple of page size");
   }
   auto pages = static_cast<PageId>(size / static_cast<off_t>(kPageSize));
-  return std::unique_ptr<DiskManager>(
-      new DiskManager(path, fd, pages, DiskBackend::Create(kind)));
+  return std::unique_ptr<DiskManager>(new DiskManager(path, fd, pages));
 }
 
 Status DiskManager::ReadPage(PageId page_id, char* out) {
@@ -73,12 +89,7 @@ Status DiskManager::ReadPage(PageId page_id, char* out) {
     return Status::OutOfRange("read past end: page " +
                               std::to_string(page_id));
   }
-  ssize_t n = ::pread(fd_, out, kPageSize,
-                      static_cast<off_t>(page_id) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IoError("pread page " + std::to_string(page_id));
-  }
-  return Status::OK();
+  return PreadPage(fd_, page_id, out);
 }
 
 Status DiskManager::WritePage(PageId page_id, const char* data) {
@@ -87,17 +98,12 @@ Status DiskManager::WritePage(PageId page_id, const char* data) {
     return Status::OutOfRange("write past end: page " +
                               std::to_string(page_id));
   }
-  ssize_t n = ::pwrite(fd_, data, kPageSize,
-                       static_cast<off_t>(page_id) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IoError("pwrite page " + std::to_string(page_id));
-  }
-  return Status::OK();
+  return PwritePage(fd_, page_id, data);
 }
 
 Status DiskManager::ReadPages(const std::vector<PageReadRequest>& batch) {
   // submit/complete fire unconditionally — even for empty batches — so every
-  // readahead pass crosses both points regardless of backend or pool state.
+  // readahead pass crosses both points.
   REACH_FAULT_POINT(faults::kDiskBackendSubmit);
   Status st;
   if (!batch.empty()) {
@@ -112,7 +118,10 @@ Status DiskManager::ReadPages(const std::vector<PageReadRequest>& batch) {
     metrics.batch_pages->Record(batch.size());
     metrics.submit_depth->Set(static_cast<int64_t>(batch.size()));
     const uint64_t start = NowNs();
-    st = backend_->ReadPages(fd_, batch);
+    for (const PageReadRequest& req : batch) {
+      st = PreadPage(fd_, req.page, req.buf);
+      if (!st.ok()) break;
+    }
     metrics.complete_ns->Record(NowNs() - start);
   }
   REACH_FAULT_POINT(faults::kDiskBackendComplete);
@@ -134,10 +143,13 @@ Status DiskManager::WritePages(
     DiskMetrics& metrics = DiskMetrics::Instance();
     metrics.batch_pages->Record(batch.size());
     metrics.submit_depth->Set(static_cast<int64_t>(batch.size()));
-    std::vector<PageWriteRun> runs = BuildWriteRuns(std::move(batch));
-    metrics.coalesced_runs->Record(runs.size());
+    std::sort(batch.begin(), batch.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     const uint64_t start = NowNs();
-    st = backend_->WriteRuns(fd_, runs);
+    for (const auto& [page, data] : batch) {
+      st = PwritePage(fd_, page, data);
+      if (!st.ok()) break;
+    }
     metrics.complete_ns->Record(NowNs() - start);
   }
   REACH_FAULT_POINT(faults::kDiskBackendComplete);

@@ -1,9 +1,7 @@
 // Page-granular file I/O. One database = one data file + one WAL file,
-// managed by DiskManager and Wal respectively. Single-page ReadPage/
-// WritePage run synchronously on the calling thread; the batched
-// ReadPages/WritePages entry points route through a pluggable DiskBackend
-// (REACH_STORAGE=backend={posix,async,uring}) that can overlap or coalesce
-// the members of a batch.
+// managed by DiskManager and Wal respectively. Every call runs pread/pwrite
+// synchronously on the calling thread; the batched ReadPages/WritePages
+// entry points range-check the whole batch before touching the file.
 #pragma once
 
 #include <atomic>
@@ -16,43 +14,37 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/disk_backend.h"
 #include "storage/page.h"
 
 namespace reach {
+
+/// One page-granular read: fill `buf` (kPageSize bytes) from `page`.
+struct PageReadRequest {
+  PageId page = kInvalidPageId;
+  char* buf = nullptr;
+};
 
 class DiskManager {
  public:
   ~DiskManager();
 
-  /// Open (creating if necessary) the data file at `path`. `kind` selects
-  /// the batched-I/O backend (kDefault: REACH_STORAGE, else posix).
-  static Result<std::unique_ptr<DiskManager>> Open(
-      const std::string& path,
-      DiskBackendKind kind = DiskBackendKind::kDefault);
+  /// Open (creating if necessary) the data file at `path`.
+  static Result<std::unique_ptr<DiskManager>> Open(const std::string& path);
 
   Status ReadPage(PageId page_id, char* out);
   Status WritePage(PageId page_id, const char* data);
 
-  /// Read every page in `batch` through the backend (readahead for
-  /// ObjectStore::ScanAll). Blocking until all members complete; first
-  /// error wins. Fires disk.backend.{submit,complete} even when empty.
+  /// Read every page in `batch` (readahead for ObjectStore::ScanAll), in
+  /// batch order. A member past the end fails the whole batch with
+  /// OutOfRange before any page is read; otherwise the first I/O error
+  /// wins. Fires disk.backend.{submit,complete} even when empty.
   Status ReadPages(const std::vector<PageReadRequest>& batch);
 
-  /// Write every (page, frame-image) pair in `batch` through the backend
-  /// (BufferPool::FlushAll / checkpoint). Pages are sorted and contiguous
-  /// neighbours coalesced into pwritev-style runs before submission; the
-  /// posix backend degenerates to the historical per-page pwrite loop.
-  /// Buffers must stay valid for the duration of the call.
+  /// Write every (page, frame-image) pair in `batch` (BufferPool::FlushAll
+  /// / checkpoint) in ascending page order. A member past the end fails the
+  /// whole batch with OutOfRange before any page is written. Buffers must
+  /// stay valid for the duration of the call.
   Status WritePages(std::vector<std::pair<PageId, const char*>> batch);
-
-  /// Pre-register long-lived page buffers (the buffer pool's frames) with
-  /// the backend — io_uring maps them once (IORING_REGISTER_BUFFERS) and
-  /// serves them with READ_FIXED/WRITE_FIXED zero-copy ops. No-op on other
-  /// backends. Returns true when registration is active.
-  bool RegisterFrameBuffers(const std::vector<char*>& bufs, size_t buf_len) {
-    return backend_->RegisterBuffers(bufs, buf_len);
-  }
 
   /// Extend the file by one page and return its id.
   Result<PageId> AllocatePage();
@@ -66,23 +58,14 @@ class DiskManager {
 
   const std::string& path() const { return path_; }
 
-  /// The batched-I/O backend in use ("posix", "async", "uring") — uring
-  /// configs report what the fallback actually resolved to.
-  const char* backend_name() const { return backend_->name(); }
-
  private:
-  DiskManager(std::string path, int fd, PageId num_pages,
-              std::unique_ptr<DiskBackend> backend)
-      : path_(std::move(path)),
-        fd_(fd),
-        num_pages_(num_pages),
-        backend_(std::move(backend)) {}
+  DiskManager(std::string path, int fd, PageId num_pages)
+      : path_(std::move(path)), fd_(fd), num_pages_(num_pages) {}
 
   std::string path_;
   int fd_ = -1;
   std::mutex extend_mu_;  // serializes AllocatePage file extension
   std::atomic<PageId> num_pages_{0};
-  std::unique_ptr<DiskBackend> backend_;
 };
 
 }  // namespace reach

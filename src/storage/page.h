@@ -17,11 +17,11 @@ inline constexpr size_t kPageSize = 4096;
 /// Concurrency: `pin_count` and `io_pending` are atomics because the buffer
 /// pool's lock-free fetch fast path pins a frame with a CAS and checks
 /// io_pending without holding the shard mutex (docs/STORAGE.md "Lock-free
-/// page table"). Every other field — dirty, mod_count, wb_in_flight, the
-/// page id, and the data bytes of an unpinned frame — is still guarded by
-/// the owning shard's mutex. A pin_count of kEvictLatch (-1) means an
-/// evictor (or the writeback snapshotter) holds the frame exclusively:
-/// TryPin refuses and the reader falls back to the locked path.
+/// page table"). Every other field — dirty, the page id, and the data
+/// bytes of an unpinned frame — is still guarded by the owning shard's
+/// mutex. A pin_count of kEvictLatch (-1) means an evictor holds the frame
+/// exclusively: TryPin refuses and the reader falls back to the locked
+/// path.
 class Page {
  public:
   static constexpr int kEvictLatch = -1;
@@ -38,8 +38,6 @@ class Page {
     io_pending_.store(false, std::memory_order_relaxed);
     last_access_.store(0, std::memory_order_relaxed);
     dirty_ = false;
-    wb_in_flight_ = false;
-    mod_count_ = 0;
   }
 
   char* data() { return data_; }
@@ -92,20 +90,7 @@ class Page {
   bool dirty() const { return dirty_; }
   void set_dirty(bool dirty) { dirty_ = dirty; }
 
-  /// Bumped on every dirtying unpin (and NewPage). The background writeback
-  /// snapshots (image, mod_count) under the shard mutex and clears `dirty`
-  /// at completion only if mod_count is unchanged, so a re-dirtied frame is
-  /// never mistaken for clean (docs/STORAGE.md "Background writeback").
-  uint64_t mod_count() const { return mod_count_; }
-  void bump_mod_count() { ++mod_count_; }
-
-  /// A writeback snapshot of this frame is in flight: eviction skips the
-  /// frame and FlushPage waits, so the stale copy and a fresher image can
-  /// never race each other to disk.
-  bool wb_in_flight() const { return wb_in_flight_; }
-  void set_wb_in_flight(bool v) { wb_in_flight_ = v; }
-
-  /// A batched backend read is filling this frame (BufferPool::ReadAhead);
+  /// A batched read is filling this frame (BufferPool::ReadAhead);
   /// FetchPage must wait for the fill before handing the page out.
   bool io_pending() const { return io_pending_.load(std::memory_order_acquire); }
   void set_io_pending(bool pending) {
@@ -128,8 +113,6 @@ class Page {
   std::atomic<bool> io_pending_{false};
   std::atomic<uint64_t> last_access_{0};
   bool dirty_ = false;
-  bool wb_in_flight_ = false;
-  uint64_t mod_count_ = 0;
 };
 
 }  // namespace reach

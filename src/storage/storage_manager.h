@@ -21,16 +21,6 @@ struct StorageOptions {
   /// Buffer pool shard count; 0 defers to REACH_STORAGE / the auto default
   /// (nearest power of two to the hardware concurrency).
   size_t bufferpool_shards = 0;
-  /// Batched disk I/O backend for the data file and the WAL; kDefault
-  /// defers to REACH_STORAGE (`backend={posix,async,uring}`), else posix.
-  DiskBackendKind disk_backend = DiskBackendKind::kDefault;
-  /// Background eviction writeback (docs/STORAGE.md "Background
-  /// writeback"): -1 defers to REACH_STORAGE `writeback={on,off}` (default
-  /// off), 0/1 force it. The watermark is the dirty-frame percentage that
-  /// wakes the writeback thread; 0 defers to REACH_STORAGE
-  /// `writeback_watermark=<PCT>` (default 50).
-  int writeback = -1;
-  size_t writeback_watermark = 0;
   WalOptions wal = WalOptions::FromEnv();
 };
 
@@ -38,6 +28,8 @@ class StorageManager {
  public:
   /// Open (or create) the database rooted at `base_path`; the data file is
   /// `<base_path>.db` and the log `<base_path>.wal`. Runs crash recovery.
+  /// A REACH_STORAGE or REACH_WAL setting with an unknown key or a
+  /// malformed value fails the open with InvalidArgument.
   static Result<std::unique_ptr<StorageManager>> Open(
       const std::string& base_path, const StorageOptions& options = {});
 

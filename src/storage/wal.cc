@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/spec.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "testing/fault_points.h"
@@ -27,7 +28,6 @@ struct WalMetrics {
   obs::Histogram* fsync_ns;
   obs::Histogram* group_size;
   obs::Histogram* group_wait_ns;
-  obs::Gauge* adaptive_delay_us;
 
   static const WalMetrics& Get() {
     static const WalMetrics m = [] {
@@ -38,8 +38,7 @@ struct WalMetrics {
                         reg.counter(obs::kWalFsyncSaved),
                         reg.histogram(obs::kWalFsyncNs),
                         reg.histogram(obs::kWalGroupSize),
-                        reg.histogram(obs::kWalGroupWaitNs),
-                        reg.gauge(obs::kWalAdaptiveDelayUs)};
+                        reg.histogram(obs::kWalGroupWaitNs)};
     }();
     return m;
   }
@@ -87,49 +86,39 @@ bool GetImage(const char* data, size_t len, size_t* pos, WalCellImage* img) {
 
 }  // namespace
 
-WalOptions WalOptions::Parse(const char* spec) {
+Result<WalOptions> WalOptions::Parse(const char* spec) {
   WalOptions o;
-  if (spec == nullptr) return o;
-  std::string entry;
-  auto apply = [&o](const std::string& e) {
-    if (e.empty()) return;
-    std::string key = e, value;
-    if (size_t eq = e.find('='); eq != std::string::npos) {
-      key = e.substr(0, eq);
-      value = e.substr(eq + 1);
-    }
-    if (key == "on" || (key == "group" && (value == "on" || value == "1" ||
-                                           value == "true"))) {
-      o.group_commit = true;
-    } else if (key == "off" ||
-               (key == "group" &&
-                (value == "off" || value == "0" || value == "false"))) {
-      o.group_commit = false;
-    } else if (key == "max_batch_bytes") {
-      o.max_batch_bytes = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (key == "max_batch_delay_us") {
-      o.max_batch_delay_us =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 0));
-    } else if (key == "adaptive") {
-      o.adaptive_delay =
-          value.empty() || value == "on" || value == "1" || value == "true";
-    }
-    // Unknown entries are ignored so old binaries tolerate new knobs.
-  };
-  for (const char* p = spec;; ++p) {
-    if (*p == '\0' || *p == ',' || *p == ';') {
-      apply(entry);
-      entry.clear();
-      if (*p == '\0') break;
-    } else {
-      entry.push_back(*p);
-    }
-  }
+  REACH_RETURN_IF_ERROR(ForEachSpecEntry(
+      spec, [&o](const std::string& entry, const std::string& key,
+                 const std::string& value) {
+        uint64_t n = 0;
+        bool ok = true;
+        if ((key == "on" || key == "off") && value.empty()) {
+          o.group_commit = key == "on";
+        } else if (key == "group") {
+          ok = ParseSpecBool(value, &o.group_commit);
+        } else if (key == "max_batch_bytes") {
+          ok = ParseSpecUnsigned(value, SIZE_MAX, &n);
+          o.max_batch_bytes = static_cast<size_t>(n);
+        } else if (key == "max_batch_delay_us") {
+          ok = ParseSpecUnsigned(value, UINT32_MAX, &n);
+          o.max_batch_delay_us = static_cast<uint32_t>(n);
+        } else {
+          return Status::InvalidArgument("REACH_WAL: unknown setting '" +
+                                         entry + "'");
+        }
+        if (!ok) {
+          return Status::InvalidArgument("REACH_WAL: malformed value in '" +
+                                         entry + "'");
+        }
+        return Status::OK();
+      }));
   return o;
 }
 
 WalOptions WalOptions::FromEnv() {
-  static const WalOptions parsed = Parse(std::getenv("REACH_WAL"));
+  static const WalOptions parsed =
+      Parse(std::getenv("REACH_WAL")).value_or(WalOptions{});
   return parsed;
 }
 
@@ -145,14 +134,12 @@ Wal::~Wal() {
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
-                                       const WalOptions& options,
-                                       DiskBackendKind backend) {
+                                       const WalOptions& options) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
-  auto wal = std::unique_ptr<Wal>(
-      new Wal(path, fd, options, DiskBackend::Create(backend)));
+  auto wal = std::unique_ptr<Wal>(new Wal(path, fd, options));
   // Restore next_lsn from the existing log tail; everything already in the
   // file is durable as far as this process can know.
   Lsn next = 1;
@@ -241,24 +228,6 @@ Result<Lsn> Wal::Append(WalRecord record) {
 }
 
 Status Wal::WriteAndSync(const std::string& data, bool* wrote) {
-  if (backend_->fused_append() && !FaultRegistry::enabled()) {
-    // One linked append+fsync submission (io_uring backend): half the
-    // syscalls per group-commit batch. Skipped whenever fault injection is
-    // armed — the fused form has no window for the wal.flush.{write,fsync}
-    // points, and every crash/failure test depends on them. On failure the
-    // batch is conservatively requeued (*wrote = false); should the write
-    // half actually have landed, replay of the duplicate records is
-    // idempotent (physical images + conditional redo).
-    Status st = backend_->AppendSync(fd_, data.data(), data.size());
-    *wrote = st.ok();
-    if (st.ok()) {
-      if (!data.empty()) {
-        WalMetrics::Get().flushed_bytes->Inc(data.size());
-      }
-      WalMetrics::Get().fsyncs->Inc();
-    }
-    return st;
-  }
   *wrote = data.empty();
   if (!data.empty()) {
     // Crash here: the buffered records are lost entirely.
@@ -358,21 +327,12 @@ void Wal::FlusherLoop() {
   // pending — the signal that committers arrive faster than fsyncs finish,
   // which is when the optional coalescing delay pays off.
   bool back_to_back = false;
-  // Adaptive policy state: EWMA of waiters released per batch. The cap
-  // bounds how long a committer can be held hostage for coalescing.
-  double avg_group = 0.0;
-  const uint32_t delay_cap_us =
-      options_.max_batch_delay_us > 0 ? options_.max_batch_delay_us : 200;
   while (true) {
     work_cv_.wait(lock, [this] { return stop_ || HasPendingWork(); });
     if (stop_) return;
-    const uint32_t delay_us = options_.adaptive_delay
-                                  ? adaptive_delay_us_.load(
-                                        std::memory_order_relaxed)
-                                  : options_.max_batch_delay_us;
-    if (back_to_back && delay_us > 0) {
+    if (back_to_back && options_.max_batch_delay_us > 0) {
       auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(delay_us);
+                      std::chrono::microseconds(options_.max_batch_delay_us);
       while (!stop_ && buffer_.size() < options_.max_batch_bytes &&
              work_cv_.wait_until(lock, deadline) !=
                  std::cv_status::timeout) {
@@ -419,27 +379,6 @@ void Wal::FlusherLoop() {
       m.group_size->Record(static_cast<uint64_t>(released));
       if (released > 1) m.fsync_saved->Inc(released - 1);
       back_to_back = HasPendingWork();
-      if (options_.adaptive_delay) {
-        // Feedback loop on the observed group size: near-empty batches
-        // under sustained load mean the fsync alone isn't coalescing —
-        // grow the delay to collect more joiners. Big groups (or batches
-        // approaching the byte cap) mean piggybacking already saturates —
-        // shrink back toward zero so committers aren't held up for
-        // nothing.
-        avg_group = avg_group * 0.75 + static_cast<double>(released) * 0.25;
-        const uint32_t cur = adaptive_delay_us_.load(
-            std::memory_order_relaxed);
-        uint32_t next = cur;
-        if (avg_group >= 8.0 || batch.size() >= options_.max_batch_bytes / 2) {
-          next = cur / 2;
-        } else if (back_to_back && avg_group < 2.0) {
-          next = std::min(delay_cap_us, cur + 10);
-        }
-        if (next != cur) {
-          adaptive_delay_us_.store(next, std::memory_order_relaxed);
-          m.adaptive_delay_us->Set(static_cast<int64_t>(next));
-        }
-      }
     } else {
       if (!wrote && !batch.empty()) {
         // The records never reached the file: restore them (in order) so a

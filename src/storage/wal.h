@@ -22,7 +22,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/disk_backend.h"
 
 namespace reach {
 
@@ -72,8 +71,8 @@ struct WalRecord {
 
 /// Group-commit policy knobs. Defaults come from the REACH_WAL environment
 /// variable (grammar mirroring REACH_METRICS, entries separated by ',' or
-/// ';'): "group=on|off", "max_batch_bytes=<N>", "max_batch_delay_us=<N>",
-/// "adaptive[=on|off]". Bare "on"/"off" toggles group commit.
+/// ';'): "group=on|off", "max_batch_bytes=<N>", "max_batch_delay_us=<N>".
+/// Bare "on"/"off" toggles group commit.
 struct WalOptions {
   /// Commit piggybacking via the background flusher thread. Off = the
   /// classic inline path: every Flush() does its own write+fsync.
@@ -85,18 +84,13 @@ struct WalOptions {
   /// while the previous fsync ran forms the next batch.
   size_t max_batch_bytes = 1u << 20;
   uint32_t max_batch_delay_us = 0;
-  /// Drive the coalescing delay from the observed batch size instead of the
-  /// fixed max_batch_delay_us: near-empty batches under sustained load grow
-  /// the delay (more joiners per fsync), full batches shrink it back (no
-  /// point delaying committers the fsync already coalesces). The current
-  /// value is visible as the storage.wal.adaptive_delay_us gauge and via
-  /// current_batch_delay_us(). max_batch_delay_us, when nonzero, caps the
-  /// adaptive delay (default cap 200us).
-  bool adaptive_delay = false;
 
+  /// Parse a REACH_WAL spec string. An unknown key or a malformed value is
+  /// InvalidArgument naming the entry.
+  static Result<WalOptions> Parse(const char* spec);
+  /// REACH_WAL parsed once. A spec that Parse rejects yields the defaults
+  /// here; StorageManager::Open reports it instead of opening.
   static WalOptions FromEnv();
-  /// Parse a REACH_WAL spec string (exposed for tests; FromEnv caches).
-  static WalOptions Parse(const char* spec);
 };
 
 class Wal {
@@ -104,12 +98,10 @@ class Wal {
   ~Wal();
 
   /// Open (creating if necessary) the log file at `path`. Starts the
-  /// flusher thread when options.group_commit is set. `backend` selects the
-  /// disk backend used for fused append+fsync submissions (see
-  /// WriteAndSync); kDefault defers to REACH_STORAGE.
+  /// flusher thread when options.group_commit is set.
   static Result<std::unique_ptr<Wal>> Open(
-      const std::string& path, const WalOptions& options = WalOptions::FromEnv(),
-      DiskBackendKind backend = DiskBackendKind::kDefault);
+      const std::string& path,
+      const WalOptions& options = WalOptions::FromEnv());
 
   /// Append a record; assigns and returns its LSN. Buffered until flushed.
   Result<Lsn> Append(WalRecord record);
@@ -169,26 +161,9 @@ class Wal {
 
   const WalOptions& options() const { return options_; }
 
-  /// The coalescing delay the flusher would apply to the next back-to-back
-  /// batch: the adaptive value when options().adaptive_delay is set, the
-  /// fixed max_batch_delay_us otherwise.
-  uint32_t current_batch_delay_us() const {
-    return options_.adaptive_delay
-               ? adaptive_delay_us_.load(std::memory_order_relaxed)
-               : options_.max_batch_delay_us;
-  }
-
-  /// The disk backend's name ("posix", "async", "uring") — what fused
-  /// appends actually route through after fallback resolution.
-  const char* backend_name() const { return backend_->name(); }
-
  private:
-  Wal(std::string path, int fd, WalOptions options,
-      std::unique_ptr<DiskBackend> backend)
-      : path_(std::move(path)),
-        fd_(fd),
-        options_(options),
-        backend_(std::move(backend)) {}
+  Wal(std::string path, int fd, WalOptions options)
+      : path_(std::move(path)), fd_(fd), options_(options) {}
 
   static void EncodeRecord(const WalRecord& rec, std::string* out);
   static bool DecodeRecord(const char* data, size_t len, size_t* consumed,
@@ -211,11 +186,6 @@ class Wal {
   std::string path_;
   int fd_;
   WalOptions options_;
-  /// Disk backend for the flush path. Only consulted when it offers a fused
-  /// append (io_uring linked write+fsync) and fault injection is idle;
-  /// otherwise WriteAndSync keeps the classic write-then-fsync sequence with
-  /// its wal.flush.{write,fsync} fault points.
-  std::unique_ptr<DiskBackend> backend_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;     // committers -> flusher
   std::condition_variable durable_cv_;  // flusher -> committers
@@ -228,9 +198,6 @@ class Wal {
   std::string buffer_;  // encoded records not yet written to the file
   size_t buffer_count_ = 0;
   std::atomic<Lsn> durable_lsn_{0};
-  /// Coalescing delay chosen by the adaptive policy (flusher writes, anyone
-  /// reads). Starts at 0 = pure piggybacking until load proves otherwise.
-  std::atomic<uint32_t> adaptive_delay_us_{0};
   /// Outstanding WaitDurable targets; the max element is the flusher's work
   /// signal (failed waiters remove themselves, so a persistent I/O error
   /// cannot spin the flusher).

@@ -15,10 +15,10 @@ inline constexpr const char* kDiskReadPage = "disk.read_page";
 inline constexpr const char* kDiskWritePage = "disk.write_page";
 inline constexpr const char* kDiskAllocatePage = "disk.allocate_page";
 inline constexpr const char* kDiskSync = "disk.sync";
-/// Batched backend path (DiskManager::ReadPages/WritePages): `submit` fires
-/// before the batch is handed to the DiskBackend, `complete` after its
-/// completions are reaped — both fire even for empty batches, so every
-/// checkpoint/readahead crosses them regardless of backend.
+/// Batched path (DiskManager::ReadPages/WritePages): `submit` fires before
+/// the batch's pages are read or written, `complete` after the last one —
+/// both fire even for empty batches, so every checkpoint/readahead crosses
+/// them.
 inline constexpr const char* kDiskBackendSubmit = "disk.backend.submit";
 inline constexpr const char* kDiskBackendComplete = "disk.backend.complete";
 
@@ -50,12 +50,6 @@ inline constexpr const char* kBufFetch = "bufferpool.fetch";
 inline constexpr const char* kBufEvictWriteback = "bufferpool.evict.writeback";
 inline constexpr const char* kBufFlushPage = "bufferpool.flush_page";
 inline constexpr const char* kBufFlushAll = "bufferpool.flush_all";
-/// Start of one background-writeback pass (BufferPool::WritebackPass) —
-/// fires even when nothing is dirty, like the disk.backend.* convention, so
-/// every pass (including the flush-behind pass on pool shutdown) crosses
-/// it. On the writeback thread an injected crash is caught and parked, then
-/// rethrown from the next foreground TriggerWriteback.
-inline constexpr const char* kBufWriteback = "bufferpool.writeback";
 
 // -- TransactionManager ----------------------------------------------------
 inline constexpr const char* kTxnBegin = "txn.begin";
@@ -84,7 +78,6 @@ inline constexpr const char* kAll[] = {
     kEventHistoryAppend, kEventHistoryCheckpoint, kEventHistoryReplay,
     kEventHistoryCarryover,
     kBufFetch,        kBufEvictWriteback, kBufFlushPage,     kBufFlushAll,
-    kBufWriteback,
     kTxnBegin,        kTxnCommitEntry,    kTxnCommitForce,   kTxnAbortEntry,
     kQueryMorsel,
     kRuleDeferredFlush, kRuleSubtxnExec,  kRuleDetachedExec,

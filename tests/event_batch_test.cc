@@ -1,8 +1,9 @@
 // Batched event pipeline (docs/EVENTS.md "Batched pipeline"): the batch
 // path must be detection-equivalent to single-event dispatch. Property
-// test: identical pseudo-random workloads run with batch_mode on and off
-// (and with a small batch size forcing mid-run flush boundaries) must
-// produce exactly the same composite detections under all four SNOOP
+// test: identical pseudo-random workloads run inline, and on the
+// work-stealing pool with batch_mode on and off (and with a small batch
+// size forcing mid-run flush boundaries), must produce exactly the same
+// composite detections under all four SNOOP
 // consumption policies; rule executions across every coupling mode must
 // not change; and a multi-threaded stress run (the TSan CI target) must
 // produce exact per-transaction completion counts.
@@ -78,12 +79,15 @@ std::string DetectionKey(const std::string& name,
 
 TEST_F(EventBatchTest, RandomWorkloadEquivalenceAcrossPolicies) {
   struct Config {
+    bool async;
     bool batch;
     size_t max_events;
   };
-  // Default batch size, batching off, and a tiny batch size that forces
-  // flush boundaries to land mid-expression.
-  const Config configs[] = {{false, 64}, {true, 64}, {true, 5}};
+  // Inline composition as the reference, then work-stealing with batching
+  // off, the default batch size, and a tiny batch size that forces flush
+  // boundaries to land mid-expression.
+  const Config configs[] = {
+      {false, false, 64}, {true, false, 64}, {true, true, 64}, {true, true, 5}};
   const ConsumptionPolicy policies[] = {
       ConsumptionPolicy::kRecent, ConsumptionPolicy::kChronicle,
       ConsumptionPolicy::kContinuous, ConsumptionPolicy::kCumulative};
@@ -91,8 +95,7 @@ TEST_F(EventBatchTest, RandomWorkloadEquivalenceAcrossPolicies) {
     std::vector<std::vector<std::string>> per_config;
     for (const Config& cfg : configs) {
       EventManagerOptions opts;
-      opts.async_composition = true;
-      opts.composition_mode = CompositionMode::kWorkStealing;
+      opts.async_composition = cfg.async;
       opts.composition_threads = 1;  // FIFO: Seq is feed-order sensitive
       opts.batch_mode = cfg.batch;
       opts.batch_max_events = cfg.max_events;
@@ -154,8 +157,10 @@ TEST_F(EventBatchTest, RandomWorkloadEquivalenceAcrossPolicies) {
     }
     EXPECT_FALSE(per_config[0].empty()) << "seed " << seed;
     EXPECT_EQ(per_config[0], per_config[1])
+        << "work-stealing diverged from inline, seed " << seed;
+    EXPECT_EQ(per_config[1], per_config[2])
         << "batch on/off diverged, seed " << seed;
-    EXPECT_EQ(per_config[0], per_config[2])
+    EXPECT_EQ(per_config[1], per_config[3])
         << "small batch size diverged, seed " << seed;
   }
 }
@@ -174,7 +179,6 @@ TEST(EventBatchRulesTest, CouplingModeEquivalence) {
     ReachOptions options;
     options.database.clock = &clock;
     options.events.async_composition = true;
-    options.events.composition_mode = CompositionMode::kWorkStealing;
     options.events.composition_threads = 1;
     options.events.batch_mode = batch;
     auto db = ReachDb::Open(dir.DbPath(), options);
@@ -257,7 +261,6 @@ TEST(EventBatchRulesTest, CouplingModeEquivalence) {
 TEST_F(EventBatchTest, StressExactCompletionCounts) {
   EventManagerOptions opts;
   opts.async_composition = true;
-  opts.composition_mode = CompositionMode::kWorkStealing;
   opts.composition_threads = 4;
   opts.batch_mode = true;
   auto em = std::make_unique<EventManager>(db_.get(), opts);

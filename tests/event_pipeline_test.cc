@@ -2,7 +2,8 @@
 // concurrent Signal across many types and transactions, listener
 // registration racing dispatch (snapshot republish vs readers), striped
 // per-txn bookkeeping, the work-stealing composition pool, and
-// composition-equivalence across the three backends. Run under TSan in CI.
+// composition-equivalence between inline and work-stealing composition.
+// Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,7 +103,6 @@ TEST(WorkStealingPoolTest, WorkersSubmitRecursively) {
 
 TEST_F(EventPipelineTest, ConcurrentSignalWithRacingRegistration) {
   EventManagerOptions opts;
-  opts.composition_mode = CompositionMode::kWorkStealing;
   opts.composition_threads = 2;
   auto em = Make(opts);
 
@@ -168,7 +168,6 @@ TEST_F(EventPipelineTest, ConcurrentSignalWithRacingRegistration) {
 
 TEST_F(EventPipelineTest, StripedTxnBookkeepingMergesOnlyCommitted) {
   EventManagerOptions opts;
-  opts.composition_mode = CompositionMode::kWorkStealing;
   auto em = Make(opts);
   auto id = em->DefineMethodEvent("pp", "C", "mm");
   ASSERT_TRUE(id.ok());
@@ -201,34 +200,24 @@ TEST_F(EventPipelineTest, StripedTxnBookkeepingMergesOnlyCommitted) {
   EXPECT_EQ(em->global_history()->size(), 4u * (kTxns / 2) * 5u);
 }
 
-// -- Composition equivalence across backends -------------------------------
+// -- Composition equivalence: inline vs work-stealing ----------------------
 
-// Run the same deterministic feed under every backend and demand identical
-// composite completions. Order-sensitive expressions (Seq) use one
-// composition worker, which preserves the feed's FIFO order; the
+// Run the same deterministic feed inline and on the work-stealing pool and
+// demand identical composite completions. Order-sensitive expressions (Seq)
+// use one composition worker, which preserves the feed's FIFO order; the
 // multi-worker configuration uses an order-insensitive History composite.
 struct Completions {
   std::mutex mu;
   std::map<TxnId, int> per_txn;
 };
 
-TEST_F(EventPipelineTest, SequenceEquivalenceAcrossBackends) {
-  struct Config {
-    bool async;
-    CompositionMode mode;
-  };
-  const Config configs[] = {
-      {false, CompositionMode::kInline},
-      {true, CompositionMode::kCentralPool},
-      {true, CompositionMode::kWorkStealing},
-  };
+TEST_F(EventPipelineTest, SequenceEquivalenceInlineVsWorkStealing) {
   for (ConsumptionPolicy policy :
        {ConsumptionPolicy::kChronicle, ConsumptionPolicy::kRecent}) {
     std::vector<std::map<TxnId, int>> results;
-    for (const Config& cfg : configs) {
+    for (bool async : {false, true}) {
       EventManagerOptions opts;
-      opts.async_composition = cfg.async;
-      opts.composition_mode = cfg.mode;
+      opts.async_composition = async;
       opts.composition_threads = 1;  // FIFO: Seq is feed-order sensitive
       auto em = Make(opts);
       auto a = em->DefineMethodEvent("ea", "C", "a");
@@ -260,29 +249,17 @@ TEST_F(EventPipelineTest, SequenceEquivalenceAcrossBackends) {
     // the b that follows it: 5 completions per transaction.
     for (const auto& [txn, count] : results[0]) EXPECT_EQ(count, 5) << txn;
     EXPECT_EQ(results[0], results[1]);
-    EXPECT_EQ(results[0], results[2]);
   }
 }
 
 TEST_F(EventPipelineTest, HistoryEquivalenceUnderParallelComposition) {
-  // Order-insensitive composite, multi-worker pools, concurrent producers:
+  // Order-insensitive composite, a multi-worker pool, concurrent producers:
   // completion counts must still match the inline reference exactly.
-  struct Config {
-    bool async;
-    CompositionMode mode;
-    size_t workers;
-  };
-  const Config configs[] = {
-      {false, CompositionMode::kInline, 1},
-      {true, CompositionMode::kCentralPool, 4},
-      {true, CompositionMode::kWorkStealing, 4},
-  };
   std::vector<std::map<TxnId, int>> results;
-  for (const Config& cfg : configs) {
+  for (bool async : {false, true}) {
     EventManagerOptions opts;
-    opts.async_composition = cfg.async;
-    opts.composition_mode = cfg.mode;
-    opts.composition_threads = cfg.workers;
+    opts.async_composition = async;
+    opts.composition_threads = async ? 4 : 1;
     auto em = Make(opts);
     auto id = em->DefineMethodEvent("eh", "C", "h");
     ASSERT_TRUE(id.ok());
@@ -316,7 +293,6 @@ TEST_F(EventPipelineTest, HistoryEquivalenceUnderParallelComposition) {
   // 40 occurrences per (producer, txn) -> exactly 5 completions each.
   for (const auto& [txn, count] : results[0]) EXPECT_EQ(count, 5) << txn;
   EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
 }
 
 }  // namespace

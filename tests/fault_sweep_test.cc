@@ -147,11 +147,6 @@ TEST_F(FaultRegistryTest, DisarmAllZeroesCounters) {
 void RunActiveWorkload(const std::string& base) {
   ReachOptions options;
   options.database.storage.buffer_pool_pages = 4;  // force eviction traffic
-  // Writeback stays off for the main phase so dirty evictions
-  // deterministically cross bufferpool.evict.writeback (a writeback thread
-  // would clean the victims first); a second phase below runs with it on to
-  // cover bufferpool.writeback.
-  options.database.storage.writeback = 0;
   auto db_or = ReachDb::Open(base, options);
   if (!db_or.ok()) return;  // clean open failure is a valid outcome
   auto db = std::move(*db_or);
@@ -240,27 +235,6 @@ void RunActiveWorkload(const std::string& base) {
   db->Drain();
   db->rules()->WaitDetachedIdle();
   (void)db->Checkpoint();
-  db.reset();
-
-  // Phase 2: reopen with background writeback on. The dirtying inserts give
-  // a pass real work, and the explicit TriggerWriteback — a pass on this
-  // thread, per the crash-fault convention — guarantees bufferpool.writeback
-  // is crossed even if every background pass loses a race.
-  options.database.storage.writeback = 1;
-  options.database.storage.writeback_watermark = 25;
-  auto wb_db_or = ReachDb::Open(base, options);
-  if (!wb_db_or.ok()) return;
-  auto wb_db = std::move(*wb_db_or);
-  {
-    Session s(wb_db->database());
-    if (s.Begin().ok()) {
-      for (int i = 0; i < 10; ++i) {
-        (void)s.PersistNew("Obj", {{"pad", Value(std::string(600, 'p'))}});
-      }
-      if (!s.Commit().ok()) (void)s.AbortAll();
-    }
-  }
-  (void)wb_db->database()->storage()->buffer_pool()->TriggerWriteback();
 }
 
 class FaultSweepTest : public ::testing::Test {

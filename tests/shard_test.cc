@@ -1,7 +1,9 @@
 // Sharded buffer pool and striped object store (docs/STORAGE.md):
-// REACH_STORAGE option parsing, shard slicing, hit/miss accounting summed
-// over shards, cross-shard eviction under fault injection, concurrent
-// Fetch/Unpin/Flush across shards (the TSan matrix runs this suite), and a
+// REACH_STORAGE / REACH_WAL option parsing (unknown entries are errors),
+// shard slicing, hit/miss accounting summed over shards, cross-shard
+// eviction under fault injection, concurrent Fetch/Unpin/Flush across
+// shards and the lock-free page table under eviction churn (the TSan
+// matrix runs this suite), and a
 // recovery-equivalence sweep proving the shard count is invisible to ARIES
 // recovery: the same WAL replayed into pools with different shard counts
 // must yield identical object state.
@@ -26,13 +28,24 @@ using reach::testing::DurableLogCommit;
 using reach::testing::TempDir;
 
 TEST(BufferPoolOptionsTest, ParsesShardsFromSpec) {
-  EXPECT_EQ(BufferPoolOptions::Parse(nullptr).shards, 0u);
-  EXPECT_EQ(BufferPoolOptions::Parse("").shards, 0u);
-  EXPECT_EQ(BufferPoolOptions::Parse("shards=4").shards, 4u);
-  EXPECT_EQ(BufferPoolOptions::Parse("shards=16,future=1").shards, 16u);
-  EXPECT_EQ(BufferPoolOptions::Parse("future=1;shards=2").shards, 2u);
-  // Unknown entries are ignored, not an error.
-  EXPECT_EQ(BufferPoolOptions::Parse("bogus").shards, 0u);
+  auto o = BufferPoolOptions::Parse(nullptr);
+  ASSERT_TRUE(o.ok());
+  EXPECT_EQ(o->shards, 0u);
+  EXPECT_EQ(BufferPoolOptions::Parse("")->shards, 0u);
+  EXPECT_EQ(BufferPoolOptions::Parse("shards=4")->shards, 4u);
+  EXPECT_EQ(BufferPoolOptions::Parse(";shards=2,")->shards, 2u);
+}
+
+TEST(BufferPoolOptionsTest, RejectsUnknownEntriesAndMalformedNumbers) {
+  for (const char* bad :
+       {"bogus", "shards=16,future=1", "future=1;shards=2", "backend=uring",
+        "writeback=on", "writeback_watermark=30", "io_threads=2", "shards=",
+        "shards=abc", "shards=-1", "shards=4x", "shards=99999999999"}) {
+    SCOPED_TRACE(bad);
+    auto r = BufferPoolOptions::Parse(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
 }
 
 TEST(BufferPoolOptionsTest, ResolveShardsAutoIsPowerOfTwo) {
@@ -44,60 +57,39 @@ TEST(BufferPoolOptionsTest, ResolveShardsAutoIsPowerOfTwo) {
   EXPECT_EQ(n & (n - 1), 0u) << "auto shard count must be a power of two";
 }
 
-TEST(WalOptionsTest, ParsesAdaptiveKnob) {
-  EXPECT_FALSE(WalOptions::Parse(nullptr).adaptive_delay);
-  EXPECT_TRUE(WalOptions::Parse("adaptive").adaptive_delay);
-  EXPECT_TRUE(WalOptions::Parse("adaptive=on").adaptive_delay);
-  EXPECT_FALSE(WalOptions::Parse("adaptive=off").adaptive_delay);
-  WalOptions o = WalOptions::Parse("group=on,adaptive,max_batch_delay_us=50");
-  EXPECT_TRUE(o.group_commit);
-  EXPECT_TRUE(o.adaptive_delay);
-  EXPECT_EQ(o.max_batch_delay_us, 50u);
+TEST(WalOptionsTest, ParsesGroupCommitKnobs) {
+  auto o = WalOptions::Parse(
+      "group=off;max_batch_bytes=4096,max_batch_delay_us=50");
+  ASSERT_TRUE(o.ok()) << o.status().ToString();
+  EXPECT_FALSE(o->group_commit);
+  EXPECT_EQ(o->max_batch_bytes, 4096u);
+  EXPECT_EQ(o->max_batch_delay_us, 50u);
+  EXPECT_TRUE(WalOptions::Parse(nullptr)->group_commit);
+  EXPECT_TRUE(WalOptions::Parse("on")->group_commit);
+  EXPECT_FALSE(WalOptions::Parse("off")->group_commit);
+  EXPECT_TRUE(WalOptions::Parse("group=true")->group_commit);
 }
 
-TEST(WalAdaptiveTest, AdaptiveDelayStaysBoundedUnderCommitLoad) {
-  TempDir dir;
-  StorageOptions opts;
-  opts.wal.group_commit = true;
-  opts.wal.adaptive_delay = true;
-  opts.wal.max_batch_delay_us = 100;  // adaptation ceiling
-  auto sm_or = StorageManager::Open(dir.DbPath(), opts);
-  ASSERT_TRUE(sm_or.ok());
-  auto sm = std::move(*sm_or);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 25; ++i) {
-        TxnId txn = static_cast<TxnId>(1 + t * 25 + i);
-        if (!sm->LogBegin(txn).ok() ||
-            !sm->objects()->Insert(txn, "adaptive_payload").ok() ||
-            !DurableLogCommit(sm.get(), txn).ok()) {
-          failures.fetch_add(1);
-        }
-      }
-    });
+TEST(WalOptionsTest, RejectsUnknownEntriesAndMalformedNumbers) {
+  for (const char* bad :
+       {"adaptive", "adaptive=on", "group=on,adaptive", "future=1",
+        "group=maybe", "on=1", "max_batch_bytes=", "max_batch_delay_us=fast",
+        "max_batch_delay_us=5000000000"}) {
+    SCOPED_TRACE(bad);
+    auto r = WalOptions::Parse(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  // The adapted delay never exceeds the configured ceiling.
-  EXPECT_LE(sm->wal()->current_batch_delay_us(), 100u);
 }
 
 class ShardedPoolTest : public ::testing::Test {
  protected:
-  /// `writeback` defaults to the REACH_STORAGE setting; tests that assert
-  /// deterministic eviction order or dirty-eviction fault coverage pass 0 —
-  /// a background cleaner would wash their preconditions away mid-test
-  /// (writeback_test covers the cleaner itself).
-  void Open(size_t pool_size, size_t shards, int writeback = -1) {
+  void Open(size_t pool_size, size_t shards) {
+    pool_.reset();
     auto dm = DiskManager::Open(dir_.DbPath() + ".db");
     ASSERT_TRUE(dm.ok());
     disk_ = std::move(*dm);
-    BufferPoolOptions options;
-    options.shards = shards;
-    options.writeback = writeback;
-    pool_ = std::make_unique<BufferPool>(disk_.get(), pool_size, options);
+    pool_ = std::make_unique<BufferPool>(disk_.get(), pool_size, shards);
   }
   TempDir dir_;
   std::unique_ptr<DiskManager> disk_;
@@ -139,7 +131,7 @@ TEST_F(ShardedPoolTest, PagesLandOnDistinctShardsAndSurviveEviction) {
 }
 
 TEST_F(ShardedPoolTest, HitMissAccountingSumsOverShards) {
-  Open(8, 4, /*writeback=*/0);  // deterministic eviction order
+  Open(8, 4);
   std::vector<PageId> ids;
   for (int i = 0; i < 8; ++i) {
     auto page = pool_->NewPage();
@@ -171,7 +163,7 @@ TEST_F(ShardedPoolTest, HitMissAccountingSumsOverShards) {
 }
 
 TEST_F(ShardedPoolTest, CrossShardEvictionFaultSurfacesCleanly) {
-  Open(4, 4, /*writeback=*/0);  // every eviction must hit the dirty path
+  Open(4, 4);  // every eviction must hit the dirty path
   auto& reg = FaultRegistry::Instance();
   reg.DisarmAll();
   std::vector<PageId> ids;
@@ -248,6 +240,51 @@ TEST_F(ShardedPoolTest, ConcurrentFetchUnpinFlushAcrossShards) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST_F(ShardedPoolTest, LockFreeTableSurvivesEvictChurnAndRebuilds) {
+  // Torture for the open-addressing table: a single-shard pool far smaller
+  // than its working set erases a mapping (tombstone) on every eviction, so
+  // the probe chains fill with tombstones and force periodic same-size
+  // rebuilds while readers probe lock-free.
+  Open(8, 1);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 64; ++i) {
+    auto page = pool_->NewPage();
+    ASSERT_TRUE(page.ok());
+    (*page)->data()[0] = static_cast<char>('A' + i % 26);
+    ids.push_back((*page)->page_id());
+    ASSERT_TRUE(pool_->UnpinPage(ids.back(), true).ok());
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 500; ++round) {
+        size_t i = (t * 17 + round * 7) % ids.size();
+        auto page = pool_->FetchPage(ids[i]);
+        if (!page.ok()) {
+          if (!page.status().IsBusy()) failures.fetch_add(1);
+          continue;
+        }
+        if ((*page)->data()[0] != static_cast<char>('A' + i % 26)) {
+          failures.fetch_add(1);
+        }
+        if (!pool_->UnpinPage(ids[i], round % 8 == 0).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every page still round-trips after the churn.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto page = pool_->FetchPage(ids[i]);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ((*page)->data()[0], static_cast<char>('A' + i % 26));
+    ASSERT_TRUE(pool_->UnpinPage(ids[i], false).ok());
+  }
+}
+
 TEST(ShardedStoreTest, ConcurrentReadersWithWriter) {
   // Readers take the store's shared operation lock and only contend on
   // buffer pool shards; a writer interleaves inserts and updates. TSan
@@ -295,6 +332,51 @@ TEST(ShardedStoreTest, ConcurrentReadersWithWriter) {
       if (!store->Update(txn, oids[i % oids.size()],
                          "obj_u" + std::string(120, 'u'))
                .ok()) {
+        failures.fetch_add(1);
+      }
+      if (!DurableLogCommit(sm.get(), txn).ok()) failures.fetch_add(1);
+    }
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// Striped page locking: readers of other pages proceed while a writer holds
+// one page's stripe. Smoke-level: hammer disjoint reads and writes
+// concurrently and demand zero failures and intact contents.
+TEST(ObjectStoreStripedLockTest, ReadersProceedDuringDisjointWrites) {
+  TempDir dir;
+  auto sm_or = StorageManager::Open(dir.DbPath());
+  ASSERT_TRUE(sm_or.ok());
+  auto sm = std::move(*sm_or);
+  ASSERT_TRUE(sm->LogBegin(1).ok());
+  std::vector<Oid> oids;
+  std::string payload(600, 's');  // whole cells: fast-path eligible
+  for (int i = 0; i < 64; ++i) {
+    auto oid = sm->objects()->Insert(1, payload);
+    ASSERT_TRUE(oid.ok());
+    oids.push_back(*oid);
+  }
+  ASSERT_TRUE(DurableLogCommit(sm.get(), 1).ok());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const Oid& oid = oids[(t * 23 + i) % oids.size()];
+        auto body = sm->objects()->Read(oid);
+        if (!body.ok() || body->size() != payload.size()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 100; ++i) {
+      TxnId txn = static_cast<TxnId>(10 + i);
+      if (!sm->LogBegin(txn).ok()) return;
+      if (!sm->objects()->Update(txn, oids[i % oids.size()], payload).ok()) {
         failures.fetch_add(1);
       }
       if (!DurableLogCommit(sm.get(), txn).ok()) failures.fetch_add(1);

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/reach/reach_db.h"
 #include "oodb/database.h"
 #include "oodb/session.h"
 #include "storage/buffer_pool.h"
@@ -14,11 +20,14 @@
 #include "storage/object_store.h"
 #include "storage/storage_manager.h"
 #include "storage/wal.h"
+#include "testing/fault_points.h"
+#include "testing/fault_registry.h"
 #include "test_util.h"
 
 namespace reach {
 namespace {
 
+using reach::testing::DurableLogCommit;
 using reach::testing::TempDir;
 
 TEST(DiskManagerTest, AllocateReadWrite) {
@@ -62,6 +71,126 @@ TEST(DiskManagerTest, ReopenPreservesPages) {
   char in[kPageSize];
   ASSERT_TRUE((*dm)->ReadPage(1, in).ok());
   EXPECT_EQ(in[0], 'q');
+}
+
+// Batched page I/O: a scattered, reverse-ordered write batch and a read
+// batch round-trip every page, including a page the batch skipped and a
+// one-page batch.
+TEST(DiskManagerTest, BatchedWriteThenRead) {
+  TempDir dir;
+  auto dm_or = DiskManager::Open(dir.DbPath() + ".db");
+  ASSERT_TRUE(dm_or.ok());
+  auto dm = std::move(*dm_or);
+  constexpr PageId kPages = 24;
+  for (PageId p = 0; p < kPages; ++p) {
+    auto id = dm->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(*id, p);
+  }
+  std::vector<std::string> images(kPages);
+  std::vector<std::pair<PageId, const char*>> writes;
+  for (PageId p = 0; p < kPages; ++p) {
+    if (p == 11) continue;  // gap: page 11 stays zero
+    images[p].assign(kPageSize, static_cast<char>('a' + (p % 26)));
+    images[p][0] = static_cast<char>(p);
+    writes.emplace_back(p, images[p].data());
+  }
+  std::reverse(writes.begin(), writes.end());
+  ASSERT_TRUE(dm->WritePages(std::move(writes)).ok());
+
+  std::vector<std::string> readback(kPages, std::string(kPageSize, 'x'));
+  std::vector<PageReadRequest> reads;
+  for (PageId p = 0; p < kPages; ++p) {
+    reads.push_back({p, readback[p].data()});
+  }
+  ASSERT_TRUE(dm->ReadPages(reads).ok());
+  for (PageId p = 0; p < kPages; ++p) {
+    SCOPED_TRACE(p);
+    if (p == 11) {
+      EXPECT_EQ(readback[p], std::string(kPageSize, '\0'));
+    } else {
+      EXPECT_EQ(readback[p], images[p]);
+    }
+  }
+
+  std::string one(kPageSize, 'Z');
+  ASSERT_TRUE(dm->WritePages({{3, one.data()}}).ok());
+  std::string got(kPageSize, '?');
+  std::vector<PageReadRequest> single = {{3, got.data()}};
+  ASSERT_TRUE(dm->ReadPages(single).ok());
+  EXPECT_EQ(got, one);
+
+  // Empty batches are no-ops (they still cross the fault points).
+  EXPECT_TRUE(dm->ReadPages({}).ok());
+  EXPECT_TRUE(dm->WritePages({}).ok());
+}
+
+// One member past the end fails the whole batch with OutOfRange before any
+// page is touched: no in-range member of a write batch reaches the file,
+// and no in-range member of a read batch is filled.
+TEST(DiskManagerTest, BatchWithOutOfRangeMemberFailsWhole) {
+  TempDir dir;
+  auto dm_or = DiskManager::Open(dir.DbPath() + ".db");
+  ASSERT_TRUE(dm_or.ok());
+  auto dm = std::move(*dm_or);
+  constexpr PageId kPages = 4;
+  for (PageId p = 0; p < kPages; ++p) ASSERT_TRUE(dm->AllocatePage().ok());
+
+  std::string image(kPageSize, 'w');
+  std::vector<std::pair<PageId, const char*>> writes = {
+      {0, image.data()}, {kPages + 2, image.data()}, {2, image.data()}};
+  EXPECT_TRUE(dm->WritePages(std::move(writes)).IsOutOfRange());
+  EXPECT_EQ(dm->num_pages(), kPages);
+  for (PageId p = 0; p < kPages; ++p) {
+    std::string got(kPageSize, '?');
+    ASSERT_TRUE(dm->ReadPage(p, got.data()).ok());
+    EXPECT_EQ(got.find_first_not_of('\0'), std::string::npos)
+        << "page " << p << " was written";
+  }
+
+  std::string a(kPageSize, '?'), b(kPageSize, '?');
+  std::vector<PageReadRequest> reads = {{1, a.data()}, {kPages, b.data()}};
+  EXPECT_TRUE(dm->ReadPages(reads).IsOutOfRange());
+  EXPECT_EQ(a.find_first_not_of('?'), std::string::npos) << "page 1 was read";
+}
+
+// Concurrent allocators must produce dense unique ids, and num_pages must
+// never run ahead of the extension it reports.
+TEST(DiskManagerTest, ConcurrentAllocateAndNumPages) {
+  TempDir dir;
+  auto dm_or = DiskManager::Open(dir.DbPath() + ".db");
+  ASSERT_TRUE(dm_or.ok());
+  auto dm = std::move(*dm_or);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 32;
+  std::vector<std::vector<PageId>> got(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        auto id = dm->AllocatePage();
+        if (!id.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        got[t].push_back(*id);
+        // The getter must always trail or match the extension.
+        if (dm->num_pages() < *id + 1) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(dm->num_pages(), kThreads * kPerThread);
+  std::vector<bool> seen(kThreads * kPerThread, false);
+  for (const auto& ids : got) {
+    for (PageId id : ids) {
+      ASSERT_LT(id, seen.size());
+      EXPECT_FALSE(seen[id]) << "duplicate page id " << id;
+      seen[id] = true;
+    }
+  }
 }
 
 class BufferPoolTest : public ::testing::Test {
@@ -128,6 +257,88 @@ TEST_F(BufferPoolTest, DoubleUnpinRejected) {
   PageId id = (*page)->page_id();
   ASSERT_TRUE(pool_->UnpinPage(id, false).ok());
   EXPECT_TRUE(pool_->UnpinPage(id, false).IsFailedPrecondition());
+}
+
+TEST(BufferPoolReadAheadTest, WarmsPoolAndServesHits) {
+  TempDir dir;
+  auto dm_or = DiskManager::Open(dir.DbPath() + ".db");
+  ASSERT_TRUE(dm_or.ok());
+  auto dm = std::move(*dm_or);
+  constexpr PageId kPages = 16;
+  std::vector<std::string> images(kPages);
+  std::vector<std::pair<PageId, const char*>> writes;
+  for (PageId p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(dm->AllocatePage().ok());
+    images[p].assign(kPageSize, static_cast<char>('A' + p));
+    writes.emplace_back(p, images[p].data());
+  }
+  ASSERT_TRUE(dm->WritePages(std::move(writes)).ok());
+
+  BufferPool pool(dm.get(), /*pool_size=*/kPages + 4, /*shards=*/2);
+  std::vector<PageId> all;
+  for (PageId p = 0; p < kPages; ++p) all.push_back(p);
+  ASSERT_TRUE(pool.ReadAhead(all).ok());
+  const uint64_t misses_after_warm = pool.miss_count();
+
+  for (PageId p = 0; p < kPages; ++p) {
+    auto page = pool.FetchPage(p);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(std::memcmp((*page)->data(), images[p].data(), kPageSize), 0);
+    ASSERT_TRUE(pool.UnpinPage(p, /*dirty=*/false).ok());
+  }
+  // Every post-warm fetch was a hit.
+  EXPECT_EQ(pool.miss_count(), misses_after_warm);
+
+  // Re-warming resident pages is a no-op, and unknown pages are skipped.
+  ASSERT_TRUE(pool.ReadAhead(all).ok());
+  ASSERT_TRUE(pool.ReadAhead({kPages + 100}).ok());
+}
+
+// Concurrent FetchPage during ReadAhead of the same pages: the io_pending
+// handshake must hand every reader a fully-filled frame, never a frame
+// whose fill is still in flight.
+TEST(BufferPoolReadAheadTest, ConcurrentFetchDuringWarmup) {
+  TempDir dir;
+  auto dm_or = DiskManager::Open(dir.DbPath() + ".db");
+  ASSERT_TRUE(dm_or.ok());
+  auto dm = std::move(*dm_or);
+  constexpr PageId kPages = 32;
+  std::vector<std::string> images(kPages);
+  std::vector<std::pair<PageId, const char*>> writes;
+  for (PageId p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(dm->AllocatePage().ok());
+    images[p].assign(kPageSize, static_cast<char>('a' + (p % 26)));
+    writes.emplace_back(p, images[p].data());
+  }
+  ASSERT_TRUE(dm->WritePages(std::move(writes)).ok());
+
+  BufferPool pool(dm.get(), /*pool_size=*/kPages + 4, /*shards=*/4);
+  std::vector<PageId> all;
+  for (PageId p = 0; p < kPages; ++p) all.push_back(p);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        PageId p = static_cast<PageId>((t * 13 + round * 7) % kPages);
+        auto page = pool.FetchPage(p);
+        if (!page.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        if (std::memcmp((*page)->data(), images[p].data(), kPageSize) != 0) {
+          mismatches.fetch_add(1);
+        }
+        if (!pool.UnpinPage(p, false).ok()) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(pool.ReadAhead(all).ok());
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(WalTest, AppendFlushReadBack) {
@@ -742,6 +953,109 @@ TEST(StorageManagerTest, MetaRootSurvivesReopen) {
   auto sm = StorageManager::Open(dir.DbPath());
   ASSERT_TRUE(sm.ok());
   EXPECT_EQ(*(*sm)->GetMetaRoot(), root);
+}
+
+class DiskBatchFaultTest : public ::testing::Test {
+ protected:
+  void TearDown() override { FaultRegistry::Instance().DisarmAll(); }
+};
+
+// An injected failure at submit or complete must surface as a Status (no
+// crash, no partial success reported as OK), and the database must reopen
+// cleanly once the fault clears.
+TEST_F(DiskBatchFaultTest, SubmitAndCompleteFaultsDegradeGracefully) {
+  for (const char* point :
+       {faults::kDiskBackendSubmit, faults::kDiskBackendComplete}) {
+    SCOPED_TRACE(point);
+    TempDir dir;
+    Oid oid;
+    {
+      auto sm_or = StorageManager::Open(dir.DbPath());
+      ASSERT_TRUE(sm_or.ok());
+      auto sm = std::move(*sm_or);
+      ASSERT_TRUE(sm->LogBegin(1).ok());
+      auto ins = sm->objects()->Insert(1, "survives the fault");
+      ASSERT_TRUE(ins.ok());
+      oid = *ins;
+      ASSERT_TRUE(DurableLogCommit(sm.get(), 1).ok());
+
+      auto& reg = FaultRegistry::Instance();
+      reg.ArmError(point, Status::Code::kIoError, /*nth=*/1,
+                   /*one_shot=*/false);
+      EXPECT_FALSE(sm->Checkpoint().ok());
+      EXPECT_GT(reg.FiredCount(point), 0u);
+      reg.DisarmAll();
+      // Cleared fault: the same checkpoint succeeds.
+      EXPECT_TRUE(sm->Checkpoint().ok());
+    }
+    auto reopened = StorageManager::Open(dir.DbPath());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto body = (*reopened)->objects()->Read(oid);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(*body, "survives the fault");
+  }
+}
+
+// REACH_STORAGE and REACH_WAL reject what they do not know instead of
+// silently running the defaults. Each case sets the variable only for the
+// duration of one open; the cached FromEnv values are never a valid
+// non-default spec here, so later tests still see the defaults.
+class StorageEnvTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    ::unsetenv("REACH_STORAGE");
+    ::unsetenv("REACH_WAL");
+  }
+
+  /// Open a fresh database with `var=spec` and return the open's status.
+  Status OpenWith(const char* var, const char* spec) {
+    ::setenv(var, spec, 1);
+    TempDir dir;
+    Status st = StorageManager::Open(dir.DbPath()).status();
+    ::unsetenv(var);
+    return st;
+  }
+};
+
+TEST_F(StorageEnvTest, RemovedStorageKeysFailTheOpen) {
+  for (const char* spec :
+       {"backend=uring", "backend=async", "backend=posix", "io_threads=2",
+        "io_threads=sqpoll", "writeback=on", "writeback_watermark=30"}) {
+    SCOPED_TRACE(spec);
+    Status st = OpenWith("REACH_STORAGE", spec);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find(spec), std::string::npos) << st.ToString();
+  }
+  // A valid entry beside a removed one does not rescue the spec; the error
+  // names the offending entry.
+  Status st = OpenWith("REACH_STORAGE", "shards=2,writeback=off");
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("'writeback=off'"), std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(StorageEnvTest, RemovedWalKeyAndMalformedNumbersFailTheOpen) {
+  for (const char* spec : {"adaptive", "adaptive=on", "adaptive=off",
+                           "group=on,adaptive", "max_batch_delay_us=fast"}) {
+    SCOPED_TRACE(spec);
+    Status st = OpenWith("REACH_WAL", spec);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  }
+  Status st = OpenWith("REACH_STORAGE", "shards=two");
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("shards=two"), std::string::npos);
+}
+
+TEST_F(StorageEnvTest, ReachDbOpenReportsTheBadEntry) {
+  ::setenv("REACH_STORAGE", "writeback=on", 1);
+  TempDir dir;
+  auto db = ReachDb::Open(dir.DbPath());
+  ::unsetenv("REACH_STORAGE");
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
+  EXPECT_NE(db.status().message().find("writeback=on"), std::string::npos);
+  // The same path opens once the variable is gone.
+  EXPECT_TRUE(ReachDb::Open(dir.DbPath()).ok());
 }
 
 }  // namespace
