@@ -144,8 +144,10 @@ Status Run(const std::string& base) {
               static_cast<long long>(esc.as_int()));
   REACH_RETURN_IF_ERROR(s.Commit());
 
-  std::printf("global history holds %zu committed events\n",
-              db->events()->global_history()->size());
+  GlobalHistory* history = db->events()->global_history();
+  std::printf("global history: %zu / %llu committed events retained\n",
+              history->size(),
+              static_cast<unsigned long long>(history->total()));
   return Status::OK();
 }
 

@@ -252,8 +252,10 @@ class Shell {
       Report(session_.Abort());
     } else if (cmd == "history") {
       db_->Drain();
-      std::printf("%zu committed events in the global history\n",
-                  db_->events()->global_history()->size());
+      GlobalHistory* history = db_->events()->global_history();
+      std::printf("global history: %zu / %llu committed events retained\n",
+                  history->size(),
+                  static_cast<unsigned long long>(history->total()));
     } else if (cmd == "trace") {
       std::string arg;
       in >> arg;

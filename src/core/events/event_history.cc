@@ -4,6 +4,14 @@
 
 namespace reach {
 
+namespace {
+
+bool BySequence(const EventOccurrencePtr& a, const EventOccurrencePtr& b) {
+  return a->sequence < b->sequence;
+}
+
+}  // namespace
+
 void LocalHistory::Append(EventOccurrencePtr occ) {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.push_back(std::move(occ));
@@ -27,45 +35,51 @@ size_t LocalHistory::size() const {
 }
 
 void GlobalHistory::Merge(std::vector<EventOccurrencePtr> events) {
-  auto by_seq = [](const EventOccurrencePtr& a, const EventOccurrencePtr& b) {
-    return a->sequence < b->sequence;
-  };
+  std::sort(events.begin(), events.end(), BySequence);
   std::lock_guard<std::mutex> lock(mu_);
-  // Keep the global history in event order despite asynchronous merges —
-  // but the common case (batches arriving in sequence order) must stay
-  // O(batch): re-sorting the whole history per merge turns a stream of
-  // small merges quadratic.
-  const size_t old_size = events_.size();
-  events_.insert(events_.end(), std::make_move_iterator(events.begin()),
-                 std::make_move_iterator(events.end()));
-  std::sort(events_.begin() + static_cast<long>(old_size), events_.end(),
-            by_seq);
-  if (old_size > 0 && events_.size() > old_size &&
-      by_seq(events_[old_size], events_[old_size - 1])) {
-    std::inplace_merge(events_.begin(),
-                       events_.begin() + static_cast<long>(old_size),
-                       events_.end(), by_seq);
+  // Asynchronous merges can arrive out of order; upper_bound keeps each ring
+  // in event order, and since batches mostly arrive in order it almost
+  // always lands at the end.
+  for (EventOccurrencePtr& occ : events) {
+    std::deque<EventOccurrencePtr>& ring = rings_[occ->type];
+    ring.insert(std::upper_bound(ring.begin(), ring.end(), occ, BySequence),
+                std::move(occ));
+    if (ring.size() > capacity_) {
+      ring.pop_front();
+    } else {
+      ++size_;
+    }
   }
+  total_ += events.size();
   ++merges_;
 }
 
 std::vector<EventOccurrencePtr> GlobalHistory::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-std::vector<EventOccurrencePtr> GlobalHistory::OfType(EventTypeId type) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<EventOccurrencePtr> out;
-  for (const auto& e : events_) {
-    if (e->type == type) out.push_back(e);
+  out.reserve(size_);
+  for (const auto& [type, ring] : rings_) {
+    const auto mid = out.insert(out.end(), ring.begin(), ring.end());
+    std::inplace_merge(out.begin(), mid, out.end(), BySequence);
   }
   return out;
 }
 
+std::vector<EventOccurrencePtr> GlobalHistory::OfType(EventTypeId type) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = rings_.find(type);
+  if (it == rings_.end()) return {};
+  return std::vector<EventOccurrencePtr>(it->second.begin(), it->second.end());
+}
+
 size_t GlobalHistory::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
+  return size_;
+}
+
+uint64_t GlobalHistory::total() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_;
 }
 
 uint64_t GlobalHistory::merge_batches() const {

@@ -35,20 +35,32 @@ class LocalHistory {
 };
 
 /// Global history of events whose transactions committed (plus temporal
-/// events, which commit by definition). Populated asynchronously.
+/// events, which commit by definition). Populated asynchronously. Like the
+/// local histories it is bounded per event type: each type keeps its newest
+/// `capacity` occurrences in sequence order, so a hot type never evicts a
+/// rare one and memory does not grow with the number of events processed.
 class GlobalHistory {
  public:
+  explicit GlobalHistory(size_t capacity = 4096) : capacity_(capacity) {}
+
   void Merge(std::vector<EventOccurrencePtr> events);
 
+  /// Every retained occurrence, all types, in sequence order.
   std::vector<EventOccurrencePtr> Snapshot() const;
   std::vector<EventOccurrencePtr> OfType(EventTypeId type) const;
 
+  /// Occurrences retained (at most `capacity` per type).
   size_t size() const;
+  /// Occurrences ever merged (not bounded by capacity).
+  uint64_t total() const;
   uint64_t merge_batches() const;
 
  private:
+  size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<EventOccurrencePtr> events_;
+  std::unordered_map<EventTypeId, std::deque<EventOccurrencePtr>> rings_;
+  size_t size_ = 0;
+  uint64_t total_ = 0;
   uint64_t merges_ = 0;
 };
 

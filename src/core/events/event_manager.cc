@@ -42,7 +42,10 @@ struct EventMetrics {
 }  // namespace
 
 EventManager::EventManager(Database* db, EventManagerOptions options)
-    : db_(db), options_(options), scheduler_(db->clock()) {
+    : db_(db),
+      options_(options),
+      scheduler_(db->clock()),
+      global_history_(options_.history_capacity) {
   dispatch_.store(std::make_shared<const DispatchSnapshot>(),
                   std::memory_order_release);
   if (options_.async_composition) {

@@ -53,6 +53,8 @@ struct EventManagerOptions {
   /// detecting thread (bench E2's blocking baseline).
   bool async_composition = true;
   size_t composition_threads = 2;
+  /// Occurrences kept per event type, in both the local histories and the
+  /// global history.
   size_t history_capacity = 4096;
   /// Background merge of committed events into the global history.
   bool maintain_global_history = true;

@@ -1,5 +1,7 @@
 #include "core/reach/reach_db.h"
 
+#include <cstdlib>
+
 namespace reach {
 
 ReachDb::~ReachDb() {
@@ -15,6 +17,10 @@ ReachDb::~ReachDb() {
 
 Result<std::unique_ptr<ReachDb>> ReachDb::Open(const std::string& base_path,
                                                ReachOptions options) {
+  // Like REACH_STORAGE and REACH_WAL (checked by the storage open), a bad
+  // REACH_QUERY refuses the open rather than running the defaults.
+  REACH_RETURN_IF_ERROR(
+      QueryOptions::Parse(std::getenv("REACH_QUERY")).status());
   auto reach = std::unique_ptr<ReachDb>(new ReachDb());
   REACH_ASSIGN_OR_RETURN(reach->db_,
                          Database::Open(base_path, options.database));
@@ -45,7 +51,8 @@ std::string ReachDb::StatsReport() {
   add("composites raised:     " + std::to_string(events_->composite_count()));
   add("live partials:         " + std::to_string(events_->LivePartials()));
   add("global history:        " +
-      std::to_string(events_->global_history()->size()));
+      std::to_string(events_->global_history()->size()) + " / " +
+      std::to_string(events_->global_history()->total()));
   RuleEngineStats rs = rules_->stats();
   add("immediate rule runs:   " + std::to_string(rs.immediate_runs));
   add("deferred rule runs:    " + std::to_string(rs.deferred_runs));

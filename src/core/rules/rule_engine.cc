@@ -72,6 +72,12 @@ uint64_t RuleTimingStart(const RuleTrace& trace) {
 constexpr size_t kPerRuleHistogramCap = 32;
 constexpr uint64_t kEvictIdleTicks = 64;
 
+/// Fresh sibling subtransactions a rule gets after losing a deadlock to a
+/// sibling (see ExecuteInSubtxn) before the deadlock counts as the rule's
+/// failure, and how long each retry waits for the winner to get its lock.
+constexpr int kMaxDeadlockRetries = 8;
+constexpr int64_t kDeadlockRetryWaitUs = 100'000;
+
 struct PerRuleSlots {
   struct Slot {
     /// Owning rule's process-unique uid; 0 = free. Cleared before the slot
@@ -398,57 +404,79 @@ void RuleEngine::EnqueueDeferred(Firing firing, TxnId root) {
 Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
                                    TxnId parent, bool action_only) {
   uint64_t start_ns = RuleTimingStart(trace_);
-  auto sub = db_->txns()->Begin(parent);
-  if (!sub.ok()) return sub.status();
-  MarkEngineTxn(sub.value());
-  Session session(db_);
-  session.AdoptTxn(sub.value());
-
-  // Keyed by (rule, occurrence) so the same firings fail under the serial
-  // ring-sequence and the parallel-subtransaction strategies — the
-  // differential torture suite depends on this.
-  Status result = REACH_FAULT_HIT_KEYED(
-      faults::kRuleSubtxnExec,
-      (static_cast<uint64_t>(rule->id) << 32) ^ occ->sequence);
+  TxnId sub_txn = kNoTxn;
+  Status result;
   bool condition_true = true;
-  if (result.ok() && !action_only && rule->spec.condition) {
-    auto cond = rule->spec.condition(session, *occ);
-    if (!cond.ok()) {
-      result = cond.status();
-      condition_true = false;
-    } else {
-      condition_true = cond.value();
-    }
-  }
-
+  bool condition_held = false;
   bool ran_action = false;
-  if (result.ok() && condition_true) {
-    {
-      std::unique_lock lock(mu_);
-      rule->stats.conditions_true++;
-    }
-    switch (rule->spec.action_coupling) {
-      case RuleSpec::ActionCoupling::kSameAsCondition:
-        result = rule->spec.action(session, *occ);
-        ran_action = true;
-        break;
-      case RuleSpec::ActionCoupling::kDeferred:
-        EnqueueDeferred({rule->id, occ, true},
-                        db_->txns()->RootOf(parent));
-        break;
-      case RuleSpec::ActionCoupling::kDetached:
-        DispatchDetached(rule, occ, CouplingMode::kDetached, true);
-        break;
-    }
-  }
+  // Sibling subtransactions upgrading locks on a shared object can deadlock;
+  // the victim lost a race, not its rule. Abort only that subtransaction,
+  // let the sibling that won take its lock, and re-run the rule in a fresh
+  // sibling. An action's own Aborted (e.g. a violated constraint) is not a
+  // lock-manager victim and is never retried; neither is a deadlock with
+  // another transaction tree, which waits on locks the parent keeps.
+  LockManager* locks = db_->txns()->locks();
+  for (int attempt = 0;; ++attempt) {
+    auto sub = db_->txns()->Begin(parent);
+    if (!sub.ok()) return sub.status();
+    sub_txn = sub.value();
+    MarkEngineTxn(sub_txn);
+    Session session(db_);
+    session.AdoptTxn(sub_txn);
 
-  if (result.ok()) {
-    result = session.Commit();
-  } else {
-    Status abort_st = session.Abort();
-    (void)abort_st;
+    // Keyed by (rule, occurrence) so the same firings fail under the serial
+    // ring-sequence and the parallel-subtransaction strategies — the
+    // differential torture suite depends on this.
+    result = REACH_FAULT_HIT_KEYED(
+        faults::kRuleSubtxnExec,
+        (static_cast<uint64_t>(rule->id) << 32) ^ occ->sequence);
+    condition_true = true;
+    if (result.ok() && !action_only && rule->spec.condition) {
+      auto cond = rule->spec.condition(session, *occ);
+      if (!cond.ok()) {
+        result = cond.status();
+        condition_true = false;
+      } else {
+        condition_true = cond.value();
+      }
+    }
+
+    condition_held = result.ok() && condition_true;
+    ran_action = false;
+    if (condition_held) {
+      switch (rule->spec.action_coupling) {
+        case RuleSpec::ActionCoupling::kSameAsCondition:
+          result = rule->spec.action(session, *occ);
+          ran_action = true;
+          break;
+        case RuleSpec::ActionCoupling::kDeferred:
+          EnqueueDeferred({rule->id, occ, true},
+                          db_->txns()->RootOf(parent));
+          break;
+        case RuleSpec::ActionCoupling::kDetached:
+          DispatchDetached(rule, occ, CouplingMode::kDetached, true);
+          break;
+      }
+    }
+
+    TxnId winner = kNoTxn;
+    if (result.ok()) {
+      result = session.Commit();
+    } else {
+      if (attempt < kMaxDeadlockRetries) {
+        winner = locks->DeadlockPartner(sub_txn);
+        if (winner != kNoTxn &&
+            db_->txns()->RootOf(winner) != db_->txns()->RootOf(parent)) {
+          winner = kNoTxn;
+        }
+      }
+      Status abort_st = session.Abort();
+      (void)abort_st;
+    }
+    UnmarkEngineTxn(sub_txn);
+    if (winner == kNoTxn) break;
+    locks->AwaitNotWaiting(winner, kDeadlockRetryWaitUs);
   }
-  UnmarkEngineTxn(sub.value());
 
   uint64_t elapsed_ns = 0;
   RecordRuleTiming(rule, rule->spec.coupling, start_ns, occ->detect_ns,
@@ -467,13 +495,14 @@ Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
     entry.succeeded = result.ok();
     if (!result.ok()) entry.error = result.ToString();
     entry.trigger_txn = occ->txn;
-    entry.rule_txn = sub.value();
+    entry.rule_txn = sub_txn;
     entry.duration_us = static_cast<int64_t>(elapsed_ns / 1000);
     trace_.Append(std::move(entry));
   }
 
   {
     std::unique_lock lock(mu_);
+    if (condition_held) rule->stats.conditions_true++;
     if (ran_action && result.ok()) rule->stats.actions_run++;
     if (!result.ok()) rule->stats.failures++;
   }

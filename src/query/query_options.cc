@@ -8,26 +8,39 @@
 
 namespace reach {
 
-QueryOptions QueryOptions::Parse(const char* spec) {
+Result<QueryOptions> QueryOptions::Parse(const char* spec) {
   QueryOptions o;
-  // Unknown entries are ignored so old binaries tolerate new knobs.
-  (void)ForEachSpecEntry(spec, [&o](const std::string&,
-                                    const std::string& key,
-                                    const std::string& value) {
-    if (key == "parallel") {
-      o.parallel = (value == "on" || value == "1" || value == "true") ? 1 : 0;
-    } else if (key == "morsel_pages") {
-      o.morsel_pages = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (key == "workers") {
-      o.workers = std::strtoull(value.c_str(), nullptr, 0);
-    }
-    return Status::OK();
-  });
+  REACH_RETURN_IF_ERROR(ForEachSpecEntry(
+      spec, [&o](const std::string& entry, const std::string& key,
+                 const std::string& value) {
+        uint64_t n = 0;
+        bool ok = true;
+        if (key == "parallel") {
+          bool on = true;
+          ok = ParseSpecBool(value, &on);
+          o.parallel = on ? 1 : 0;
+        } else if (key == "morsel_pages") {
+          ok = ParseSpecUnsigned(value, SIZE_MAX, &n);
+          o.morsel_pages = static_cast<size_t>(n);
+        } else if (key == "workers") {
+          ok = ParseSpecUnsigned(value, SIZE_MAX, &n);
+          o.workers = static_cast<size_t>(n);
+        } else {
+          return Status::InvalidArgument("REACH_QUERY: unknown setting '" +
+                                         entry + "'");
+        }
+        if (!ok) {
+          return Status::InvalidArgument("REACH_QUERY: malformed value in '" +
+                                         entry + "'");
+        }
+        return Status::OK();
+      }));
   return o;
 }
 
 QueryOptions QueryOptions::FromEnv() {
-  static const QueryOptions parsed = Parse(std::getenv("REACH_QUERY"));
+  static const QueryOptions parsed =
+      Parse(std::getenv("REACH_QUERY")).value_or(QueryOptions{});
   return parsed;
 }
 

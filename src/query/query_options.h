@@ -6,11 +6,14 @@
 // `parallel` gates the morsel-parallel extent scan (default on; index plans
 // and 1-morsel extents always run serial). `morsel_pages` is the morsel
 // size in distinct home pages (default 4). `workers` caps the degree of
-// parallelism (default: hardware concurrency). Unknown entries are ignored
-// so old binaries tolerate new knobs. See docs/QUERY.md.
+// parallelism (default: hardware concurrency). An unknown key or a
+// malformed value makes ReachDb::Open fail with InvalidArgument, as
+// REACH_STORAGE and REACH_WAL do. See docs/QUERY.md.
 #pragma once
 
 #include <cstddef>
+
+#include "common/result.h"
 
 namespace reach {
 
@@ -24,10 +27,12 @@ struct QueryOptions {
   /// 0 = follow REACH_QUERY (default: hardware concurrency).
   size_t workers = 0;
 
-  /// Process defaults (parsed once, cached).
+  /// Process defaults (parsed once, cached; the built-in defaults if the
+  /// spec is invalid — ReachDb::Open refuses to open on one).
   static QueryOptions FromEnv();
-  /// Parse a REACH_QUERY spec string (exposed for tests; FromEnv caches).
-  static QueryOptions Parse(const char* spec);
+  /// Parse a REACH_QUERY spec string. InvalidArgument names the first
+  /// unknown or malformed entry.
+  static Result<QueryOptions> Parse(const char* spec);
 
   /// Effective settings: this struct's explicit fields, else the
   /// environment's, else the built-in defaults.

@@ -12,6 +12,7 @@ void LockManager::RegisterTxn(TxnId txn, TxnId parent) {
 void LockManager::UnregisterTxn(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
   parent_.erase(txn);
+  victims_.erase(txn);
 }
 
 bool LockManager::IsSelfOrAncestor(TxnId maybe_ancestor, TxnId txn) const {
@@ -83,7 +84,7 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
   while (!CanGrant(res, txn, mode)) {
     // Deadlock check: would blocking here close a cycle? A cycle exists if
     // some conflicting holder (transitively) waits on us.
-    bool deadlock = false;
+    TxnId partner = kNoTxn;
     for (const Grant& g : res.grants) {
       if (g.txn == txn) continue;
       bool conflict =
@@ -91,12 +92,13 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
       if (!conflict || IsSelfOrAncestor(g.txn, txn)) continue;
       std::unordered_set<TxnId> visited;
       if (WaitReaches(g.txn, txn, &visited)) {
-        deadlock = true;
+        partner = g.txn;
         break;
       }
     }
-    if (deadlock) {
+    if (partner != kNoTxn) {
       ++deadlocks_;
+      victims_[txn] = partner;
       result = Status::Aborted("deadlock on " + resource.ToString());
       break;
     }
@@ -144,6 +146,20 @@ Status LockManager::AcquireSharedBatch(TxnId txn,
     if (!st.ok()) return st;
   }
   return Status::OK();
+}
+
+TxnId LockManager::DeadlockPartner(TxnId victim) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = victims_.find(victim);
+  return it == victims_.end() ? kNoTxn : it->second;
+}
+
+void LockManager::AwaitNotWaiting(TxnId txn, int64_t timeout_us) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // Only releases and transfers notify cv_, so a granted `txn` is seen at
+  // the latest when it next releases or transfers its locks.
+  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
+               [&] { return waiting_on_.count(txn) == 0; });
 }
 
 void LockManager::ReleaseAll(TxnId txn) {

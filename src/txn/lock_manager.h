@@ -49,6 +49,16 @@ class LockManager {
   /// via an ancestor, per Moss rules for reads).
   bool Holds(TxnId txn, const Oid& resource, LockMode mode);
 
+  /// If an Acquire by `victim` was refused because waiting would have
+  /// closed a deadlock cycle, the lock holder whose wait closed it; else
+  /// kNoTxn. Tells the lock manager's Aborted apart from one a caller raised
+  /// itself. Cleared by UnregisterTxn, so ask before aborting the victim.
+  TxnId DeadlockPartner(TxnId victim) const;
+
+  /// Block until `txn` no longer waits for a lock, or `timeout_us` passes.
+  /// Wakes on lock releases and transfers.
+  void AwaitNotWaiting(TxnId txn, int64_t timeout_us);
+
   /// Statistics.
   uint64_t deadlocks_detected() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -84,6 +94,8 @@ class LockManager {
   std::unordered_map<TxnId, TxnId> parent_;
   // While blocked, a txn records the resource it waits for (wait-for graph).
   std::unordered_map<TxnId, Oid> waiting_on_;
+  // Deadlock victim -> the holder whose wait closed the cycle.
+  std::unordered_map<TxnId, TxnId> victims_;
   uint64_t deadlocks_ = 0;
 };
 

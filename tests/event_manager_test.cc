@@ -355,6 +355,66 @@ TEST_F(EventManagerTest, AbortedTxnEventsNotInGlobalHistory) {
   EXPECT_EQ(em_->HistoryOf(*level)->total(), 1u);  // local history keeps it
 }
 
+// The global history keeps `history_capacity` committed occurrences per
+// type: a type committed many times over is trimmed to its newest ones, a
+// rare type keeps all of its own, and total() counts every committed one.
+TEST_F(EventManagerTest, GlobalHistoryBoundedPerTypeByHistoryCapacity) {
+  constexpr size_t kCapacity = 8;
+  EventManagerOptions eopts;
+  eopts.async_composition = false;
+  eopts.history_capacity = kCapacity;
+  em_.reset();
+  em_ = std::make_unique<EventManager>(db_.get(), eopts);
+  auto level = em_->DefineStateChangeEvent("lvl", "River", "level");
+  auto temp = em_->DefineStateChangeEvent("tmp", "River", "temp");
+  ASSERT_TRUE(level.ok() && temp.ok());
+
+  Session s(db_.get());
+  ASSERT_TRUE(s.Begin().ok());
+  auto oid = s.PersistNew("River", {});
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(s.Commit().ok());
+
+  uint64_t committed = 0;
+  int64_t v = 0;
+  // 40 transactions of 3 level updates; every fourth aborts. Three of the
+  // committed ones also update temp once.
+  for (int t = 0; t < 40; ++t) {
+    const bool abort = t % 4 == 3;
+    ASSERT_TRUE(s.Begin().ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(s.SetAttr(*oid, "level", Value(++v)).ok());
+    }
+    if (t % 10 == 0 || abort) {
+      ASSERT_TRUE(s.SetAttr(*oid, "temp", Value(static_cast<double>(t))).ok());
+      if (!abort) ++committed;
+    }
+    if (abort) {
+      ASSERT_TRUE(s.Abort().ok());
+    } else {
+      ASSERT_TRUE(s.Commit().ok());
+      committed += 3;
+    }
+  }
+  em_->Quiesce();
+
+  GlobalHistory* history = em_->global_history();
+  // 30 committed transactions: 90 level updates, over 3x the capacity.
+  ASSERT_EQ(committed, 94u);
+  auto levels = history->OfType(*level);
+  ASSERT_EQ(levels.size(), kCapacity);
+  for (size_t i = 1; i < levels.size(); ++i) {
+    EXPECT_LT(levels[i - 1]->sequence, levels[i]->sequence);
+  }
+  // The newest committed level update (transaction 38) is retained.
+  EXPECT_EQ(levels.back()->params.back().as_int(), 3 * 39);
+  EXPECT_EQ(history->OfType(*temp).size(), 4u);  // transactions 0,10,20,30
+  EXPECT_EQ(history->size(), kCapacity + 4);
+  EXPECT_EQ(history->total(), committed);
+  // The local history saw the aborted occurrences too.
+  EXPECT_EQ(em_->HistoryOf(*level)->total(), 120u);
+}
+
 TEST_F(EventManagerTest, ExplicitRaise) {
   auto ev = em_->DefineMethodEvent("signal", "River", "userSignal");
   std::atomic<int> fired{0};

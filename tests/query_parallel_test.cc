@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/reach/reach_db.h"
 #include "oodb/database.h"
 #include "oodb/session.h"
 #include "query/query_pm.h"
@@ -257,20 +259,58 @@ TEST_F(QueryParallelTest, CrashFaultRethrowsOnQueryingThread) {
 
 TEST_F(QueryParallelTest, QueryOptionsParseAndDefaults) {
   QueryOptions o =
-      QueryOptions::Parse("parallel=off,morsel_pages=2,workers=3,future=x");
+      QueryOptions::Parse("parallel=off,morsel_pages=2,workers=3").value();
   EXPECT_EQ(o.parallel, 0);
   EXPECT_EQ(o.morsel_pages, 2u);
   EXPECT_EQ(o.workers, 3u);
   EXPECT_FALSE(o.ResolvedParallel());
   EXPECT_EQ(o.ResolvedMorselPages(), 2u);
   EXPECT_EQ(o.ResolvedWorkers(), 3u);
-  QueryOptions defaults = QueryOptions::Parse(nullptr);
+  QueryOptions defaults = QueryOptions::Parse(nullptr).value();
   EXPECT_TRUE(defaults.ResolvedParallel());
   EXPECT_EQ(defaults.ResolvedMorselPages(),
             QueryOptions::kDefaultMorselPages);
   EXPECT_GE(defaults.ResolvedWorkers(), 1u);
-  QueryOptions on = QueryOptions::Parse("parallel=on");
+  QueryOptions on = QueryOptions::Parse("parallel=on").value();
   EXPECT_EQ(on.parallel, 1);
+}
+
+// REACH_QUERY rejects what it does not know, like REACH_STORAGE and
+// REACH_WAL: the open fails with InvalidArgument naming the entry. The
+// variable is set only for the duration of one open.
+Status OpenWithQuerySpec(const char* spec) {
+  ::setenv("REACH_QUERY", spec, 1);
+  TempDir dir;
+  Status st = ReachDb::Open(dir.DbPath()).status();
+  ::unsetenv("REACH_QUERY");
+  return st;
+}
+
+TEST(QueryEnvTest, UnknownKeyFailsTheOpen) {
+  for (const char* spec : {"bogus=1", "future=x", "parallel=on,bogus=1"}) {
+    SCOPED_TRACE(spec);
+    Status st = OpenWithQuerySpec(spec);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("REACH_QUERY: unknown setting"),
+              std::string::npos)
+        << st.ToString();
+  }
+  Status st = OpenWithQuerySpec("workers=2,bogus=1");
+  EXPECT_NE(st.message().find("'bogus=1'"), std::string::npos)
+      << st.ToString();
+  // The same spec without the unknown entry opens.
+  EXPECT_TRUE(OpenWithQuerySpec("workers=2").ok());
+}
+
+TEST(QueryEnvTest, MalformedValueFailsTheOpen) {
+  for (const char* spec :
+       {"workers=two", "workers=", "morsel_pages=-1", "morsel_pages=4k",
+        "parallel=maybe"}) {
+    SCOPED_TRACE(spec);
+    Status st = OpenWithQuerySpec(spec);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find(spec), std::string::npos) << st.ToString();
+  }
 }
 
 // Parallel queries racing Insert/Update/Delete from other sessions: every

@@ -548,6 +548,42 @@ TEST_F(RulesTest, AbortTriggeringOnFailure) {
   ASSERT_TRUE(check.Commit().ok());
 }
 
+// Only a lock-manager deadlock victim is re-run: an action's own Aborted in
+// a parallel subtransaction runs once and still aborts the trigger.
+TEST_F(RulesTest, ParallelRuleOwnAbortIsNotRetried) {
+  ReachOptions options;
+  options.rules.multi_rule_execution =
+      RuleEngineOptions::Execution::kParallelSubtransactions;
+  OpenDb(std::move(options));
+  Oid counter = MakeCounter();
+  auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
+  std::atomic<int> vetoes{0};
+  for (int i = 0; i < 2; ++i) {
+    RuleSpec spec;
+    spec.name = "r" + std::to_string(i);
+    spec.event = *ev;
+    spec.coupling = CouplingMode::kImmediate;
+    if (i == 0) {
+      spec.action = [&vetoes](Session&, const EventOccurrence&) -> Status {
+        vetoes.fetch_add(1);
+        return Status::Aborted("constraint violated");
+      };
+      spec.abort_triggering_on_failure = true;
+    } else {
+      spec.action = [](Session&, const EventOccurrence&) {
+        return Status::OK();
+      };
+    }
+    ASSERT_TRUE(db_->rules()->DefineRule(std::move(spec)).ok());
+  }
+  Session s(db_->database());
+  ASSERT_TRUE(s.Begin().ok());
+  ASSERT_TRUE(s.Invoke(counter, "bump").ok());
+  EXPECT_EQ(vetoes.load(), 1);
+  EXPECT_FALSE(db_->database()->txns()->IsActive(s.current_txn()));
+  EXPECT_FALSE(s.Commit().ok());
+}
+
 TEST_F(RulesTest, CompositeEventRuleDeferred) {
   Oid counter = MakeCounter();
   auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");

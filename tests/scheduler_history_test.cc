@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "core/events/event_history.h"
@@ -127,6 +128,47 @@ TEST(GlobalHistoryTest, MergesStaySorted) {
   EXPECT_EQ(history.OfType(1).size(), 3u);
   EXPECT_EQ(history.OfType(2).size(), 3u);
   EXPECT_EQ(history.merge_batches(), 3u);
+}
+
+// Each type keeps its newest `capacity` occurrences in sequence order, no
+// matter how the batches interleave; a hot type never evicts a cold one.
+TEST(GlobalHistoryTest, BoundedPerTypeAcrossOutOfOrderMerges) {
+  constexpr EventTypeId kHot = 1, kCold = 2;
+  GlobalHistory history(/*capacity=*/4);
+  auto make = [](uint64_t seq, EventTypeId type) {
+    auto occ = std::make_shared<EventOccurrence>();
+    occ->sequence = seq;
+    occ->type = type;
+    return occ;
+  };
+  auto sequences = [](const std::vector<EventOccurrencePtr>& events) {
+    std::vector<uint64_t> out;
+    for (const auto& e : events) out.push_back(e->sequence);
+    return out;
+  };
+  // Hot: 3..12, merged out of order and interleaved with cold 1 and 2.
+  history.Merge({make(9, kHot), make(1, kCold), make(7, kHot)});
+  history.Merge({make(12, kHot), make(11, kHot), make(10, kHot)});
+  history.Merge({make(3, kHot), make(8, kHot)});
+  history.Merge({make(5, kHot), make(2, kCold), make(6, kHot)});
+  history.Merge({make(4, kHot)});
+
+  EXPECT_EQ(sequences(history.OfType(kHot)),
+            (std::vector<uint64_t>{9, 10, 11, 12}));
+  EXPECT_EQ(sequences(history.OfType(kCold)), (std::vector<uint64_t>{1, 2}));
+  EXPECT_TRUE(history.OfType(3).empty());
+  EXPECT_EQ(history.size(), 6u);
+  EXPECT_EQ(history.total(), 12u);
+  EXPECT_EQ(history.merge_batches(), 5u);
+  EXPECT_EQ(sequences(history.Snapshot()),
+            (std::vector<uint64_t>{1, 2, 9, 10, 11, 12}));
+
+  // A late batch older than everything retained is evicted on arrival.
+  history.Merge({make(0, kHot)});
+  EXPECT_EQ(sequences(history.OfType(kHot)),
+            (std::vector<uint64_t>{9, 10, 11, 12}));
+  EXPECT_EQ(history.size(), 6u);
+  EXPECT_EQ(history.total(), 13u);
 }
 
 TEST(FunctionRegistryTest, NamingConventionResolution) {

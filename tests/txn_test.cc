@@ -120,6 +120,38 @@ TEST_F(LockManagerTest, DeadlockDetected) {
   lm_.ReleaseAll(2);
 }
 
+// Two siblings holding S both upgrade to X: the second closes the cycle and
+// is refused; the lock manager names the sibling it lost to, so a caller can
+// tell this Aborted apart from its own and wait for the winner.
+TEST_F(LockManagerTest, DeadlockVictimKnowsTheWinner) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, 1);
+  lm_.RegisterTxn(3, 1);
+  ASSERT_TRUE(lm_.Acquire(2, res_a_, LockMode::kShared).ok());
+  ASSERT_TRUE(lm_.Acquire(3, res_a_, LockMode::kShared).ok());
+
+  std::atomic<bool> t2_blocked{false};
+  Status t2_st;
+  std::thread t2([&] {
+    t2_blocked = true;
+    t2_st = lm_.Acquire(2, res_a_, LockMode::kExclusive);  // waits for 3
+  });
+  while (!t2_blocked) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Status st = lm_.Acquire(3, res_a_, LockMode::kExclusive);
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(lm_.DeadlockPartner(3), 2u);
+  EXPECT_EQ(lm_.DeadlockPartner(2), kNoTxn);
+
+  lm_.ReleaseAll(3);
+  lm_.UnregisterTxn(3);
+  EXPECT_EQ(lm_.DeadlockPartner(3), kNoTxn);
+  t2.join();
+  EXPECT_TRUE(t2_st.ok()) << t2_st.ToString();
+  lm_.AwaitNotWaiting(2, /*timeout_us=*/10'000'000);  // already granted
+  EXPECT_TRUE(lm_.Holds(2, res_a_, LockMode::kExclusive));
+}
+
 TEST_F(LockManagerTest, ContendedHandoff) {
   lm_.RegisterTxn(1, kNoTxn);
   ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kExclusive).ok());
