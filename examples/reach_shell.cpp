@@ -298,16 +298,15 @@ class Shell {
       }
     } else if (cmd == "storage") {
       BufferPool* pool = db_->database()->storage()->buffer_pool();
-      std::printf("shards           %zu\n", pool->shard_count());
       std::printf("dirty_ratio      %.3f\n", pool->dirty_ratio());
       auto lock_wait = obs::MetricsRegistry::Instance()
-                           .histogram(obs::kBufShardLockWaitNs)
+                           .histogram(obs::kBufLockWaitNs)
                            ->Snapshot();
       if (lock_wait.count == 0) {
-        std::printf("shard lock wait  (no samples — 'metrics on' to record)\n");
+        std::printf("pool lock wait   (no samples — 'metrics on' to record)\n");
       } else {
         std::printf(
-            "shard lock wait  n=%llu mean=%.0fns p99=%lluns max=%lluns\n",
+            "pool lock wait   n=%llu mean=%.0fns p99=%lluns max=%lluns\n",
             static_cast<unsigned long long>(lock_wait.count),
             lock_wait.Mean(),
             static_cast<unsigned long long>(lock_wait.ValueAtPercentile(99)),

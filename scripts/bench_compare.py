@@ -57,15 +57,6 @@ RATIO_PAIRS = [
     ("event_history_logging_overhead",
      "bench_event_history/BM_SignalHistoryOn",
      "bench_event_history/BM_SignalHistoryOff"),
-    # Sharded buffer pool read scaling: sharded wall clock over single-shard
-    # wall clock at the same thread count. Rising ratio = sharding lost its
-    # edge over the single-mutex pool.
-    ("shard_read_scaling_t16",
-     "bench_shard_scaling/BM_ShardedRead/shards:16/real_time/threads:16",
-     "bench_shard_scaling/BM_ShardedRead/shards:1/real_time/threads:16"),
-    ("shard_read_scaling_t4",
-     "bench_shard_scaling/BM_ShardedRead/shards:4/real_time/threads:4",
-     "bench_shard_scaling/BM_ShardedRead/shards:1/real_time/threads:4"),
     # Lock-free event dispatch (docs/EVENTS.md). Signal scaling: per-
     # iteration wall clock at 8 detecting threads over 1 — rising ratio =
     # the multicore dispatch path lost ground.

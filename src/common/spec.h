@@ -1,5 +1,6 @@
-// The REACH_* environment grammar shared by REACH_STORAGE, REACH_WAL and
-// REACH_QUERY: entries separated by ',' or ';', each `key` or `key=value`.
+// The REACH_* environment grammar shared by REACH_WAL, REACH_QUERY and
+// REACH_METRICS: entries separated by ',' or ';', each `key` or
+// `key=value`.
 #pragma once
 
 #include <cerrno>

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "obs/metrics.h"
+
 namespace reach {
 
 ReachDb::~ReachDb() {
@@ -17,10 +19,12 @@ ReachDb::~ReachDb() {
 
 Result<std::unique_ptr<ReachDb>> ReachDb::Open(const std::string& base_path,
                                                ReachOptions options) {
-  // Like REACH_STORAGE and REACH_WAL (checked by the storage open), a bad
-  // REACH_QUERY refuses the open rather than running the defaults.
+  // Like REACH_WAL (checked by the storage open), a bad REACH_QUERY or
+  // REACH_METRICS refuses the open rather than running the defaults.
   REACH_RETURN_IF_ERROR(
       QueryOptions::Parse(std::getenv("REACH_QUERY")).status());
+  REACH_RETURN_IF_ERROR(
+      obs::MetricsSpec::Parse(std::getenv("REACH_METRICS")).status());
   auto reach = std::unique_ptr<ReachDb>(new ReachDb());
   REACH_ASSIGN_OR_RETURN(reach->db_,
                          Database::Open(base_path, options.database));

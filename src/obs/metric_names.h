@@ -26,16 +26,10 @@ inline constexpr const char* kBufHit = "storage.bufferpool.hit";
 inline constexpr const char* kBufMiss = "storage.bufferpool.miss";
 inline constexpr const char* kBufEvictWriteback =
     "storage.bufferpool.evict_writeback";
-/// Windowed hit rate in percent: the gauge holds the last completed
-/// 1024-access window of any shard, the histogram the distribution of
-/// per-shard window hit rates (values 0..100, not nanoseconds).
-inline constexpr const char* kBufHitRate = "storage.bufferpool.hit_rate";
-inline constexpr const char* kBufShardHitRate =
-    "storage.bufferpool.shard.hit_rate";
-/// Time spent blocked on a contended buffer pool shard mutex (contention
-/// is near-zero when the shard count matches the core count).
-inline constexpr const char* kBufShardLockWaitNs =
-    "storage.bufferpool.shard.lock_wait_ns";
+/// Time spent blocked on the contended buffer pool mutex (miss path,
+/// eviction, flush and readahead; hits take no lock).
+inline constexpr const char* kBufLockWaitNs =
+    "storage.bufferpool.lock_wait_ns";
 /// Percent of pool frames currently dirty (gauge).
 inline constexpr const char* kBufDirtyRatio = "storage.bufferpool.dirty_ratio";
 /// Always 0: nothing records this counter. The name stays because the

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/spec.h"
+
 namespace reach::obs {
 
 namespace internal {
@@ -103,35 +105,41 @@ MetricsRegistry& MetricsRegistry::Instance() {
   return *registry;
 }
 
-MetricsRegistry::MetricsRegistry() {
-  if (const char* spec = std::getenv("REACH_METRICS")) ParseEnv(spec);
-}
-
 // REACH_METRICS grammar (entries separated by ',' or ';'):
 //   on | 1 | true     enable collection
-//   off | 0           disable collection (overrides an earlier enable)
+//   off | 0 | false   disable collection (overrides an earlier enable)
 //   dump=<path>       enable, and write SnapshotJson() to <path> at exit
-void MetricsRegistry::ParseEnv(const char* spec) {
-  std::string s(spec);
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t end = s.find_first_of(",;", start);
-    if (end == std::string::npos) end = s.size();
-    std::string entry = s.substr(start, end - start);
-    start = end + 1;
-    if (entry == "on" || entry == "1" || entry == "true") {
-      SetEnabled(true);
-    } else if (entry == "off" || entry == "0" || entry == "false") {
-      SetEnabled(false);
-    } else if (entry.rfind("dump=", 0) == 0) {
-      SetEnabled(true);
-      static std::string dump_path;  // read by the single atexit hook
-      dump_path = entry.substr(5);
-      std::atexit([] {
-        MetricsRegistry::Instance().DumpJson(dump_path);
-      });
-    }
-    if (end == s.size()) break;
+Result<MetricsSpec> MetricsSpec::Parse(const char* spec) {
+  MetricsSpec out;
+  REACH_RETURN_IF_ERROR(ForEachSpecEntry(
+      spec, [&out](const std::string& entry, const std::string& key,
+                   const std::string& value) {
+        if (key == "dump" && entry.find('=') != std::string::npos) {
+          if (value.empty()) {
+            return Status::InvalidArgument(
+                "REACH_METRICS: malformed value in '" + entry + "'");
+          }
+          out.enabled = true;
+          out.dump_path = value;
+          return Status::OK();
+        }
+        if (entry != key || !ParseSpecBool(key, &out.enabled)) {
+          return Status::InvalidArgument("REACH_METRICS: unknown setting '" +
+                                         entry + "'");
+        }
+        return Status::OK();
+      }));
+  return out;
+}
+
+MetricsRegistry::MetricsRegistry() {
+  auto spec = MetricsSpec::Parse(std::getenv("REACH_METRICS"));
+  if (!spec.ok()) return;
+  if (spec->enabled) SetEnabled(true);
+  if (!spec->dump_path.empty()) {
+    static std::string dump_path;  // read by the single atexit hook
+    dump_path = spec->dump_path;
+    std::atexit([] { MetricsRegistry::Instance().DumpJson(dump_path); });
   }
 }
 

@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+
 namespace reach::obs {
 
 namespace internal {
@@ -158,10 +160,21 @@ class ScopedLatencyTimer {
   uint64_t start_;
 };
 
+/// A parsed REACH_METRICS spec (grammar in docs/OBSERVABILITY.md).
+struct MetricsSpec {
+  bool enabled = false;
+  std::string dump_path;  // non-empty: write SnapshotJson() here at exit
+
+  /// Parse through the shared REACH_* grammar (common/spec.h). An unknown
+  /// entry or a malformed one (`dump=` without a path) is InvalidArgument
+  /// naming the entry; ReachDb::Open refuses to open on one.
+  static Result<MetricsSpec> Parse(const char* spec);
+};
+
 class MetricsRegistry {
  public:
-  /// Process-wide singleton. First call parses REACH_METRICS from the
-  /// environment.
+  /// Process-wide singleton. First call applies REACH_METRICS from the
+  /// environment (a spec MetricsSpec::Parse rejects leaves metrics off).
   static MetricsRegistry& Instance();
 
   static bool enabled() { return MetricsEnabled(); }
@@ -192,7 +205,6 @@ class MetricsRegistry {
 
  private:
   MetricsRegistry();
-  void ParseEnv(const char* spec);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

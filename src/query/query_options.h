@@ -8,7 +8,7 @@
 // size in distinct home pages (default 4). `workers` caps the degree of
 // parallelism (default: hardware concurrency). An unknown key or a
 // malformed value makes ReachDb::Open fail with InvalidArgument, as
-// REACH_STORAGE and REACH_WAL do. See docs/QUERY.md.
+// REACH_WAL and REACH_METRICS do. See docs/QUERY.md.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,8 @@
 #include "storage/buffer_pool.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "common/spec.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "storage/slotted_page.h"
@@ -22,9 +17,7 @@ struct PoolMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
   obs::Counter* evict_writebacks;
-  obs::Gauge* hit_rate;
   obs::Gauge* dirty_ratio;
-  obs::Histogram* shard_hit_rate;
   obs::Histogram* lock_wait_ns;
 
   static const PoolMetrics& Get() {
@@ -33,10 +26,8 @@ struct PoolMetrics {
       return PoolMetrics{reg.counter(obs::kBufHit),
                          reg.counter(obs::kBufMiss),
                          reg.counter(obs::kBufEvictWriteback),
-                         reg.gauge(obs::kBufHitRate),
                          reg.gauge(obs::kBufDirtyRatio),
-                         reg.histogram(obs::kBufShardHitRate),
-                         reg.histogram(obs::kBufShardLockWaitNs)};
+                         reg.histogram(obs::kBufLockWaitNs)};
     }();
     return m;
   }
@@ -46,80 +37,28 @@ constexpr size_t kNoFrame = ~size_t{0};
 
 }  // namespace
 
-Result<BufferPoolOptions> BufferPoolOptions::Parse(const char* spec) {
-  BufferPoolOptions o;
-  REACH_RETURN_IF_ERROR(ForEachSpecEntry(
-      spec, [&o](const std::string& entry, const std::string& key,
-                 const std::string& value) {
-        if (key != "shards") {
-          return Status::InvalidArgument("REACH_STORAGE: unknown setting '" +
-                                         entry + "'");
-        }
-        uint64_t n = 0;
-        if (!ParseSpecUnsigned(value, UINT32_MAX, &n)) {
-          return Status::InvalidArgument(
-              "REACH_STORAGE: malformed value in '" + entry + "'");
-        }
-        o.shards = static_cast<size_t>(n);
-        return Status::OK();
-      }));
-  return o;
-}
-
-BufferPoolOptions BufferPoolOptions::FromEnv() {
-  static const BufferPoolOptions parsed =
-      Parse(std::getenv("REACH_STORAGE")).value_or(BufferPoolOptions{});
-  return parsed;
-}
-
-size_t BufferPoolOptions::ResolveShards(size_t requested) {
-  if (requested != 0) return requested;
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  // Nearest power of two (ties round up): 3 -> 4, 6 -> 8, 12 -> 16.
-  size_t pow2 = 1;
-  while (pow2 < hw) pow2 <<= 1;
-  if (pow2 > hw && (pow2 - hw) > (hw - pow2 / 2)) pow2 >>= 1;
-  return pow2;
-}
-
-BufferPool::BufferPool(DiskManager* disk, size_t pool_size, size_t shards)
-    : disk_(disk) {
-  if (pool_size == 0) pool_size = 1;
-  if (shards == 0) shards = BufferPoolOptions::FromEnv().shards;
-  shards = BufferPoolOptions::ResolveShards(shards);
-  // More shards than frames would force the pool to grow past its budget
-  // (every shard needs at least one frame or pages hashing to it could
-  // never be cached); clamp instead so tiny eviction-stress pools keep
-  // their exact capacity on any core count.
-  if (shards > pool_size) shards = pool_size;
-  shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    Shard& shard = *shards_.back();
-    size_t slice = pool_size / shards + (s < pool_size % shards ? 1 : 0);
-    shard.frames.reserve(slice);
-    for (size_t i = 0; i < slice; ++i) {
-      shard.frames.push_back(std::make_unique<Page>());
-      shard.free_frames.push_back(slice - 1 - i);
-    }
-    // Fixed-capacity table at 2x the slice: at least half the buckets stay
-    // empty-or-tombstone, so inserts always terminate and probe chains stay
-    // short; tombstones are reclaimed by a same-size rebuild.
-    size_t cap = 16;
-    while (cap < slice * 2) cap <<= 1;
-    shard.table = std::make_unique<std::atomic<uint64_t>[]>(cap);
-    for (size_t b = 0; b < cap; ++b) {
-      shard.table[b].store(kEmptyBucket, std::memory_order_relaxed);
-    }
-    shard.table_mask = cap - 1;
-    shard.table_empties = cap;
-    pool_size_ += slice;
+BufferPool::BufferPool(DiskManager* disk, size_t pool_size)
+    : disk_(disk), pool_size_(pool_size == 0 ? 1 : pool_size) {
+  frames_.reserve(pool_size_);
+  for (size_t i = 0; i < pool_size_; ++i) {
+    frames_.push_back(std::make_unique<Page>());
+    free_frames_.push_back(pool_size_ - 1 - i);
   }
+  // Fixed-capacity table at 2x the frame count: at least half the buckets
+  // stay empty-or-tombstone, so inserts always terminate and probe chains
+  // stay short; tombstones are reclaimed by a same-size rebuild.
+  size_t cap = 16;
+  while (cap < pool_size_ * 2) cap <<= 1;
+  table_ = std::make_unique<std::atomic<uint64_t>[]>(cap);
+  for (size_t b = 0; b < cap; ++b) {
+    table_[b].store(kEmptyBucket, std::memory_order_relaxed);
+  }
+  table_mask_ = cap - 1;
+  table_empties_ = cap;
 }
 
-std::unique_lock<std::mutex> BufferPool::LockShard(Shard& shard) {
-  std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
+std::unique_lock<std::mutex> BufferPool::Lock() {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
     const uint64_t start = obs::NowNanosIfEnabled();
     lock.lock();
@@ -130,36 +69,23 @@ std::unique_lock<std::mutex> BufferPool::LockShard(Shard& shard) {
   return lock;
 }
 
-void BufferPool::NoteAccess(Shard& shard, bool hit) {
-  if (hit) shard.window_hits.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t n =
-      shard.window_accesses.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n >= kHitRateWindow) {
-    // A racing access can slip between the exchange and the store; the
-    // window is statistical, so a lost count is fine.
-    const uint64_t wh = shard.window_hits.exchange(0, std::memory_order_relaxed);
-    shard.window_accesses.store(0, std::memory_order_relaxed);
-    const uint64_t pct = std::min<uint64_t>(100, wh * 100 / kHitRateWindow);
-    PoolMetrics::Get().hit_rate->Set(static_cast<int64_t>(pct));
-    PoolMetrics::Get().shard_hit_rate->Record(pct);
-  }
+void BufferPool::NoteAccess(bool hit) {
   if (hit) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    hits_.fetch_add(1, std::memory_order_relaxed);
     PoolMetrics::Get().hits->Inc();
   } else {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     PoolMetrics::Get().misses->Inc();
   }
 }
 
 // -- Page table ---------------------------------------------------------------
 
-uint64_t BufferPool::ProbeTable(const Shard& shard, PageId page_id,
-                                size_t* bucket) const {
-  const size_t mask = shard.table_mask;
+uint64_t BufferPool::ProbeTable(PageId page_id, size_t* bucket) const {
+  const size_t mask = table_mask_;
   size_t idx = BucketIndex(page_id, mask);
   for (size_t n = 0; n <= mask; ++n) {
-    const uint64_t e = shard.table[idx].load(std::memory_order_acquire);
+    const uint64_t e = table_[idx].load(std::memory_order_acquire);
     if (e == kEmptyBucket) return kEmptyBucket;
     if (e != kTombstone && EntryPage(e) == page_id) {
       *bucket = idx;
@@ -170,17 +96,17 @@ uint64_t BufferPool::ProbeTable(const Shard& shard, PageId page_id,
   return kEmptyBucket;
 }
 
-void BufferPool::TableInsert(Shard& shard, PageId page_id, size_t frame) {
-  if (shard.table_empties <= (shard.table_mask + 1) / 4) TableRebuild(shard);
-  const size_t mask = shard.table_mask;
+void BufferPool::TableInsert(PageId page_id, size_t frame) {
+  if (table_empties_ <= (table_mask_ + 1) / 4) TableRebuild();
+  const size_t mask = table_mask_;
   size_t idx = BucketIndex(page_id, mask);
   size_t place = kNoFrame;
   for (;;) {
-    const uint64_t e = shard.table[idx].load(std::memory_order_relaxed);
+    const uint64_t e = table_[idx].load(std::memory_order_relaxed);
     if (e == kEmptyBucket) {
       if (place == kNoFrame) {
         place = idx;
-        --shard.table_empties;
+        --table_empties_;
       }
       break;
     }
@@ -189,41 +115,41 @@ void BufferPool::TableInsert(Shard& shard, PageId page_id, size_t frame) {
     if (e == kTombstone && place == kNoFrame) place = idx;
     idx = (idx + 1) & mask;
   }
-  shard.table[place].store(PackEntry(page_id, frame),
+  table_[place].store(PackEntry(page_id, frame),
                            std::memory_order_release);
 }
 
-void BufferPool::TableErase(Shard& shard, PageId page_id) {
+void BufferPool::TableErase(PageId page_id) {
   size_t bucket;
-  if (ProbeTable(shard, page_id, &bucket) != kEmptyBucket) {
+  if (ProbeTable(page_id, &bucket) != kEmptyBucket) {
     // Tombstone, not empty: erasing mid-chain must not cut off entries that
     // probed past this bucket when they were inserted.
-    shard.table[bucket].store(kTombstone, std::memory_order_release);
+    table_[bucket].store(kTombstone, std::memory_order_release);
   }
 }
 
-void BufferPool::TableRebuild(Shard& shard) {
+void BufferPool::TableRebuild() {
   // Same-capacity rebuild reclaiming tombstones (the frame count bounds the
   // live entries, so the table never needs to grow). Lock-free readers
   // racing this can see a transient empty bucket — a false miss that the
   // mutex path resolves — but never a false hit: an entry is only ever
   // republished with its unchanged (page, frame) pairing.
-  const size_t cap = shard.table_mask + 1;
+  const size_t cap = table_mask_ + 1;
   std::vector<uint64_t> live;
-  live.reserve(shard.frames.size());
+  live.reserve(frames_.size());
   for (size_t b = 0; b < cap; ++b) {
-    const uint64_t e = shard.table[b].load(std::memory_order_relaxed);
+    const uint64_t e = table_[b].load(std::memory_order_relaxed);
     if (e != kEmptyBucket && e != kTombstone) live.push_back(e);
-    shard.table[b].store(kEmptyBucket, std::memory_order_release);
+    table_[b].store(kEmptyBucket, std::memory_order_release);
   }
-  shard.table_empties = cap;
+  table_empties_ = cap;
   for (const uint64_t e : live) {
-    size_t idx = BucketIndex(EntryPage(e), shard.table_mask);
-    while (shard.table[idx].load(std::memory_order_relaxed) != kEmptyBucket) {
-      idx = (idx + 1) & shard.table_mask;
+    size_t idx = BucketIndex(EntryPage(e), table_mask_);
+    while (table_[idx].load(std::memory_order_relaxed) != kEmptyBucket) {
+      idx = (idx + 1) & table_mask_;
     }
-    shard.table[idx].store(e, std::memory_order_release);
-    --shard.table_empties;
+    table_[idx].store(e, std::memory_order_release);
+    --table_empties_;
   }
 }
 
@@ -259,12 +185,12 @@ Status BufferPool::WriteBack(Page* page) {
 
 // -- Replacement --------------------------------------------------------------
 
-Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
+Result<size_t> BufferPool::GetVictimFrame() {
   for (;;) {
-    if (!shard.free_frames.empty()) {
-      size_t frame = shard.free_frames.back();
-      shard.free_frames.pop_back();
-      Page* page = shard.frames[frame].get();
+    if (!free_frames_.empty()) {
+      size_t frame = free_frames_.back();
+      free_frames_.pop_back();
+      Page* page = frames_[frame].get();
       // A lock-free reader that loaded a stale bucket can hold a transient
       // pin on a free-listed frame for the few instructions until its
       // re-verify fails; spin it out, then hold the frame latched.
@@ -274,11 +200,11 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
     }
     // Approximate LRU: scan for the unpinned frame with the oldest access
     // tick. Clean victims are preferred — a dirty victim costs a log force
-    // and a write under the shard mutex.
+    // and a write under the pool mutex.
     size_t best_clean = kNoFrame, best_dirty = kNoFrame;
     uint64_t clean_tick = 0, dirty_tick = 0;
-    for (size_t f = 0; f < shard.frames.size(); ++f) {
-      Page* page = shard.frames[f].get();
+    for (size_t f = 0; f < frames_.size(); ++f) {
+      Page* page = frames_[f].get();
       if (page->pin_count() != 0) continue;  // pinned, mid-fill, or latched
       const uint64_t tick = page->last_access();
       if (!page->dirty()) {
@@ -292,15 +218,15 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
       }
     }
     if (best_clean != kNoFrame) {
-      Page* page = shard.frames[best_clean].get();
+      Page* page = frames_[best_clean].get();
       // Latch can fail if a lock-free reader pinned between scan and here;
       // rescan rather than evict under a live pin.
       if (!page->TryLatchForEvict()) continue;
-      TableErase(shard, page->page_id());
+      TableErase(page->page_id());
       return best_clean;
     }
     if (best_dirty != kNoFrame) {
-      Page* page = shard.frames[best_dirty].get();
+      Page* page = frames_[best_dirty].get();
       if (!page->TryLatchForEvict()) continue;
       // Every evictable frame is dirty, so this miss pays for the log
       // force + write itself.
@@ -311,7 +237,7 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
         return st;
       }
       PoolMetrics::Get().evict_writebacks->Inc();
-      TableErase(shard, page->page_id());
+      TableErase(page->page_id());
       return best_dirty;
     }
     return Status::Busy("all buffer frames pinned");
@@ -320,11 +246,11 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
 
 // -- Public API ---------------------------------------------------------------
 
-Page* BufferPool::TryFetchFast(Shard& shard, PageId page_id) {
+Page* BufferPool::TryFetchFast(PageId page_id) {
   size_t bucket;
-  const uint64_t entry = ProbeTable(shard, page_id, &bucket);
+  const uint64_t entry = ProbeTable(page_id, &bucket);
   if (entry == kEmptyBucket) return nullptr;
-  Page* page = shard.frames[EntryFrame(entry)].get();
+  Page* page = frames_[EntryFrame(entry)].get();
   if (!page->TryPin()) return nullptr;  // latched by an evictor
   // Order matters: io_pending before the bucket re-verify. The unwind paths
   // erase the bucket before clearing io_pending, so a reader that observes
@@ -334,93 +260,85 @@ Page* BufferPool::TryFetchFast(Shard& shard, PageId page_id) {
   // the CAS (the evictor erases the bucket before reuse and republishes a
   // new entry only after unlatching).
   if (page->io_pending() ||
-      shard.table[bucket].load(std::memory_order_acquire) != entry) {
+      table_[bucket].load(std::memory_order_acquire) != entry) {
     page->Unpin();
     return nullptr;
   }
-  page->set_last_access(shard.tick.fetch_add(1, std::memory_order_relaxed) +
-                        1);
+  Touch(page);
   return page;
 }
 
 Result<Page*> BufferPool::FetchPage(PageId page_id) {
   REACH_FAULT_POINT(faults::kBufFetch);
-  Shard& shard = ShardFor(page_id);
-  // Lock-free hit fast path: no shard mutex on the hot read.
-  if (Page* page = TryFetchFast(shard, page_id)) {
-    NoteAccess(shard, true);
+  // Lock-free hit fast path: no pool mutex on the hot read.
+  if (Page* page = TryFetchFast(page_id)) {
+    NoteAccess(true);
     return page;
   }
-  auto lock = LockShard(shard);
+  auto lock = Lock();
   bool counted = false;
   for (;;) {
     size_t bucket;
-    const uint64_t entry = ProbeTable(shard, page_id, &bucket);
+    const uint64_t entry = ProbeTable(page_id, &bucket);
     if (entry != kEmptyBucket) {
-      Page* page = shard.frames[EntryFrame(entry)].get();
+      Page* page = frames_[EntryFrame(entry)].get();
       // A frame mid-fill by ReadAhead is in the table but not yet readable;
       // wait for the batch to land, then re-probe (a failed fill removes it).
       if (page->io_pending()) {
-        shard.io_cv.wait(lock);
+        io_cv_.wait(lock);
         continue;
       }
       page->Pin();
-      page->set_last_access(
-          shard.tick.fetch_add(1, std::memory_order_relaxed) + 1);
-      if (!counted) NoteAccess(shard, true);
+      Touch(page);
+      if (!counted) NoteAccess(true);
       return page;
     }
     if (!counted) {
-      NoteAccess(shard, false);
+      NoteAccess(false);
       counted = true;
     }
-    REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame(shard));
-    Page* page = shard.frames[frame].get();
+    REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame());
+    Page* page = frames_[frame].get();
     page->Reset();  // preserves the evict latch GetVictimFrame returned with
     if (Status st = disk_->ReadPage(page_id, page->data()); !st.ok()) {
       page->UnlatchTo(0);
-      shard.free_frames.push_back(frame);  // return the frame on failed read
+      free_frames_.push_back(frame);  // return the frame on failed read
       return st;
     }
     page->set_page_id(page_id);
-    page->set_last_access(shard.tick.fetch_add(1, std::memory_order_relaxed) +
-                          1);
+    Touch(page);
     // Publish order: table entry first (release — makes the filled bytes
     // visible to lock-free probers), then the unlatch that lets them pin.
-    TableInsert(shard, page_id, frame);
+    TableInsert(page_id, frame);
     page->UnlatchTo(1);  // handed to the caller pinned
     return page;
   }
 }
 
 Result<Page*> BufferPool::NewPage() {
-  // Allocation has its own lock inside the disk manager; taking the shard
-  // lock only after the id is known keeps allocations of pages that hash to
-  // different shards fully parallel.
+  // Allocation has its own lock inside the disk manager; the pool mutex is
+  // taken only once the id is known.
   REACH_ASSIGN_OR_RETURN(PageId page_id, disk_->AllocatePage());
-  Shard& shard = ShardFor(page_id);
-  auto lock = LockShard(shard);
-  REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame(shard));
-  Page* page = shard.frames[frame].get();
+  auto lock = Lock();
+  REACH_ASSIGN_OR_RETURN(size_t frame, GetVictimFrame());
+  Page* page = frames_[frame].get();
   page->Reset();
   page->set_page_id(page_id);
-  page->set_last_access(shard.tick.fetch_add(1, std::memory_order_relaxed) +
-                        1);
+  Touch(page);
   MarkDirty(page);
-  TableInsert(shard, page_id, frame);
+  TableInsert(page_id, frame);
   page->UnlatchTo(1);
   return page;
 }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
-  Shard& shard = ShardFor(page_id);
   if (!dirty) {
     // Lock-free clean unpin: the caller holds a pin, so the mapping cannot
     // change beneath us — only the atomic pin count is touched.
     size_t bucket;
-    const uint64_t entry = ProbeTable(shard, page_id, &bucket);
+    const uint64_t entry = ProbeTable(page_id, &bucket);
     if (entry != kEmptyBucket) {
-      Page* page = shard.frames[EntryFrame(entry)].get();
+      Page* page = frames_[EntryFrame(entry)].get();
       if (page->pin_count() > 0) {
         page->Unpin();
         return Status::OK();
@@ -429,13 +347,13 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
     // Fall through to the locked path for error reporting (and for probes
     // that false-missed against a concurrent table rebuild).
   }
-  auto lock = LockShard(shard);
+  auto lock = Lock();
   size_t bucket;
-  const uint64_t entry = ProbeTable(shard, page_id, &bucket);
+  const uint64_t entry = ProbeTable(page_id, &bucket);
   if (entry == kEmptyBucket) {
     return Status::NotFound("page not in pool: " + std::to_string(page_id));
   }
-  Page* page = shard.frames[EntryFrame(entry)].get();
+  Page* page = frames_[EntryFrame(entry)].get();
   if (page->pin_count() <= 0) {
     return Status::FailedPrecondition("unpin of unpinned page");
   }
@@ -446,12 +364,11 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
 
 Status BufferPool::FlushPage(PageId page_id) {
   REACH_FAULT_POINT(faults::kBufFlushPage);
-  Shard& shard = ShardFor(page_id);
-  auto lock = LockShard(shard);
+  auto lock = Lock();
   size_t bucket;
-  const uint64_t entry = ProbeTable(shard, page_id, &bucket);
+  const uint64_t entry = ProbeTable(page_id, &bucket);
   if (entry == kEmptyBucket) return Status::OK();  // not cached
-  Page* page = shard.frames[EntryFrame(entry)].get();
+  Page* page = frames_[EntryFrame(entry)].get();
   if (page->dirty()) {
     REACH_RETURN_IF_ERROR(WriteBack(page));
   }
@@ -467,21 +384,21 @@ Status BufferPool::ReadAhead(const std::vector<PageId>& pages) {
   const PageId limit = disk_->num_pages();
   for (PageId page_id : pages) {
     if (page_id >= limit) continue;
-    Shard& shard = ShardFor(page_id);
-    auto lock = LockShard(shard);
+    // Locked per page: a victim writeback must not stall other misses for
+    // the whole window.
+    auto lock = Lock();
     size_t bucket;
-    if (ProbeTable(shard, page_id, &bucket) != kEmptyBucket) {
+    if (ProbeTable(page_id, &bucket) != kEmptyBucket) {
       continue;  // resident or mid-fill
     }
-    auto frame_or = GetVictimFrame(shard);
+    auto frame_or = GetVictimFrame();
     if (!frame_or.ok()) continue;  // no evictable frame: FetchPage will read
-    Page* page = shard.frames[*frame_or].get();
+    Page* page = frames_[*frame_or].get();
     page->Reset();
     page->set_page_id(page_id);
     page->set_io_pending(true);
-    page->set_last_access(shard.tick.fetch_add(1, std::memory_order_relaxed) +
-                          1);
-    TableInsert(shard, page_id, *frame_or);
+    Touch(page);
+    TableInsert(page_id, *frame_or);
     page->UnlatchTo(1);  // the staged pin
     staged.emplace_back(page, *frame_or);
     batch.push_back(PageReadRequest{page_id, page->data()});
@@ -491,35 +408,30 @@ Status BufferPool::ReadAhead(const std::vector<PageId>& pages) {
   Status st = disk_->ReadPages(batch);
   // Publish: clear io_pending and wake waiters; on failure unwind the staged
   // frames so FetchPage retries synchronously instead of serving zeros.
+  auto lock = Lock();
   for (auto& [page, frame] : staged) {
-    Shard& shard = ShardFor(page->page_id());
-    auto lock = LockShard(shard);
     if (!st.ok()) {
       // Erase before clearing io_pending: a lock-free reader that sees
       // io_pending clear must also see the bucket gone (see TryFetchFast).
-      TableErase(shard, page->page_id());
-      page->set_io_pending(false);
-      page->Unpin();
-      shard.free_frames.push_back(frame);
-    } else {
-      page->set_io_pending(false);
-      page->Unpin();
+      TableErase(page->page_id());
+      free_frames_.push_back(frame);
     }
-    shard.io_cv.notify_all();
+    page->set_io_pending(false);
+    page->Unpin();
   }
+  if (!staged.empty()) io_cv_.notify_all();
   return st;
 }
 
 Status BufferPool::FlushAll() {
   REACH_FAULT_POINT(faults::kBufFlushAll);
-  // Collect and pin every dirty frame so it stays resident after the shard
-  // locks drop; the batched submission below needs the images in place.
+  // Collect and pin every dirty frame so it stays resident after the pool
+  // lock drops; the batched submission below needs the images in place.
   std::vector<std::pair<PageId, const char*>> batch;
   std::vector<Page*> pinned;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    auto lock = LockShard(shard);
-    for (auto& frame : shard.frames) {
+  {
+    auto lock = Lock();
+    for (auto& frame : frames_) {
       Page* page = frame.get();
       if (page->page_id() == kInvalidPageId || !page->dirty()) continue;
       page->Pin();
@@ -534,35 +446,15 @@ Status BufferPool::FlushAll() {
   // One batched write in page order. Issued even when empty so the
   // disk.backend.* fault points see every checkpoint.
   if (st.ok()) st = disk_->WritePages(std::move(batch));
+  auto lock = Lock();
   for (Page* page : pinned) {
-    Shard& shard = ShardFor(page->page_id());
-    auto lock = LockShard(shard);
     if (st.ok() && page->dirty()) MarkClean(page);
     page->Unpin();
   }
   return st;
 }
 
-// -- Statistics ---------------------------------------------------------------
-
-uint64_t BufferPool::hit_count() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->hits.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t BufferPool::miss_count() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->misses.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 double BufferPool::dirty_ratio() const {
-  if (pool_size_ == 0) return 0.0;
   return static_cast<double>(dirty_count_.load(std::memory_order_relaxed)) /
          static_cast<double>(pool_size_);
 }

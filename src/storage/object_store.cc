@@ -47,22 +47,15 @@ WalCellImage SnapshotCell(const SlottedPage& sp, SlotId slot) {
 
 }  // namespace
 
-ObjectStore::ObjectStore(BufferPool* pool, Wal* wal, PageId first_data_page,
-                         size_t stripes)
-    : pool_(pool), wal_(wal), first_data_page_(first_data_page) {
-  if (stripes == 0) stripes = pool->shard_count();
-  stripes_.reserve(stripes);
-  for (size_t s = 0; s < stripes; ++s) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
+ObjectStore::ObjectStore(BufferPool* pool, Wal* wal, PageId first_data_page)
+    : pool_(pool), wal_(wal), first_data_page_(first_data_page) {}
 
 Status ObjectStore::Bootstrap() {
   std::unique_lock<std::shared_mutex> lock(op_mu_);
-  for (auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> slock(stripe->mu);
-    stripe->free_space.clear();
-    stripe->by_space.clear();
+  {
+    std::lock_guard<std::mutex> flock(free_mu_);
+    free_space_.clear();
+    by_space_.clear();
   }
   // The disk manager knows how many pages exist; scan the data range in
   // readahead-sized chunks so the cold pass goes down as batched backend
@@ -107,25 +100,22 @@ Status ObjectStore::LogPhysical(TxnId txn, SlottedPage* sp, PageId page,
 
 void ObjectStore::NoteFreeSpace(PageId page, const SlottedPage& sp) {
   const size_t space = sp.FreeSpaceForInsert();
-  Stripe& stripe = StripeFor(page);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto [it, inserted] = stripe.free_space.try_emplace(page, space);
+  std::lock_guard<std::mutex> lock(free_mu_);
+  auto [it, inserted] = free_space_.try_emplace(page, space);
   if (!inserted) {
     if (it->second == space) return;
-    stripe.by_space.erase({it->second, page});
+    by_space_.erase({it->second, page});
     it->second = space;
   }
-  stripe.by_space.emplace(space, page);
+  by_space_.emplace(space, page);
 }
 
 Result<PageId> ObjectStore::PageWithSpace(size_t need) {
-  std::pair<size_t, PageId> best{SIZE_MAX, kInvalidPageId};
-  for (auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    auto it = stripe->by_space.lower_bound({need, 0});
-    if (it != stripe->by_space.end() && *it < best) best = *it;
+  {
+    std::lock_guard<std::mutex> lock(free_mu_);
+    auto it = by_space_.lower_bound({need, 0});
+    if (it != by_space_.end()) return it->second;
   }
-  if (best.second != kInvalidPageId) return best.second;
   REACH_ASSIGN_OR_RETURN(Page * page, pool_->NewPage());
   PageGuard guard(pool_, page);
   guard.MarkDirty();
@@ -484,16 +474,14 @@ bool ObjectStore::Exists(const Oid& oid) {
 
 Result<std::vector<Oid>> ObjectStore::ScanAll() {
   std::shared_lock<std::shared_mutex> lock(op_mu_);
-  // Collect the data pages stripe by stripe, then visit them in page order
-  // so the result is deterministic regardless of stripe/shard counts.
+  // Snapshot the data pages (the map keeps them in page order), then visit
+  // them without holding the free-space mutex.
   std::vector<PageId> pages;
-  for (auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> slock(stripe->mu);
-    for (const auto& [page_id, _] : stripe->free_space) {
-      pages.push_back(page_id);
-    }
+  {
+    std::lock_guard<std::mutex> flock(free_mu_);
+    pages.reserve(free_space_.size());
+    for (const auto& [page_id, _] : free_space_) pages.push_back(page_id);
   }
-  std::sort(pages.begin(), pages.end());
   std::vector<Oid> out;
   for (size_t i = 0; i < pages.size(); ++i) {
     if (i % kScanReadAheadPages == 0) {
@@ -590,12 +578,8 @@ Status ObjectStore::ApplyImageLogged(TxnId txn, PageId page_id, SlotId slot,
 
 size_t ObjectStore::data_page_count() {
   std::shared_lock<std::shared_mutex> lock(op_mu_);
-  size_t total = 0;
-  for (auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> slock(stripe->mu);
-    total += stripe->free_space.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> flock(free_mu_);
+  return free_space_.size();
 }
 
 }  // namespace reach

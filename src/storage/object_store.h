@@ -17,20 +17,18 @@
 // write. Multi-page mutations (relocation, forwarding, segment chains,
 // recovery applies) fall back to the operation lock exclusive. No path ever
 // holds two page stripes at once, so the stripes cannot deadlock. The
-// free-space map is striped separately by `page % N` (N = buffer pool shard
-// count) and indexed by free bytes, so picking a page for an insert costs
-// O(stripes x log pages) however large the store grows; page stripes are
-// always taken before free-space stripes.
+// free-space map has its own mutex and is indexed by free bytes, so picking
+// a page for an insert costs O(log pages) however large the store grows;
+// page stripes are always taken before the free-space mutex.
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -45,10 +43,7 @@ namespace reach {
 class ObjectStore {
  public:
   /// `first_data_page`: pages below this are reserved (meta page 0).
-  /// `stripes` == 0 matches the buffer pool's shard count so free-space
-  /// striping lines up with page sharding.
-  ObjectStore(BufferPool* pool, Wal* wal, PageId first_data_page = 1,
-              size_t stripes = 0);
+  ObjectStore(BufferPool* pool, Wal* wal, PageId first_data_page = 1);
 
   /// Pages worth of readahead per batched pool submission — the window used
   /// by ScanAll / Bootstrap, and by scan consumers above the store (query
@@ -122,8 +117,7 @@ class ObjectStore {
   static constexpr size_t kHeadChunk = 1024;
 
   /// Pick (or allocate) a page with at least `need` insertable bytes: the
-  /// best fit (least such space, then lowest page id) over all stripes,
-  /// O(stripes x log pages).
+  /// best fit (least such space, then lowest page id), O(log pages).
   Result<PageId> PageWithSpace(size_t need);
 
   /// Insert one raw cell; logs the mutation; returns its OID.
@@ -169,26 +163,8 @@ class ObjectStore {
 
   void NoteFreeSpace(PageId page, const SlottedPage& sp);
 
-  // One stripe of the free-space map (insertable bytes per data page),
-  // keyed `page % stripes_.size()`. Heap-allocated and cache-line-aligned
-  // like the buffer pool shards. The stripe mutex guards both containers;
-  // lock order is always op_mu_ first, then at most one stripe at a time,
-  // so stripes can never deadlock against each other.
-  struct alignas(64) Stripe {
-    std::mutex mu;
-    std::unordered_map<PageId, size_t> free_space;
-    // The same entries ordered by (insertable bytes, page), so
-    // PageWithSpace's best fit is one lower_bound per stripe.
-    std::set<std::pair<size_t, PageId>> by_space;
-  };
-
-  Stripe& StripeFor(PageId page) {
-    return *stripes_[page % stripes_.size()];
-  }
-
-  /// Striped per-page lock (see the concurrency note above). Distinct from
-  /// the free-space stripes: these order page *content* access, those guard
-  /// the free-space map.
+  /// Striped per-page lock (see the concurrency note above). These order
+  /// page *content* access; `free_mu_` guards the free-space map.
   static constexpr size_t kPageLockStripes = 64;
   std::shared_mutex& PageLockFor(PageId page) {
     return page_locks_[page % kPageLockStripes];
@@ -203,7 +179,13 @@ class ObjectStore {
   // Tier two: per-page striped locks ordering page-content access among
   // op_mu_ shared holders.
   std::shared_mutex page_locks_[kPageLockStripes];
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  // Free-space map: insertable bytes per data page, in page order, plus the
+  // same entries ordered by (insertable bytes, page) so PageWithSpace's
+  // best fit is one lower_bound. `free_mu_` guards both; it is taken after
+  // op_mu_ and any page stripe, and nothing is locked while holding it.
+  std::mutex free_mu_;
+  std::map<PageId, size_t> free_space_;
+  std::set<std::pair<size_t, PageId>> by_space_;
   MutationListener mutation_listener_;
 };
 

@@ -10,16 +10,15 @@ namespace reach {
 
 Result<std::unique_ptr<StorageManager>> StorageManager::Open(
     const std::string& base_path, const StorageOptions& options) {
-  // FromEnv falls back to the defaults on a bad spec; refuse to open on one
-  // instead of silently running a configuration nobody asked for.
-  REACH_RETURN_IF_ERROR(
-      BufferPoolOptions::Parse(std::getenv("REACH_STORAGE")).status());
+  // WalOptions::FromEnv falls back to the defaults on a bad spec; refuse to
+  // open on one instead of silently running a configuration nobody asked
+  // for.
   REACH_RETURN_IF_ERROR(WalOptions::Parse(std::getenv("REACH_WAL")).status());
   auto sm = std::unique_ptr<StorageManager>(new StorageManager());
   REACH_ASSIGN_OR_RETURN(sm->disk_, DiskManager::Open(base_path + ".db"));
   REACH_ASSIGN_OR_RETURN(sm->wal_, Wal::Open(base_path + ".wal", options.wal));
-  sm->pool_ = std::make_unique<BufferPool>(
-      sm->disk_.get(), options.buffer_pool_pages, options.bufferpool_shards);
+  sm->pool_ =
+      std::make_unique<BufferPool>(sm->disk_.get(), options.buffer_pool_pages);
   Wal* wal = sm->wal_.get();
   // Write-ahead invariant: force the log up to the page's LSN before its
   // image reaches disk. Pages without an LSN (the meta page) force the

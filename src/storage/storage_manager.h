@@ -18,9 +18,6 @@ namespace reach {
 
 struct StorageOptions {
   size_t buffer_pool_pages = 256;
-  /// Buffer pool shard count; 0 defers to REACH_STORAGE / the auto default
-  /// (nearest power of two to the hardware concurrency).
-  size_t bufferpool_shards = 0;
   WalOptions wal = WalOptions::FromEnv();
 };
 
@@ -28,8 +25,8 @@ class StorageManager {
  public:
   /// Open (or create) the database rooted at `base_path`; the data file is
   /// `<base_path>.db` and the log `<base_path>.wal`. Runs crash recovery.
-  /// A REACH_STORAGE or REACH_WAL setting with an unknown key or a
-  /// malformed value fails the open with InvalidArgument.
+  /// A REACH_WAL setting with an unknown key or a malformed value fails the
+  /// open with InvalidArgument.
   static Result<std::unique_ptr<StorageManager>> Open(
       const std::string& base_path, const StorageOptions& options = {});
 

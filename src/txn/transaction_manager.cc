@@ -309,8 +309,6 @@ Status TransactionManager::DoAbort(TxnId txn_id) {
     }
   }
 
-  locks_.ReleaseAll(txn_id);
-  locks_.UnregisterTxn(txn_id);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (parent != kNoTxn) {
@@ -320,11 +318,18 @@ Status TransactionManager::DoAbort(TxnId txn_id) {
     FinishLocked(txn_id, /*committed=*/false);
   }
   outcome_cv_.notify_all();
-  TxnMetrics::Get().aborted->Inc();
+  // Listeners roll back their in-memory state (object cache, index
+  // entries) while the locks are still held: the next locker of an object
+  // this transaction wrote must not read the aborted value. The outcome is
+  // recorded first, so the abort event names this transaction (RootOf no
+  // longer walks up to a still-active parent).
   {
     std::lock_guard<std::mutex> lock(listener_mu_);
     for (TxnListener* l : listeners_) l->OnAbort(txn_id);
   }
+  locks_.ReleaseAll(txn_id);
+  locks_.UnregisterTxn(txn_id);
+  TxnMetrics::Get().aborted->Inc();
   return result;
 }
 

@@ -1,12 +1,11 @@
-// Sharded buffer pool and striped object store (docs/STORAGE.md):
-// REACH_STORAGE / REACH_WAL option parsing (unknown entries are errors),
-// shard slicing, hit/miss accounting summed over shards, cross-shard
-// eviction under fault injection, concurrent Fetch/Unpin/Flush across
-// shards and the lock-free page table under eviction churn (the TSan
-// matrix runs this suite), and a
-// recovery-equivalence sweep proving the shard count is invisible to ARIES
-// recovery: the same WAL replayed into pools with different shard counts
-// must yield identical object state.
+// Buffer pool and object store under concurrency (docs/STORAGE.md): the
+// frame budget, eviction under churn, hit/miss accounting, the
+// evict-writeback fault, concurrent Fetch/Unpin/Flush and the lock-free
+// page table under eviction churn (the TSan job runs this suite), readers
+// beside writers on the object store, and a recovery-equivalence check
+// proving the pool size is invisible to ARIES recovery: the same WAL
+// replayed into pools of different sizes must yield identical object
+// state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,93 +26,39 @@ namespace {
 using reach::testing::DurableLogCommit;
 using reach::testing::TempDir;
 
-TEST(BufferPoolOptionsTest, ParsesShardsFromSpec) {
-  auto o = BufferPoolOptions::Parse(nullptr);
-  ASSERT_TRUE(o.ok());
-  EXPECT_EQ(o->shards, 0u);
-  EXPECT_EQ(BufferPoolOptions::Parse("")->shards, 0u);
-  EXPECT_EQ(BufferPoolOptions::Parse("shards=4")->shards, 4u);
-  EXPECT_EQ(BufferPoolOptions::Parse(";shards=2,")->shards, 2u);
-}
-
-TEST(BufferPoolOptionsTest, RejectsUnknownEntriesAndMalformedNumbers) {
-  for (const char* bad :
-       {"bogus", "shards=16,future=1", "future=1;shards=2", "backend=uring",
-        "writeback=on", "writeback_watermark=30", "io_threads=2", "shards=",
-        "shards=abc", "shards=-1", "shards=4x", "shards=99999999999"}) {
-    SCOPED_TRACE(bad);
-    auto r = BufferPoolOptions::Parse(bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
-  }
-}
-
-TEST(BufferPoolOptionsTest, ResolveShardsAutoIsPowerOfTwo) {
-  // Explicit requests pass through untouched, including non-powers of two.
-  EXPECT_EQ(BufferPoolOptions::ResolveShards(3), 3u);
-  EXPECT_EQ(BufferPoolOptions::ResolveShards(16), 16u);
-  size_t n = BufferPoolOptions::ResolveShards(0);
-  EXPECT_GE(n, 1u);
-  EXPECT_EQ(n & (n - 1), 0u) << "auto shard count must be a power of two";
-}
-
-TEST(WalOptionsTest, ParsesGroupCommitKnobs) {
-  auto o = WalOptions::Parse(
-      "group=off;max_batch_bytes=4096,max_batch_delay_us=50");
-  ASSERT_TRUE(o.ok()) << o.status().ToString();
-  EXPECT_FALSE(o->group_commit);
-  EXPECT_EQ(o->max_batch_bytes, 4096u);
-  EXPECT_EQ(o->max_batch_delay_us, 50u);
-  EXPECT_TRUE(WalOptions::Parse(nullptr)->group_commit);
-  EXPECT_TRUE(WalOptions::Parse("on")->group_commit);
-  EXPECT_FALSE(WalOptions::Parse("off")->group_commit);
-  EXPECT_TRUE(WalOptions::Parse("group=true")->group_commit);
-}
-
-TEST(WalOptionsTest, RejectsUnknownEntriesAndMalformedNumbers) {
-  for (const char* bad :
-       {"adaptive", "adaptive=on", "group=on,adaptive", "future=1",
-        "group=maybe", "on=1", "max_batch_bytes=", "max_batch_delay_us=fast",
-        "max_batch_delay_us=5000000000"}) {
-    SCOPED_TRACE(bad);
-    auto r = WalOptions::Parse(bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
-  }
-}
-
-class ShardedPoolTest : public ::testing::Test {
+class PoolTest : public ::testing::Test {
  protected:
-  void Open(size_t pool_size, size_t shards) {
+  void Open(size_t pool_size) {
     pool_.reset();
     auto dm = DiskManager::Open(dir_.DbPath() + ".db");
     ASSERT_TRUE(dm.ok());
     disk_ = std::move(*dm);
-    pool_ = std::make_unique<BufferPool>(disk_.get(), pool_size, shards);
+    pool_ = std::make_unique<BufferPool>(disk_.get(), pool_size);
   }
   TempDir dir_;
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferPool> pool_;
 };
 
-TEST_F(ShardedPoolTest, ShardCountClampedToFrameBudget) {
-  Open(4, 16);
-  EXPECT_EQ(pool_->shard_count(), 4u);
-  EXPECT_EQ(pool_->pool_size(), 4u);
-}
-
-TEST_F(ShardedPoolTest, FrameBudgetPreservedAcrossShardCounts) {
-  for (size_t shards : {1u, 2u, 4u}) {
-    Open(10, shards);
-    EXPECT_EQ(pool_->shard_count(), shards);
-    EXPECT_EQ(pool_->pool_size(), 10u) << "shards=" << shards;
+TEST_F(PoolTest, FrameBudgetIsExact) {
+  Open(10);
+  EXPECT_EQ(pool_->pool_size(), 10u);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 10; ++i) {
+    auto page = pool_->NewPage();
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ids.push_back((*page)->page_id());  // keep pinned
   }
+  auto extra = pool_->NewPage();
+  ASSERT_FALSE(extra.ok());
+  EXPECT_TRUE(extra.status().IsBusy()) << extra.status().ToString();
+  for (PageId id : ids) ASSERT_TRUE(pool_->UnpinPage(id, true).ok());
 }
 
-TEST_F(ShardedPoolTest, PagesLandOnDistinctShardsAndSurviveEviction) {
-  // 8 frames over 4 shards, 24 pages: every shard must evict, and each
-  // page must round-trip its contents through its own shard's LRU.
-  Open(8, 4);
+TEST_F(PoolTest, PagesSurviveEvictionChurn) {
+  // 8 frames, 24 pages: every page must round-trip its contents through
+  // eviction and writeback.
+  Open(8);
   std::vector<PageId> ids;
   for (int i = 0; i < 24; ++i) {
     auto page = pool_->NewPage();
@@ -130,8 +75,8 @@ TEST_F(ShardedPoolTest, PagesLandOnDistinctShardsAndSurviveEviction) {
   }
 }
 
-TEST_F(ShardedPoolTest, HitMissAccountingSumsOverShards) {
-  Open(8, 4);
+TEST_F(PoolTest, HitMissAccounting) {
+  Open(8);
   std::vector<PageId> ids;
   for (int i = 0; i < 8; ++i) {
     auto page = pool_->NewPage();
@@ -141,14 +86,14 @@ TEST_F(ShardedPoolTest, HitMissAccountingSumsOverShards) {
   }
   EXPECT_EQ(pool_->hit_count(), 0u);  // NewPage is neither hit nor miss
   EXPECT_EQ(pool_->miss_count(), 0u);
-  for (PageId id : ids) {  // all cached: 8 hits spread over 4 shards
+  for (PageId id : ids) {  // all cached: 8 hits
     ASSERT_TRUE(pool_->FetchPage(id).ok());
     ASSERT_TRUE(pool_->UnpinPage(id, false).ok());
   }
   EXPECT_EQ(pool_->hit_count(), 8u);
   EXPECT_EQ(pool_->miss_count(), 0u);
-  // Evict everything by cycling 16 fresh pages through, then re-fetch one
-  // old page per shard: 4 misses.
+  // Evict everything by cycling 16 fresh pages through, then re-fetch four
+  // old pages: 4 misses.
   for (int i = 0; i < 16; ++i) {
     auto page = pool_->NewPage();
     ASSERT_TRUE(page.ok());
@@ -162,8 +107,8 @@ TEST_F(ShardedPoolTest, HitMissAccountingSumsOverShards) {
   EXPECT_EQ(pool_->miss_count(), 4u);
 }
 
-TEST_F(ShardedPoolTest, CrossShardEvictionFaultSurfacesCleanly) {
-  Open(4, 4);  // every eviction must hit the dirty path
+TEST_F(PoolTest, EvictionWritebackFaultSurfacesCleanly) {
+  Open(4);  // every eviction must hit the dirty path
   auto& reg = FaultRegistry::Instance();
   reg.DisarmAll();
   std::vector<PageId> ids;
@@ -173,8 +118,8 @@ TEST_F(ShardedPoolTest, CrossShardEvictionFaultSurfacesCleanly) {
     ids.push_back((*page)->page_id());
     ASSERT_TRUE(pool_->UnpinPage(ids.back(), true).ok());
   }
-  // Every further NewPage must evict a dirty page from its target shard;
-  // the armed fault makes each such writeback fail until disarmed.
+  // Every further NewPage must evict a dirty page; the armed fault makes
+  // each such writeback fail until disarmed.
   reg.ArmError(faults::kBufEvictWriteback, Status::Code::kIoError, /*nth=*/1,
                /*one_shot=*/false);
   for (int i = 0; i < 4; ++i) {
@@ -195,10 +140,11 @@ TEST_F(ShardedPoolTest, CrossShardEvictionFaultSurfacesCleanly) {
   }
 }
 
-TEST_F(ShardedPoolTest, ConcurrentFetchUnpinFlushAcrossShards) {
-  // TSan target: readers hammer pages spread over all shards while a
-  // flusher thread runs FlushPage/FlushAll against the same shards.
-  Open(16, 4);
+TEST_F(PoolTest, ConcurrentFetchUnpinFlush) {
+  // TSan target: readers hammer pages (3x the frame count, so misses and
+  // evictions interleave with hits) while a flusher thread runs
+  // FlushPage/FlushAll against the same frames.
+  Open(16);
   constexpr int kPages = 48;
   std::vector<PageId> ids;
   for (int i = 0; i < kPages; ++i) {
@@ -217,8 +163,8 @@ TEST_F(ShardedPoolTest, ConcurrentFetchUnpinFlushAcrossShards) {
         PageId id = ids[(t * 131 + round) % kPages];
         auto page = pool_->FetchPage(id);
         if (!page.ok()) {
-          // Busy (all frames of the shard pinned momentarily) is the only
-          // acceptable failure under pure contention.
+          // Busy (all frames pinned momentarily) is the only acceptable
+          // failure under pure contention.
           if (!page.status().IsBusy()) failures.fetch_add(1);
           continue;
         }
@@ -240,12 +186,12 @@ TEST_F(ShardedPoolTest, ConcurrentFetchUnpinFlushAcrossShards) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST_F(ShardedPoolTest, LockFreeTableSurvivesEvictChurnAndRebuilds) {
-  // Torture for the open-addressing table: a single-shard pool far smaller
-  // than its working set erases a mapping (tombstone) on every eviction, so
-  // the probe chains fill with tombstones and force periodic same-size
+TEST_F(PoolTest, LockFreeTableSurvivesEvictChurnAndRebuilds) {
+  // Torture for the open-addressing table: a pool far smaller than its
+  // working set erases a mapping (tombstone) on every eviction, so the
+  // probe chains fill with tombstones and force periodic same-size
   // rebuilds while readers probe lock-free.
-  Open(8, 1);
+  Open(8);
   std::vector<PageId> ids;
   for (int i = 0; i < 64; ++i) {
     auto page = pool_->NewPage();
@@ -286,13 +232,11 @@ TEST_F(ShardedPoolTest, LockFreeTableSurvivesEvictChurnAndRebuilds) {
 }
 
 TEST(ShardedStoreTest, ConcurrentReadersWithWriter) {
-  // Readers take the store's shared operation lock and only contend on
-  // buffer pool shards; a writer interleaves inserts and updates. TSan
-  // target for the striped ObjectStore.
+  // Readers take the store's shared operation lock and per-page locks; a
+  // writer interleaves inserts and updates. TSan target for the
+  // ObjectStore's page locks and free-space map.
   TempDir dir;
-  StorageOptions opts;
-  opts.bufferpool_shards = 4;
-  auto sm_or = StorageManager::Open(dir.DbPath(), opts);
+  auto sm_or = StorageManager::Open(dir.DbPath());
   ASSERT_TRUE(sm_or.ok());
   auto sm = std::move(*sm_or);
   ObjectStore* store = sm->objects();
@@ -386,10 +330,10 @@ TEST(ObjectStoreStripedLockTest, ReadersProceedDuringDisjointWrites) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Replay the same WAL into pools with different shard counts; recovery and
-// the resulting object state must be identical — sharding is an in-memory
-// layout choice, invisible to ARIES.
-TEST(ShardRecoveryEquivalenceTest, SameWalReplaysIdenticallyAtShardCounts) {
+// Replay the same WAL into pools of 8 and 256 frames; recovery and the
+// resulting object state must be identical — the pool size changes only
+// which pages are evicted during redo/undo, never what ARIES restores.
+TEST(RecoveryEquivalenceTest, SameWalReplaysIdenticallyAtPoolSizes) {
   TempDir dir;
   std::vector<Oid> committed;
   Oid loser;
@@ -425,44 +369,44 @@ TEST(ShardRecoveryEquivalenceTest, SameWalReplaysIdenticallyAtShardCounts) {
     std::filesystem::copy_file(dir.DbPath("origin") + ".wal",
                                dir.DbPath(to) + ".wal");
   };
-  clone("one");
-  clone("four");
+  clone("small");
+  clone("large");
 
-  auto recover = [&](const std::string& base, size_t shards) {
+  auto recover = [&](const std::string& base, size_t frames) {
     StorageOptions opts;
-    opts.buffer_pool_pages = 8;
-    opts.bufferpool_shards = shards;
+    opts.buffer_pool_pages = frames;
     return StorageManager::Open(dir.DbPath(base), opts);
   };
-  auto sm1_or = recover("one", 1);
-  auto sm4_or = recover("four", 4);
-  ASSERT_TRUE(sm1_or.ok()) << sm1_or.status().ToString();
-  ASSERT_TRUE(sm4_or.ok()) << sm4_or.status().ToString();
-  auto& sm1 = *sm1_or;
-  auto& sm4 = *sm4_or;
-  EXPECT_EQ(sm1->buffer_pool()->shard_count(), 1u);
-  EXPECT_EQ(sm4->buffer_pool()->shard_count(), 4u);
-  EXPECT_EQ(sm1->recovery_stats().committed_txns,
-            sm4->recovery_stats().committed_txns);
-  EXPECT_EQ(sm1->recovery_stats().loser_txns,
-            sm4->recovery_stats().loser_txns);
+  auto small_or = recover("small", 8);
+  auto large_or = recover("large", 256);
+  ASSERT_TRUE(small_or.ok()) << small_or.status().ToString();
+  ASSERT_TRUE(large_or.ok()) << large_or.status().ToString();
+  auto& small = *small_or;
+  auto& large = *large_or;
+  EXPECT_EQ(small->buffer_pool()->pool_size(), 8u);
+  EXPECT_EQ(large->buffer_pool()->pool_size(), 256u);
+  EXPECT_EQ(small->recovery_stats().committed_txns,
+            large->recovery_stats().committed_txns);
+  EXPECT_EQ(small->recovery_stats().loser_txns,
+            large->recovery_stats().loser_txns);
 
-  auto scan1 = sm1->objects()->ScanAll();
-  auto scan4 = sm4->objects()->ScanAll();
-  ASSERT_TRUE(scan1.ok());
-  ASSERT_TRUE(scan4.ok());
-  EXPECT_EQ(*scan1, *scan4) << "shard count changed the recovered OID set";
-  for (const Oid& oid : *scan1) {
-    auto b1 = sm1->objects()->Read(oid);
-    auto b4 = sm4->objects()->Read(oid);
-    ASSERT_TRUE(b1.ok());
-    ASSERT_TRUE(b4.ok());
-    EXPECT_EQ(*b1, *b4) << "divergent contents at " << oid.ToString();
+  auto scan_small = small->objects()->ScanAll();
+  auto scan_large = large->objects()->ScanAll();
+  ASSERT_TRUE(scan_small.ok());
+  ASSERT_TRUE(scan_large.ok());
+  EXPECT_EQ(*scan_small, *scan_large)
+      << "pool size changed the recovered OID set";
+  for (const Oid& oid : *scan_small) {
+    auto b_small = small->objects()->Read(oid);
+    auto b_large = large->objects()->Read(oid);
+    ASSERT_TRUE(b_small.ok());
+    ASSERT_TRUE(b_large.ok());
+    EXPECT_EQ(*b_small, *b_large) << "divergent contents at " << oid.ToString();
   }
-  EXPECT_TRUE(sm1->objects()->Read(loser).status().IsNotFound());
-  EXPECT_TRUE(sm4->objects()->Read(loser).status().IsNotFound());
-  EXPECT_EQ(*sm1->objects()->Read(committed[3]), "rewritten");
-  EXPECT_EQ(*sm4->objects()->Read(committed[3]), "rewritten");
+  EXPECT_TRUE(small->objects()->Read(loser).status().IsNotFound());
+  EXPECT_TRUE(large->objects()->Read(loser).status().IsNotFound());
+  EXPECT_EQ(*small->objects()->Read(committed[3]), "rewritten");
+  EXPECT_EQ(*large->objects()->Read(committed[3]), "rewritten");
 }
 
 }  // namespace

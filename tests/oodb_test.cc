@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "oodb/database.h"
 #include "oodb/sentry.h"
 #include "oodb/session.h"
@@ -305,6 +310,58 @@ TEST_F(SessionTest, SetAttrWriteThroughAndAbortRollback) {
   ASSERT_TRUE(s.Begin().ok());
   EXPECT_EQ(*s.GetAttr(*oid, "output"), Value(100));  // rolled back
   ASSERT_TRUE(s.Commit().ok());
+}
+
+// An aborting transaction rolls back its cached writes before it releases
+// its locks: readers blocked on T1's X locks must read the pre-T1 values
+// after T1 aborts, never the aborted ones. Looped with several blocked
+// readers, because the window between a lock release and the cache
+// eviction is a race.
+TEST_F(SessionTest, NextLockerNeverSeesAbortedValue) {
+  constexpr int kObjects = 64;
+  constexpr int kReaders = 3;
+  std::vector<Oid> oids;
+  Session setup(db_.get());
+  ASSERT_TRUE(setup.Begin().ok());
+  for (int i = 0; i < kObjects; ++i) {
+    auto oid = setup.PersistNew("Reactor", {{"output", Value(i)}});
+    ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+    oids.push_back(*oid);
+  }
+  ASSERT_TRUE(setup.Commit().ok());
+
+  std::atomic<int> stale{0};
+  for (int round = 0; round < 300; ++round) {
+    Session t1(db_.get());
+    ASSERT_TRUE(t1.Begin().ok());
+    for (const Oid& oid : oids) {
+      ASSERT_TRUE(t1.SetAttr(oid, "output", Value(-1)).ok());
+    }
+    std::atomic<int> started{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Session s(db_.get());
+        const bool began = s.Begin().ok();
+        started.fetch_add(1);
+        if (!began) {
+          stale.fetch_add(1);
+          return;
+        }
+        for (int k = 0; k < kObjects; ++k) {
+          const int i = (k + r * kObjects / kReaders) % kObjects;
+          auto v = s.GetAttr(oids[i], "output");  // blocks on T1's X lock
+          if (!v.ok() || *v != Value(i)) stale.fetch_add(1);
+        }
+        (void)s.Commit();
+      });
+    }
+    while (started.load() < kReaders) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(t1.Abort().ok());  // the readers must still be joined
+    for (auto& th : readers) th.join();
+  }
+  EXPECT_EQ(stale.load(), 0) << "reads of an aborted value";
 }
 
 TEST_F(SessionTest, InvokeRunsMethodInTransaction) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/reach/reach_db.h"
+#include "obs/metrics.h"
 #include "oodb/database.h"
 #include "oodb/session.h"
 #include "query/query_pm.h"
@@ -275,15 +276,19 @@ TEST_F(QueryParallelTest, QueryOptionsParseAndDefaults) {
   EXPECT_EQ(on.parallel, 1);
 }
 
-// REACH_QUERY rejects what it does not know, like REACH_STORAGE and
+// REACH_QUERY and REACH_METRICS reject what they do not know, like
 // REACH_WAL: the open fails with InvalidArgument naming the entry. The
 // variable is set only for the duration of one open.
-Status OpenWithQuerySpec(const char* spec) {
-  ::setenv("REACH_QUERY", spec, 1);
+Status OpenWithSpec(const char* var, const char* spec) {
+  ::setenv(var, spec, 1);
   TempDir dir;
   Status st = ReachDb::Open(dir.DbPath()).status();
-  ::unsetenv("REACH_QUERY");
+  ::unsetenv(var);
   return st;
+}
+
+Status OpenWithQuerySpec(const char* spec) {
+  return OpenWithSpec("REACH_QUERY", spec);
 }
 
 TEST(QueryEnvTest, UnknownKeyFailsTheOpen) {
@@ -311,6 +316,39 @@ TEST(QueryEnvTest, MalformedValueFailsTheOpen) {
     EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
     EXPECT_NE(st.message().find(spec), std::string::npos) << st.ToString();
   }
+}
+
+TEST(MetricsEnvTest, UnknownOrMalformedEntryFailsTheOpen) {
+  for (const char* spec : {"bogus", "on,bogus", "dump", "on=1", "level=2"}) {
+    SCOPED_TRACE(spec);
+    Status st = OpenWithSpec("REACH_METRICS", spec);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("REACH_METRICS: unknown setting"),
+              std::string::npos)
+        << st.ToString();
+  }
+  Status st = OpenWithSpec("REACH_METRICS", "off;dump=");
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("malformed value in 'dump='"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(MetricsEnvTest, SharedGrammarParses) {
+  auto none = obs::MetricsSpec::Parse(nullptr);
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none->enabled);
+  EXPECT_TRUE(none->dump_path.empty());
+  EXPECT_TRUE(obs::MetricsSpec::Parse("on")->enabled);
+  EXPECT_TRUE(obs::MetricsSpec::Parse("1")->enabled);
+  EXPECT_FALSE(obs::MetricsSpec::Parse("on;off")->enabled);
+  auto dump = obs::MetricsSpec::Parse(",dump=/tmp/m.json;");
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_TRUE(dump->enabled);
+  EXPECT_EQ(dump->dump_path, "/tmp/m.json");
+  // A valid spec opens (nothing is dumped: the registry read the
+  // environment once, at process start).
+  EXPECT_TRUE(OpenWithSpec("REACH_METRICS", "off").ok());
 }
 
 // Parallel queries racing Insert/Update/Delete from other sessions: every

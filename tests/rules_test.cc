@@ -548,6 +548,62 @@ TEST_F(RulesTest, AbortTriggeringOnFailure) {
   ASSERT_TRUE(check.Commit().ok());
 }
 
+// A rule subtransaction that aborts (condition error, failed action) raises
+// an `abort` event on its own behalf, not its root's: a rule on `abort` must
+// not fire for it. If it did, this rule, whose action fails, would retrigger
+// itself through its own subtransaction's abort.
+TEST_F(RulesTest, RuleSubtxnAbortDoesNotFireAbortRules) {
+  Oid counter = MakeCounter();
+  auto bump = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
+  auto on_abort = db_->events()->DefineFlowEvent("on_abort",
+                                                 SentryKind::kTxnAbort);
+  ASSERT_TRUE(bump.ok() && on_abort.ok());
+  std::atomic<int> abort_rule_runs{0};
+  RuleSpec watch;
+  watch.name = "on_abort";
+  watch.event = *on_abort;
+  watch.coupling = CouplingMode::kImmediate;
+  watch.action = [&abort_rule_runs](Session&,
+                                    const EventOccurrence&) -> Status {
+    // Bounded, so a regression fails the test instead of recursing forever.
+    if (abort_rule_runs.fetch_add(1) >= 20) return Status::OK();
+    return Status::Internal("abort rule fails");
+  };
+  ASSERT_TRUE(db_->rules()->DefineRule(std::move(watch)).ok());
+  RuleSpec bad_condition;
+  bad_condition.name = "bad_condition";
+  bad_condition.event = *bump;
+  bad_condition.coupling = CouplingMode::kImmediate;
+  bad_condition.condition = [](Session&,
+                               const EventOccurrence&) -> Result<bool> {
+    return Status::Internal("condition fails");
+  };
+  bad_condition.action = [](Session&, const EventOccurrence&) {
+    return Status::OK();
+  };
+  ASSERT_TRUE(db_->rules()->DefineRule(std::move(bad_condition)).ok());
+  RuleSpec bad_action;
+  bad_action.name = "bad_action";
+  bad_action.event = *bump;
+  bad_action.coupling = CouplingMode::kImmediate;
+  bad_action.action = [counter](Session& s, const EventOccurrence&) -> Status {
+    REACH_RETURN_IF_ERROR(s.SetAttr(counter, "log", Value("bad action")));
+    return Status::Internal("action fails");
+  };
+  ASSERT_TRUE(db_->rules()->DefineRule(std::move(bad_action)).ok());
+
+  Session s(db_->database());
+  ASSERT_TRUE(s.Begin().ok());
+  ASSERT_TRUE(s.Invoke(counter, "bump").ok());
+  ASSERT_TRUE(s.Commit().ok());
+  EXPECT_EQ(abort_rule_runs.load(), 0);
+  Session check(db_->database());
+  ASSERT_TRUE(check.Begin().ok());
+  EXPECT_EQ(check.GetAttr(counter, "n")->as_int(), 1);
+  EXPECT_EQ(*check.GetAttr(counter, "log"), Value(""));
+  ASSERT_TRUE(check.Commit().ok());
+}
+
 // Only a lock-manager deadlock victim is re-run: an action's own Aborted in
 // a parallel subtransaction runs once and still aborts the trigger.
 TEST_F(RulesTest, ParallelRuleOwnAbortIsNotRetried) {

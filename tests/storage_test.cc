@@ -199,9 +199,7 @@ class BufferPoolTest : public ::testing::Test {
     auto dm = DiskManager::Open(dir_.DbPath() + ".db");
     ASSERT_TRUE(dm.ok());
     disk_ = std::move(*dm);
-    // One shard keeps the 4-frame capacity exact (AllPinnedFails counts
-    // frames); multi-shard behaviour is covered by shard_test.cc.
-    pool_ = std::make_unique<BufferPool>(disk_.get(), 4, /*shards=*/1);
+    pool_ = std::make_unique<BufferPool>(disk_.get(), 4);
   }
   TempDir dir_;
   std::unique_ptr<DiskManager> disk_;
@@ -274,7 +272,7 @@ TEST(BufferPoolReadAheadTest, WarmsPoolAndServesHits) {
   }
   ASSERT_TRUE(dm->WritePages(std::move(writes)).ok());
 
-  BufferPool pool(dm.get(), /*pool_size=*/kPages + 4, /*shards=*/2);
+  BufferPool pool(dm.get(), /*pool_size=*/kPages + 4);
   std::vector<PageId> all;
   for (PageId p = 0; p < kPages; ++p) all.push_back(p);
   ASSERT_TRUE(pool.ReadAhead(all).ok());
@@ -312,7 +310,7 @@ TEST(BufferPoolReadAheadTest, ConcurrentFetchDuringWarmup) {
   }
   ASSERT_TRUE(dm->WritePages(std::move(writes)).ok());
 
-  BufferPool pool(dm.get(), /*pool_size=*/kPages + 4, /*shards=*/4);
+  BufferPool pool(dm.get(), /*pool_size=*/kPages + 4);
   std::vector<PageId> all;
   for (PageId p = 0; p < kPages; ++p) all.push_back(p);
 
@@ -996,66 +994,68 @@ TEST_F(DiskBatchFaultTest, SubmitAndCompleteFaultsDegradeGracefully) {
   }
 }
 
-// REACH_STORAGE and REACH_WAL reject what they do not know instead of
-// silently running the defaults. Each case sets the variable only for the
-// duration of one open; the cached FromEnv values are never a valid
-// non-default spec here, so later tests still see the defaults.
+// REACH_WAL rejects what it does not know instead of silently running the
+// defaults. Each case sets the variable only for the duration of one open;
+// the cached FromEnv value is never a valid non-default spec here, so later
+// tests still see the defaults.
 class StorageEnvTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    ::unsetenv("REACH_STORAGE");
-    ::unsetenv("REACH_WAL");
-  }
+  void TearDown() override { ::unsetenv("REACH_WAL"); }
 
-  /// Open a fresh database with `var=spec` and return the open's status.
-  Status OpenWith(const char* var, const char* spec) {
-    ::setenv(var, spec, 1);
+  /// Open a fresh database with REACH_WAL=spec and return the open's status.
+  Status OpenWith(const char* spec) {
+    ::setenv("REACH_WAL", spec, 1);
     TempDir dir;
     Status st = StorageManager::Open(dir.DbPath()).status();
-    ::unsetenv(var);
+    ::unsetenv("REACH_WAL");
     return st;
   }
 };
-
-TEST_F(StorageEnvTest, RemovedStorageKeysFailTheOpen) {
-  for (const char* spec :
-       {"backend=uring", "backend=async", "backend=posix", "io_threads=2",
-        "io_threads=sqpoll", "writeback=on", "writeback_watermark=30"}) {
-    SCOPED_TRACE(spec);
-    Status st = OpenWith("REACH_STORAGE", spec);
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.message().find(spec), std::string::npos) << st.ToString();
-  }
-  // A valid entry beside a removed one does not rescue the spec; the error
-  // names the offending entry.
-  Status st = OpenWith("REACH_STORAGE", "shards=2,writeback=off");
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_NE(st.message().find("'writeback=off'"), std::string::npos)
-      << st.ToString();
-}
 
 TEST_F(StorageEnvTest, RemovedWalKeyAndMalformedNumbersFailTheOpen) {
   for (const char* spec : {"adaptive", "adaptive=on", "adaptive=off",
                            "group=on,adaptive", "max_batch_delay_us=fast"}) {
     SCOPED_TRACE(spec);
-    Status st = OpenWith("REACH_WAL", spec);
+    Status st = OpenWith(spec);
     EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   }
-  Status st = OpenWith("REACH_STORAGE", "shards=two");
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_NE(st.message().find("shards=two"), std::string::npos);
 }
 
 TEST_F(StorageEnvTest, ReachDbOpenReportsTheBadEntry) {
-  ::setenv("REACH_STORAGE", "writeback=on", 1);
+  ::setenv("REACH_WAL", "group=on,adaptive", 1);
   TempDir dir;
   auto db = ReachDb::Open(dir.DbPath());
-  ::unsetenv("REACH_STORAGE");
+  ::unsetenv("REACH_WAL");
   ASSERT_FALSE(db.ok());
   EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
-  EXPECT_NE(db.status().message().find("writeback=on"), std::string::npos);
+  EXPECT_NE(db.status().message().find("'adaptive'"), std::string::npos);
   // The same path opens once the variable is gone.
   EXPECT_TRUE(ReachDb::Open(dir.DbPath()).ok());
+}
+
+TEST(WalOptionsTest, ParsesGroupCommitKnobs) {
+  auto o = WalOptions::Parse(
+      "group=off;max_batch_bytes=4096,max_batch_delay_us=50");
+  ASSERT_TRUE(o.ok()) << o.status().ToString();
+  EXPECT_FALSE(o->group_commit);
+  EXPECT_EQ(o->max_batch_bytes, 4096u);
+  EXPECT_EQ(o->max_batch_delay_us, 50u);
+  EXPECT_TRUE(WalOptions::Parse(nullptr)->group_commit);
+  EXPECT_TRUE(WalOptions::Parse("on")->group_commit);
+  EXPECT_FALSE(WalOptions::Parse("off")->group_commit);
+  EXPECT_TRUE(WalOptions::Parse("group=true")->group_commit);
+}
+
+TEST(WalOptionsTest, RejectsUnknownEntriesAndMalformedNumbers) {
+  for (const char* bad :
+       {"adaptive", "adaptive=on", "group=on,adaptive", "future=1",
+        "group=maybe", "on=1", "max_batch_bytes=", "max_batch_delay_us=fast",
+        "max_batch_delay_us=5000000000"}) {
+    SCOPED_TRACE(bad);
+    auto r = WalOptions::Parse(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
 }
 
 }  // namespace
