@@ -1,33 +1,27 @@
 // Event pipeline scaling — the acceptance benchmark for the lock-free
 // dispatch path (docs/EVENTS.md): N detecting threads push occurrences
-// through EventManager::Signal while batching and the composite fan-out are
-// swept.
+// through EventManager::Signal while the composite fan-out is swept.
 //
-//   BM_SignalFanout         work-stealing composition, batch_mode off (the
-//                           per-occurrence path, kept as the scaling
-//                           baseline)
-//   BM_SignalFanoutBatched  work-stealing with the batched admission/
-//                           dequeue/eval pipeline (the default config)
+//   BM_SignalFanout/comp:4  composition on two keyed FIFO lanes: one task
+//                           per occurrence on its transaction's lane
 //   BM_SignalFanout/comp:0  pure dispatch: snapshot load + history append,
 //                           no composition enqueue at all
 //   BM_CompositeLatency*    single-thread Signal->Quiesce round trip for a
 //                           conjunction: full completion latency including
-//                           the pool handoff, inline and work-stealing —
-//                           batch_mode off (latency mode must not regress)
+//                           the lane handoff, inline and on the lanes
 //
 // Each detecting thread signals its own primitive event type inside its own
 // transaction, so per-type histories and per-txn compositor instances are
-// naturally partitioned — what remains on the shared path is exactly what
-// the PR made lock-free (the dispatch snapshot load) or striped (the
-// compositor instance maps). Producers apply backpressure when the
-// composition queue exceeds kMaxQueueDepth, so the numbers are end-to-end
-// pipeline throughput, not enqueue-into-an-unbounded-buffer throughput.
+// naturally partitioned — what remains on the shared path is lock-free
+// (the dispatch snapshot load) or striped (the compositor instance maps).
+// Producers apply backpressure when the composition queue exceeds
+// kMaxQueueDepth, so the numbers are end-to-end pipeline throughput, not
+// enqueue-into-an-unbounded-buffer throughput.
 //
 // CI gates ratios, not absolutes (RATIO_PAIRS in scripts/bench_compare.py):
-//   * threads:8 / threads:1 of BM_SignalFanout/comp:4 — multicore Signal
-//     scaling losing ground is a property of the code;
-//   * BM_SignalFanoutBatched / BM_SignalFanout at threads:8 — the batched
-//     pipeline must keep its edge over per-occurrence dispatch.
+// threads:8 / threads:1 of BM_SignalFanout/comp:4 and threads:4 /
+// threads:1 of comp:0 — multicore Signal scaling losing ground is a
+// property of the code.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -68,14 +62,12 @@ struct SharedEm {
 };
 SharedEm g_em;
 
-void SetupPipeline(int composites_per_type, bool batch,
-                   const std::string& tag) {
+void SetupPipeline(int composites_per_type, const std::string& tag) {
   auto db = Database::Open(ScratchBase(tag), {});
   if (!db.ok()) std::abort();
   g_em.db = std::move(*db);
   EventManagerOptions opts;
   opts.composition_threads = 2;
-  opts.batch_mode = batch;
   // The producers never commit, so don't buffer per-txn history forever.
   opts.maintain_global_history = false;
   g_em.em = std::make_unique<EventManager>(g_em.db.get(), opts);
@@ -104,16 +96,14 @@ void TeardownPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(g_em.em->signaled_count()));
   state.counters["composed"] =
       benchmark::Counter(static_cast<double>(g_em.em->composite_count()));
-  state.counters["steals"] =
-      benchmark::Counter(static_cast<double>(g_em.em->composition_steal_count()));
   g_em.em.reset();
   g_em.db.reset();
 }
 
-void FanoutBody(benchmark::State& state, bool batch, const std::string& tag) {
+void BM_SignalFanout(benchmark::State& state) {
   const int comp = static_cast<int>(state.range(0));
   if (state.thread_index() == 0) {
-    SetupPipeline(comp, batch, tag + std::to_string(comp));
+    SetupPipeline(comp, "lanes" + std::to_string(comp));
   }
   const TxnId txn = static_cast<TxnId>(state.thread_index()) + 1;
   EventTypeId type = 0;
@@ -141,13 +131,6 @@ void FanoutBody(benchmark::State& state, bool batch, const std::string& tag) {
   if (state.thread_index() == 0) TeardownPipeline(state);
 }
 
-void BM_SignalFanout(benchmark::State& state) {
-  FanoutBody(state, /*batch=*/false, "ws");
-}
-void BM_SignalFanoutBatched(benchmark::State& state) {
-  FanoutBody(state, /*batch=*/true, "wsb");
-}
-
 BENCHMARK(BM_SignalFanout)
     ->ArgName("comp")
     ->Arg(0)
@@ -155,14 +138,6 @@ BENCHMARK(BM_SignalFanout)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
-    ->Threads(8)
-    ->Threads(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_SignalFanoutBatched)
-    ->ArgName("comp")
-    ->Arg(4)
-    ->Threads(1)
     ->Threads(8)
     ->Threads(16)
     ->UseRealTime()
@@ -177,7 +152,6 @@ void LatencyBody(benchmark::State& state, bool async, const std::string& tag) {
   EventManagerOptions opts;
   opts.async_composition = async;
   opts.composition_threads = 2;
-  opts.batch_mode = false;  // latency mode: per-occurrence dispatch
   opts.maintain_global_history = false;
   EventManager em((*db).get(), opts);
   auto a = em.DefineMethodEvent("lat_a", "Bench", "a");

@@ -66,14 +66,6 @@ RATIO_PAIRS = [
     ("event_signal_scaling_t4",
      "bench_event_pipeline/BM_SignalFanout/comp:0/real_time/threads:4",
      "bench_event_pipeline/BM_SignalFanout/comp:0/real_time/threads:1"),
-    # Batched pipeline (docs/EVENTS.md "Batched pipeline"): per-iteration
-    # wall clock of the batched admission/dequeue/eval path over the
-    # per-occurrence path at the same fan-out and thread count. The
-    # baseline ratio records the batching speedup; rising = the batch path
-    # lost its edge.
-    ("event_batch_fanout_t8",
-     "bench_event_pipeline/BM_SignalFanoutBatched/comp:4/real_time/threads:8",
-     "bench_event_pipeline/BM_SignalFanout/comp:4/real_time/threads:8"),
     # Morsel-parallel extent scans (docs/QUERY.md): parallel query wall
     # clock at 8 workers over the serial executor on the same 50%-
     # selectivity scan. The baseline ratio records the parallel speedup on

@@ -1,6 +1,7 @@
-// The REACH_* environment grammar shared by REACH_WAL, REACH_QUERY and
-// REACH_METRICS: entries separated by ',' or ';', each `key` or
-// `key=value`.
+// The REACH_* environment grammar shared by REACH_WAL, REACH_QUERY,
+// REACH_METRICS and REACH_FAULTS: entries separated by ',' or ';', each
+// `key` or `key=value` (for REACH_FAULTS the key is a fault point and the
+// value its action, docs/TESTING.md).
 #pragma once
 
 #include <cerrno>

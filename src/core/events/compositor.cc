@@ -842,41 +842,6 @@ void Compositor::Feed(const EventOccurrencePtr& occ,
   FeedLocked(InstanceFor(stripe, key), key, occ, out);
 }
 
-void Compositor::FeedBatch(const EventBatch& batch, const uint32_t* indices,
-                           size_t count,
-                           std::vector<EventOccurrencePtr>* out) {
-  if (count == 0) return;
-  fed_.fetch_add(count, std::memory_order_relaxed);
-  CompositorMetrics::Get().fed->Inc(count);
-  const bool single_txn = desc_->scope == CompositeScope::kSingleTxn;
-  size_t i = 0;
-  while (i < count) {
-    TxnId key = kNoTxn;
-    if (single_txn) {
-      key = batch.txns[indices[i]];
-      if (key == kNoTxn) {  // temporal events never reach 1tx trees
-        ++i;
-        continue;
-      }
-    }
-    // Extend the run while subsequent occurrences map to the same instance
-    // key — one stripe acquisition and one instance lookup per run.
-    size_t j = i + 1;
-    if (single_txn) {
-      while (j < count && batch.txns[indices[j]] == key) ++j;
-    } else {
-      j = count;  // cross-txn scope: one global instance, one run
-    }
-    Stripe& stripe = StripeFor(key);
-    auto lock = LockStripe(stripe);
-    Node* root = InstanceFor(stripe, key);
-    for (size_t k = i; k < j; ++k) {
-      FeedLocked(root, key, batch.occs[indices[k]], out);
-    }
-    i = j;
-  }
-}
-
 void Compositor::OnTxnEnd(TxnId txn) {
   if (desc_->scope != CompositeScope::kSingleTxn) return;
   Stripe& stripe = StripeFor(txn);

@@ -28,7 +28,6 @@
 
 #include "common/status.h"
 #include "core/events/event.h"
-#include "core/events/event_batch.h"
 #include "core/events/event_registry.h"
 
 namespace reach {
@@ -51,14 +50,6 @@ class Compositor {
   /// descriptor id) are appended to `out`. Thread-safe.
   void Feed(const EventOccurrencePtr& occ,
             std::vector<EventOccurrencePtr>* out);
-
-  /// Batched feed (docs/EVENTS.md "Batched pipeline"): feed the batch
-  /// elements selected by `indices[0..count)` in index order. Equivalent to
-  /// calling Feed per element, but the instance-map stripe is locked once
-  /// per run of same-stripe occurrences instead of once per occurrence.
-  /// Thread-safe.
-  void FeedBatch(const EventBatch& batch, const uint32_t* indices,
-                 size_t count, std::vector<EventOccurrencePtr>* out);
 
   /// Single-txn scope: drop the automaton instance of `txn` (EOT GC).
   void OnTxnEnd(TxnId txn);

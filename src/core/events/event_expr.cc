@@ -75,38 +75,6 @@ std::vector<EventTypeId> EventExpr::LeafTypes() const {
   return out;
 }
 
-void EventExpr::CompileLeafFilter() {
-  CollectLeaves(&sorted_leaves_);
-  std::sort(sorted_leaves_.begin(), sorted_leaves_.end());
-  for (EventTypeId t : sorted_leaves_) leaf_mask_ |= uint64_t{1} << (t & 63u);
-}
-
-size_t EventExpr::EvalBatch(const EventTypeId* types, size_t n,
-                            std::vector<uint32_t>* matches) const {
-  const size_t before = matches->size();
-  const uint64_t mask = leaf_mask_;
-  if (sorted_leaves_.size() == 1) {
-    // The dominant shape (History/Closure over one leaf, most Seq/And legs
-    // after dedup): one equality compare per element.
-    const EventTypeId only = sorted_leaves_[0];
-    for (size_t i = 0; i < n; ++i) {
-      if (types[i] == only) matches->push_back(static_cast<uint32_t>(i));
-    }
-    return matches->size() - before;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const EventTypeId t = types[i];
-    if (((mask >> (t & 63u)) & 1u) == 0) continue;
-    for (EventTypeId leaf : sorted_leaves_) {
-      if (leaf == t) {
-        matches->push_back(static_cast<uint32_t>(i));
-        break;
-      }
-    }
-  }
-  return matches->size() - before;
-}
-
 Status EventExpr::Validate() const {
   switch (op_) {
     case EventOp::kPrimitive:

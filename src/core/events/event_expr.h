@@ -59,25 +59,6 @@ class EventExpr {
   /// removed) — these are the inputs the compositor subscribes to.
   std::vector<EventTypeId> LeafTypes() const;
 
-  /// Does the expression reference `type` as a leaf? One precompiled mask
-  /// test in the common case (the leaf set is frozen at construction).
-  bool AcceptsType(EventTypeId type) const {
-    if (((leaf_mask_ >> (type & 63u)) & 1u) == 0) return false;
-    for (EventTypeId t : sorted_leaves_) {
-      if (t == type) return true;
-    }
-    return false;
-  }
-
-  /// Batched predicate evaluation (docs/EVENTS.md "Batched pipeline"):
-  /// append to `matches` the indices of `types[0..n)` whose type is a leaf
-  /// of this expression. One monomorphic loop over contiguous type ids —
-  /// no virtual dispatch, no per-occurrence tree walk — so a compositor
-  /// filters a whole admission batch with one call. Returns the number of
-  /// indices appended. `matches` is not cleared (callers reuse scratch).
-  size_t EvalBatch(const EventTypeId* types, size_t n,
-                   std::vector<uint32_t>* matches) const;
-
   /// Structural sanity: arity per operator, n >= 1 for History, no
   /// primitive id of kInvalidEventType.
   Status Validate() const;
@@ -108,23 +89,15 @@ class EventExpr {
         primitive_type_(primitive_type),
         children_(std::move(children)),
         history_count_(history_count),
-        correlation_(correlation) {
-    CompileLeafFilter();
-  }
+        correlation_(correlation) {}
 
   EventOp op_;
   EventTypeId primitive_type_ = kInvalidEventType;
   std::vector<EventExprPtr> children_;
   uint32_t history_count_ = 0;
   Correlation correlation_ = Correlation::kNone;
-  // Leaf-membership filter, frozen at construction (trees are immutable):
-  // a 64-bit coarse mask over `type & 63` plus the deduplicated leaf list,
-  // sorted so small sets scan in one or two cache lines.
-  uint64_t leaf_mask_ = 0;
-  std::vector<EventTypeId> sorted_leaves_;
 
   void CollectLeaves(std::vector<EventTypeId>* out) const;
-  void CompileLeafFilter();
 };
 
 }  // namespace reach

@@ -15,12 +15,8 @@ struct EventMetrics {
   obs::Counter* signaled;
   obs::Counter* composed;
   obs::Counter* republish;
-  obs::Counter* steals;
   obs::Counter* replayed;
   obs::Gauge* queue_depth;
-  obs::Histogram* batch_size;
-  obs::Counter* batch_flushes;
-  obs::Counter* batch_fallbacks;
 
   static const EventMetrics& Get() {
     static const EventMetrics m = [] {
@@ -28,12 +24,8 @@ struct EventMetrics {
       return EventMetrics{reg.counter(obs::kEventsSignaled),
                           reg.counter(obs::kEventsComposed),
                           reg.counter(obs::kDispatchRepublish),
-                          reg.counter(obs::kCompositionSteals),
                           reg.counter(obs::kEventHistoryReplayed),
-                          reg.gauge(obs::kCompositionQueueDepth),
-                          reg.histogram(obs::kEventsBatchSize),
-                          reg.counter(obs::kEventsBatchFlushes),
-                          reg.counter(obs::kEventsBatchFallbacks)};
+                          reg.gauge(obs::kCompositionQueueDepth)};
     }();
     return m;
   }
@@ -46,23 +38,13 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
       options_(options),
       scheduler_(db->clock()),
       global_history_(options_.history_capacity) {
-  dispatch_.store(std::make_shared<const DispatchSnapshot>(),
-                  std::memory_order_release);
+  snapshots_.push_back(std::make_unique<const DispatchSnapshot>());
+  dispatch_.store(snapshots_.back().get(), std::memory_order_release);
   if (options_.async_composition) {
-    steal_pool_ = std::make_unique<WorkStealingPool<ComposeTask>>(
-        options_.composition_threads, [this](ComposeTask& task) {
-          if (task.batch) {
-            ComposeBatch(task.compositor, *task.batch);
-            return;
-          }
-          for (Compositor* compositor : task.table->downstream) {
-            Compose(compositor, task.occ);
-          }
-          FinishFeed(task.occ);
-        });
-    steal_pool_->set_steal_callback([] { EventMetrics::Get().steals->Inc(); });
+    lanes_ = std::make_unique<LanePool<ComposeTask>>(
+        options_.composition_threads,
+        [this](ComposeTask& task) { RunTask(task); });
   }
-  batch_enabled_ = options_.batch_mode && options_.async_composition;
   if (options_.maintain_global_history) {
     history_pool_ = std::make_unique<ThreadPool>(1);
   }
@@ -98,10 +80,7 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
 
 EventManager::~EventManager() {
   scheduler_.Stop();
-  // Hand buffered occurrences to the pool before shutdown — Shutdown
-  // drains its queues, so nothing admitted before destruction is dropped.
-  if (batch_enabled_) FlushBatches();
-  if (steal_pool_) steal_pool_->Shutdown();
+  if (lanes_) lanes_->Shutdown();  // drains every lane
   if (history_pool_) history_pool_->Shutdown();
   db_->bus()->Unsubscribe(this);
 }
@@ -110,11 +89,11 @@ EventManager::~EventManager() {
 // Snapshot publication (copy-on-write; writers hold publish_mu_)
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<EventManager::DispatchSnapshot> EventManager::CloneSnapshot()
+std::unique_ptr<EventManager::DispatchSnapshot> EventManager::CloneSnapshot()
     const {
   // Shallow copy: the per-type tables are shared until a writer needs to
   // touch one (MutableTable clones that entry only).
-  return std::make_shared<DispatchSnapshot>(*LoadSnapshot());
+  return std::make_unique<DispatchSnapshot>(*LoadSnapshot());
 }
 
 EventManager::DispatchTable* EventManager::MutableTable(DispatchSnapshot* snap,
@@ -132,8 +111,10 @@ EventManager::DispatchTable* EventManager::MutableTable(DispatchSnapshot* snap,
   return raw;
 }
 
-void EventManager::PublishSnapshot(std::shared_ptr<DispatchSnapshot> snap) {
-  dispatch_.store(std::move(snap), std::memory_order_release);
+void EventManager::PublishSnapshot(std::unique_ptr<DispatchSnapshot> snap) {
+  // The superseded snapshot stays in snapshots_: readers may still hold it.
+  dispatch_.store(snap.get(), std::memory_order_release);
+  snapshots_.push_back(std::move(snap));
   republished_.fetch_add(1, std::memory_order_relaxed);
   EventMetrics::Get().republish->Inc();
 }
@@ -277,12 +258,14 @@ Result<EventTypeId> EventManager::DefineComposite(const std::string& name,
   }
   auto snap = CloneSnapshot();
   MutableTable(snap.get(), id);
+  const bool single_txn = scope == CompositeScope::kSingleTxn;
   for (EventTypeId leaf : desc->expr->LeafTypes()) {
     DispatchTable* leaf_table = MutableTable(snap.get(), leaf);
-    leaf_table->downstream.push_back(raw);
+    (single_txn ? leaf_table->single_txn : leaf_table->cross_txn)
+        .push_back(raw);
     if (durable) leaf_table->log_occurrences = true;
   }
-  snap->compositors.push_back(raw);
+  if (single_txn) snap->single_txn.push_back(raw);
   PublishSnapshot(std::move(snap));
   return id;
 }
@@ -317,156 +300,38 @@ void EventManager::Compose(Compositor* compositor,
     // async composition queue wait.
     obs::RecordSpanSince(obs::PipelineSpans::Get().signal_to_compose,
                          occ->detect_ns);
-    Signal(std::const_pointer_cast<EventOccurrence>(c));
+    Dispatch(std::const_pointer_cast<EventOccurrence>(c),
+             /*compose_inline=*/true);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Batched pipeline (docs/EVENTS.md "Batched pipeline")
-// ---------------------------------------------------------------------------
-
-EventManager::BatchBuffer* EventManager::LocalBuffer() {
-  // One buffer per (thread, manager). The manager owns the buffer; the
-  // thread-local holds a weak_ptr, so a manager dying (and freeing its
-  // buffers) leaves only an expired entry here — including when a new
-  // manager reuses the address (the expired check defeats ABA).
-  thread_local std::unordered_map<const EventManager*,
-                                  std::weak_ptr<BatchBuffer>>
-      cache;
-  auto& slot = cache[this];
-  if (auto live = slot.lock()) return live.get();
-  auto buf = std::make_shared<BatchBuffer>();
-  {
-    std::lock_guard<std::mutex> lock(batch_buffers_mu_);
-    batch_buffers_.push_back(buf);
+void EventManager::RunTask(ComposeTask& task) {
+  if (task.occ == nullptr) {
+    SweepTxn(task.txn);
+    return;
   }
-  if (cache.size() > 64) {
-    for (auto it = cache.begin(); it != cache.end();) {
-      it = (it->first != this && it->second.expired()) ? cache.erase(it)
-                                                       : std::next(it);
+  if (task.compositor != nullptr) {
+    Compose(task.compositor, task.occ);
+  } else {
+    for (Compositor* compositor : task.table->single_txn) {
+      Compose(compositor, task.occ);
     }
   }
-  slot = buf;
-  return buf.get();
+  FinishFeed(task.occ);
 }
 
-void EventManager::BatchAdmit(const EventOccurrencePtr& occ) {
-  BatchBuffer* buf = LocalBuffer();
-  size_t size;
-  {
-    std::lock_guard<std::mutex> lock(buf->mu);
-    if (buf->batch.occs.capacity() == 0) {
-      buf->batch.reserve(options_.batch_max_events);
-    }
-    buf->batch.push_back(occ);
-    size = buf->batch.size();
-  }
-  if (size >= options_.batch_max_events) FlushBuffer(buf);  // size trigger
-}
-
-size_t EventManager::FlushBuffer(BatchBuffer* buf) {
-  // flush_mu is held across dispatch: two concurrent flushes of one buffer
-  // (owner's size trigger vs. another thread's EOT sweep) dispatch their
-  // swapped-out batches strictly in swap order, preserving this thread's
-  // admission order end to end.
-  std::lock_guard<std::mutex> flush_lock(buf->flush_mu);
-  EventBatch local;
-  {
-    std::lock_guard<std::mutex> lock(buf->mu);
-    if (buf->batch.empty()) return 0;
-    local.swap(buf->batch);
-  }
-  const size_t n = local.size();
-  DispatchBatch(std::move(local));
-  return n;
-}
-
-size_t EventManager::FlushBatches() {
-  std::vector<std::shared_ptr<BatchBuffer>> bufs;
-  {
-    std::lock_guard<std::mutex> lock(batch_buffers_mu_);
-    bufs = batch_buffers_;
-  }
-  size_t n = 0;
-  for (const auto& buf : bufs) n += FlushBuffer(buf.get());
-  return n;
-}
-
-size_t EventManager::batched_pending() const {
-  std::vector<std::shared_ptr<BatchBuffer>> bufs;
-  {
-    std::lock_guard<std::mutex> lock(batch_buffers_mu_);
-    bufs = batch_buffers_;
-  }
-  size_t n = 0;
-  for (const auto& buf : bufs) {
-    std::lock_guard<std::mutex> lock(buf->mu);
-    n += buf->batch.size();
-  }
-  return n;
-}
-
-void EventManager::DispatchBatch(EventBatch batch) {
-  const EventMetrics& metrics = EventMetrics::Get();
-  metrics.batch_flushes->Inc();
-  metrics.batch_size->Record(batch.size());
-  SnapshotPtr snap = LoadSnapshot();
-  auto shared = std::make_shared<const EventBatch>(std::move(batch));
-  // Distinct downstream compositors in first-appearance order — one table
-  // lookup per type run, linear dedup (a batch spans a handful of
-  // compositors; hashing would cost more than it saves).
-  std::vector<Compositor*> targets;
-  shared->ForEachTypeRun([&](size_t i, size_t) {
-    auto it = snap->tables.find(shared->types[i]);
-    if (it == snap->tables.end()) return;
-    for (Compositor* c : it->second->downstream) {
-      if (std::find(targets.begin(), targets.end(), c) == targets.end()) {
-        targets.push_back(c);
-      }
-    }
-  });
-  // One task per compositor, all enqueued under one queue lock: independent
-  // compositors stay stealable while the whole flush costs one enqueue.
-  std::vector<ComposeTask> tasks;
-  tasks.reserve(targets.size());
-  for (Compositor* c : targets) {
-    ComposeTask task;
-    task.batch = shared;
-    task.compositor = c;
-    tasks.push_back(std::move(task));
-  }
-  steal_pool_->SubmitBatch(std::move(tasks));
-  metrics.queue_depth->Set(static_cast<int64_t>(steal_pool_->QueueDepth()));
-}
-
-void EventManager::ComposeBatch(Compositor* compositor,
-                                const EventBatch& batch) {
-  // Select this compositor's leaf occurrences with one monomorphic scan of
-  // the type-id array, then feed them as runs (one stripe lock per run).
-  thread_local std::vector<uint32_t> scratch;
-  scratch.clear();
-  const EventDescriptor* desc = compositor->descriptor();
-  desc->expr->EvalBatch(batch.types.data(), batch.size(), &scratch);
-  if (scratch.empty()) return;
-  std::vector<EventOccurrencePtr> completions;
-  compositor->FeedBatch(batch, scratch.data(), scratch.size(), &completions);
-  for (auto& c : completions) {
-    composed_.fetch_add(1, std::memory_order_relaxed);
-    EventMetrics::Get().composed->Inc();
-    if (history_log_ && desc->scope == CompositeScope::kCrossTxn) {
-      Status st = history_log_->LogConsumption(desc->name, *c);
-      if (!st.ok()) RecordHistoryFailure(st);
-    }
-    // Composition latency from the terminating leaf's detection stamp (the
-    // last constituent is the occurrence that completed the composite).
-    obs::RecordSpanSince(
-        obs::PipelineSpans::Get().signal_to_compose,
-        c->constituents.empty() ? 0 : c->constituents.back()->detect_ns);
-    Signal(std::const_pointer_cast<EventOccurrence>(c));
+void EventManager::SweepTxn(TxnId txn) {
+  for (Compositor* compositor : LoadSnapshot()->single_txn) {
+    compositor->OnTxnEnd(txn);
   }
 }
 
 void EventManager::Signal(std::shared_ptr<EventOccurrence> occ) {
+  Dispatch(std::move(occ), /*compose_inline=*/lanes_ == nullptr);
+}
+
+void EventManager::Dispatch(std::shared_ptr<EventOccurrence> occ,
+                            bool compose_inline) {
   if (recovery_pending_.load(std::memory_order_acquire)) CompleteRecovery();
   occ->sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
   if (occ->timestamp == 0) occ->timestamp = db_->clock()->Now();
@@ -487,20 +352,20 @@ void EventManager::Signal(std::shared_ptr<EventOccurrence> occ) {
   signaled_.fetch_add(1, std::memory_order_relaxed);
   EventMetrics::Get().signaled->Inc();
 
-  // Steady state: one atomic snapshot load, zero allocations, no lock. The
-  // snapshot pins every table (and its listener/downstream vectors) for the
-  // duration of this call; writers republish without disturbing us.
-  SnapshotPtr snap = LoadSnapshot();
+  // Steady state: one atomic snapshot load, zero allocations, no lock, no
+  // reference count. Snapshots and their tables are never freed before the
+  // manager; writers republish without disturbing us.
+  const DispatchSnapshot* snap = LoadSnapshot();
   auto it = snap->tables.find(shared->type);
   if (it == snap->tables.end()) return;  // unregistered type
-  const DispatchTablePtr& table = it->second;
-  table->history->Append(shared);
+  const DispatchTable& table = *it->second;
+  table.history->Append(shared);
 
   // Durable history: append before any listener or compositor sees the
   // occurrence, so a crash after this point replays it. The shared lock
   // orders the append against checkpoints (history_mu_ doc); the in-flight
   // count holds checkpoints off until downstream composition finishes.
-  if (history_log_ && table->log_occurrences) {
+  if (history_log_ && table.log_occurrences) {
     std::shared_lock<std::shared_mutex> history_lock(history_mu_);
     logged_unfed_.fetch_add(1, std::memory_order_acq_rel);
     Status st = history_log_->LogOccurrence(*shared);
@@ -534,32 +399,10 @@ void EventManager::Signal(std::shared_ptr<EventOccurrence> occ) {
     history_pool_->Submit([this, shared] { global_history_.Merge({shared}); });
   }
 
-  // Batched pipeline (docs/EVENTS.md "Batched pipeline"): an occurrence
-  // whose only downstream work is asynchronous composition joins this
-  // thread's admission batch instead of enqueuing individually. Everything
-  // needing synchronous or individually-ordered treatment — listener-
-  // bearing types (immediate coupling), durable cross-txn participants
-  // (the history log is written per occurrence), temporal events, and
-  // composite completions — stays on the scalar path below, after flushing
-  // our buffer so the scalar dispatch cannot overtake occurrences this
-  // thread already admitted.
-  if (batch_enabled_ && !table->downstream.empty()) {
-    const bool batchable =
-        table->listeners.empty() && table->relative_anchored.empty() &&
-        !table->log_occurrences && shared->txn != kNoTxn &&
-        shared->constituents.empty();
-    if (batchable) {
-      BatchAdmit(shared);
-      return;
-    }
-    EventMetrics::Get().batch_fallbacks->Inc();
-    FlushBuffer(LocalBuffer());
-  }
-
   // 1. Fire the rules registered with this ECA-manager (synchronous: the
   //    go-ahead for the application waits on immediate rules only).
-  for (const EventCallback& cb : table->listeners) cb(shared);
-  if (signal_ns != 0 && !table->listeners.empty()) {
+  for (const EventCallback& cb : table.listeners) cb(shared);
+  if (signal_ns != 0 && !table.listeners.empty()) {
     // Go-ahead latency: what the detecting thread waited for synchronous
     // listener (immediate rule) processing.
     obs::RecordSpanSince(obs::PipelineSpans::Get().signal_to_dispatch,
@@ -567,26 +410,46 @@ void EventManager::Signal(std::shared_ptr<EventOccurrence> occ) {
   }
 
   // 2. Propagate to the compositors of composite events containing this
-  //    type — asynchronously unless configured inline. One enqueue per
-  //    occurrence; the task carries the downstream list via its table.
-  if (!table->downstream.empty()) {
-    if (steal_pool_) {
-      steal_pool_->Submit(ComposeTask{shared, table});
-      EventMetrics::Get().queue_depth->Set(
-          static_cast<int64_t>(steal_pool_->QueueDepth()));
-    } else {
-      for (Compositor* compositor : table->downstream) {
+  //    type. On the lanes: one task for all single-txn compositors on the
+  //    root transaction's lane (temporal events, txn-less, never reach
+  //    them), one task per cross-txn compositor on that compositor's lane.
+  //    Each lane is FIFO, so every compositor instance sees its inputs in
+  //    Signal order.
+  const bool feeds_single = !table.single_txn.empty() && shared->txn != kNoTxn;
+  if (compose_inline) {
+    if (feeds_single) {
+      for (Compositor* compositor : table.single_txn) {
         Compose(compositor, shared);
       }
-      FinishFeed(shared);
     }
-  } else {
+    for (Compositor* compositor : table.cross_txn) Compose(compositor, shared);
     FinishFeed(shared);
+  } else {
+    const size_t tasks = (feeds_single ? 1 : 0) + table.cross_txn.size();
+    if (tasks == 0) {
+      FinishFeed(shared);
+    } else {
+      // Each task releases one in-flight count (FinishFeed); the append
+      // above took the first.
+      if (shared->history_logged && tasks > 1) {
+        logged_unfed_.fetch_add(tasks - 1, std::memory_order_acq_rel);
+      }
+      if (feeds_single) {
+        lanes_->Submit(ComposeTask{shared, &table, nullptr, kNoTxn},
+                       shared->txn);
+      }
+      for (Compositor* compositor : table.cross_txn) {
+        lanes_->Submit(ComposeTask{shared, nullptr, compositor, kNoTxn},
+                       compositor->descriptor()->id);
+      }
+      EventMetrics::Get().queue_depth->Set(
+          static_cast<int64_t>(lanes_->QueueDepth()));
+    }
   }
 
   // 3. Relative temporal events anchored at this type (precomputed in the
   //    table — the registry is not consulted on the hot path).
-  for (const EventDescriptor* rel : table->relative_anchored) {
+  for (const EventDescriptor* rel : table.relative_anchored) {
     EventTypeId rel_id = rel->id;
     scheduler_.ScheduleAt(shared->timestamp + rel->delay_us,
                           [this, rel_id](Timestamp t) {
@@ -666,8 +529,15 @@ void EventManager::HandleTxnEnd(TxnId txn, bool committed) {
     }
   }
   // Single-transaction composition state dies with the transaction (§3.3).
-  SnapshotPtr snap = LoadSnapshot();
-  for (Compositor* compositor : snap->compositors) compositor->OnTxnEnd(txn);
+  // On the lanes the sweep queues behind every task of the transaction, so
+  // no occurrence of it is composed after its instances are gone.
+  if (!LoadSnapshot()->single_txn.empty()) {
+    if (lanes_) {
+      lanes_->Submit(ComposeTask{nullptr, nullptr, nullptr, txn}, txn);
+    } else {
+      SweepTxn(txn);
+    }
+  }
   // Background merge into the global history (committed events only).
   if (committed && !events.empty() && history_pool_) {
     history_pool_->Submit([this, evts = std::move(events)]() mutable {
@@ -684,15 +554,9 @@ void EventManager::OnEvent(const SentryEvent& event) {
       if (event.args.empty()) OnTxnBegin(event.txn);
       break;
     case SentryKind::kTxnCommit:
-      // EOT trigger: hand every buffered occurrence to the composition
-      // pool before the end-of-transaction sweep discards single-txn
-      // automaton instances — exactly when the scalar path would already
-      // have enqueued them.
-      if (batch_enabled_) FlushBatches();
       HandleTxnEnd(event.txn, /*committed=*/true);
       break;
     case SentryKind::kTxnAbort:
-      if (batch_enabled_) FlushBatches();
       HandleTxnEnd(event.txn, /*committed=*/false);
       break;
     default:
@@ -726,15 +590,8 @@ void EventManager::OnEvent(const SentryEvent& event) {
 void EventManager::Quiesce() {
   // Recovered completions first — they may enqueue composition work.
   CompleteRecovery();
-  // Composition next (its completions may enqueue history merges). Batched
-  // admission makes this a loop: workers running listener callbacks can
-  // admit fresh occurrences into their own buffers (a rule raising a
-  // primitive event), so flush-then-drain repeats until no buffer refills.
-  for (;;) {
-    const size_t flushed = batch_enabled_ ? FlushBatches() : 0;
-    if (steal_pool_) steal_pool_->WaitIdle();
-    if (flushed == 0 && (!batch_enabled_ || batched_pending() == 0)) break;
-  }
+  // Composition next (its completions may enqueue history merges).
+  if (lanes_) lanes_->WaitIdle();
   if (history_pool_) history_pool_->WaitIdle();
 }
 
@@ -877,7 +734,7 @@ Status EventManager::history_status() const {
 // ---------------------------------------------------------------------------
 
 const LocalHistory* EventManager::HistoryOf(EventTypeId type) const {
-  SnapshotPtr snap = LoadSnapshot();
+  const DispatchSnapshot* snap = LoadSnapshot();
   auto it = snap->tables.find(type);
   return it == snap->tables.end() ? nullptr : it->second->history.get();
 }
@@ -889,9 +746,9 @@ const Compositor* EventManager::CompositorOf(EventTypeId composite) const {
 }
 
 size_t EventManager::LivePartials() const {
-  SnapshotPtr snap = LoadSnapshot();
+  std::lock_guard<std::mutex> lock(publish_mu_);
   size_t n = 0;
-  for (const Compositor* c : snap->compositors) n += c->LivePartialCount();
+  for (const auto& [_, c] : compositors_) n += c->LivePartialCount();
   return n;
 }
 

@@ -17,8 +17,9 @@
 // AddEventListener) copy-on-write and republish. Per-transaction
 // bookkeeping (pending history, milestone markers, active set) is striped
 // over txn % kTxnShards so concurrent transactions never serialize on one
-// mutex, and composition fans out through a work-stealing pool, one
-// enqueue per occurrence carrying its downstream compositor list.
+// mutex, and composition runs on keyed FIFO lanes: one task per occurrence
+// for its single-transaction compositors, on its root transaction's lane,
+// and one per cross-transaction compositor, on that compositor's lane.
 #pragma once
 
 #include <array>
@@ -33,11 +34,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/lane_pool.h"
 #include "common/thread_pool.h"
-#include "common/work_stealing_pool.h"
 #include "core/events/compositor.h"
 #include "core/events/event.h"
-#include "core/events/event_batch.h"
 #include "core/events/event_durability.h"
 #include "core/events/event_history.h"
 #include "core/events/event_registry.h"
@@ -48,9 +48,9 @@ namespace reach {
 
 struct EventManagerOptions {
   /// How composite events are fed from the detecting thread (§6.4): true
-  /// (the REACH architecture) hands them to a work-stealing pool of
-  /// `composition_threads` workers; false runs compositors inline in the
-  /// detecting thread (bench E2's blocking baseline).
+  /// (the REACH architecture) hands them to `composition_threads` keyed
+  /// FIFO lanes; false runs compositors inline in the detecting thread
+  /// (bench E2's blocking baseline).
   bool async_composition = true;
   size_t composition_threads = 2;
   /// Occurrences kept per event type, in both the local histories and the
@@ -67,18 +67,6 @@ struct EventManagerOptions {
   /// Auto-checkpoint compositor state after this many logged occurrences
   /// (0 disables; explicit CheckpointEventState still works).
   uint64_t history_checkpoint_interval = 256;
-  /// Batched pipeline (docs/EVENTS.md "Batched pipeline"): Signal admits
-  /// composition-bound occurrences into per-thread SoA batches flushed on
-  /// size / coupling-boundary / end-of-transaction triggers, and the
-  /// work-stealing pool moves them as whole batches. Occurrences that need
-  /// synchronous semantics — listener-bearing types (immediate coupling),
-  /// durable cross-txn participants, temporal events, composite
-  /// completions — always take the single-occurrence path. `false` is the
-  /// latency mode: every occurrence dispatches individually, exactly the
-  /// pre-batching pipeline. Inline composition never batches.
-  bool batch_mode = true;
-  /// Admission-buffer capacity; a full buffer flushes (the size trigger).
-  size_t batch_max_events = 64;
 };
 
 class EventManager : public PolicyManager {
@@ -138,9 +126,9 @@ class EventManager : public PolicyManager {
   /// Bus entry point: sentry announcements + transaction lifecycle.
   void OnEvent(const SentryEvent& event) override;
 
-  /// Drain the asynchronous composition queue (pre-commit barrier so
-  /// deferred rules see a complete picture). Drained = all composition
-  /// queues empty and all workers idle, then the history merge likewise.
+  /// Drain the asynchronous composition lanes (pre-commit barrier so
+  /// deferred rules see a complete picture). Drained = all lanes empty and
+  /// all workers idle, then the history merge likewise.
   void Quiesce();
 
   // -- Durable event history ----------------------------------------------
@@ -188,27 +176,11 @@ class EventManager : public PolicyManager {
   /// Snapshot republish count (dispatch-table copy-on-write writes).
   uint64_t dispatch_republish_count() const { return republished_.load(); }
 
-  /// Tasks stolen across composition worker queues (0 when composing
-  /// inline).
-  uint64_t composition_steal_count() const {
-    return steal_pool_ ? steal_pool_->steal_count() : 0;
-  }
-
-  /// Composition tasks currently queued across all worker queues (0
-  /// inline). Producers can poll this for backpressure.
+  /// Composition tasks currently queued across all lanes (0 inline).
+  /// Producers can poll this for backpressure.
   size_t composition_queue_depth() const {
-    return steal_pool_ ? steal_pool_->QueueDepth() : 0;
+    return lanes_ ? lanes_->QueueDepth() : 0;
   }
-
-  /// Occurrences admitted to per-thread batch buffers but not yet flushed
-  /// to the composition pool (0 in latency mode). Tests use this to pin
-  /// down the flush triggers; it is not a hot-path API (walks all buffers).
-  size_t batched_pending() const;
-
-  /// Flush every thread's admission buffer to the composition pool (the
-  /// EOT trigger runs this; Quiesce loops it until the cascade dies out).
-  /// Returns the number of occurrences dispatched.
-  size_t FlushBatches();
 
  private:
   /// Immutable per-type dispatch state. Never mutated after publication —
@@ -216,7 +188,11 @@ class EventManager : public PolicyManager {
   struct DispatchTable {
     const EventDescriptor* desc = nullptr;
     std::vector<EventCallback> listeners;
-    std::vector<Compositor*> downstream;  // compositors fed by this type
+    // Compositors fed by this type, split by scope at definition time: the
+    // single-txn ones share one task on the occurrence's transaction lane,
+    // each cross-txn one gets a task on its own lane.
+    std::vector<Compositor*> single_txn;
+    std::vector<Compositor*> cross_txn;
     // Relative temporal events anchored at this type, precomputed so the
     // steady-state Signal path never queries the registry.
     std::vector<const EventDescriptor*> relative_anchored;
@@ -225,76 +201,55 @@ class EventManager : public PolicyManager {
     /// occurrence to the durable event history before dispatching it.
     bool log_occurrences = false;
   };
-  using DispatchTablePtr = std::shared_ptr<const DispatchTable>;
 
   /// One atomic load in Signal yields the whole dispatch state: the
-  /// per-type tables and the flat compositor list EOT sweeps iterate.
+  /// per-type tables and the single-txn compositors EOT sweeps iterate.
   struct DispatchSnapshot {
-    std::unordered_map<EventTypeId, DispatchTablePtr> tables;
-    std::vector<Compositor*> compositors;
+    std::unordered_map<EventTypeId, std::shared_ptr<const DispatchTable>>
+        tables;
+    std::vector<Compositor*> single_txn;
   };
-  using SnapshotPtr = std::shared_ptr<const DispatchSnapshot>;
 
-  /// Scalar path: one enqueue per occurrence; the table pins the downstream
-  /// compositor list across republishes. Batched path: one enqueue per
-  /// (admission batch, downstream compositor) — the batch is shared across
-  /// the flush's tasks, and per-compositor tasks keep independent
-  /// compositors stealable. Compositors outlive the manager's pools, so the
-  /// raw pointer is safe in-flight.
+  /// One lane task. With `occ` set it feeds `compositor` (a cross-txn
+  /// compositor) or, when that is null, every single-txn compositor of
+  /// `table`; without `occ` it is the EOT sweep of `txn`. Tables and
+  /// compositors live until the manager dies, so raw pointers are safe
+  /// in flight.
   struct ComposeTask {
     EventOccurrencePtr occ;
-    DispatchTablePtr table;
-    std::shared_ptr<const EventBatch> batch;  // non-null = batched task
-    Compositor* compositor = nullptr;         // batched task's target
+    const DispatchTable* table = nullptr;
+    Compositor* compositor = nullptr;
+    TxnId txn = kNoTxn;
   };
 
   // -- Copy-on-write publication (all require publish_mu_) ----------------
 
-  SnapshotPtr LoadSnapshot() const {
+  const DispatchSnapshot* LoadSnapshot() const {
     return dispatch_.load(std::memory_order_acquire);
   }
   /// Clone the current snapshot for mutation.
-  std::shared_ptr<DispatchSnapshot> CloneSnapshot() const;
+  std::unique_ptr<DispatchSnapshot> CloneSnapshot() const;
   /// Find-or-create a mutable clone of `id`'s table inside `snap`.
   DispatchTable* MutableTable(DispatchSnapshot* snap, EventTypeId id);
-  void PublishSnapshot(std::shared_ptr<DispatchSnapshot> snap);
+  void PublishSnapshot(std::unique_ptr<DispatchSnapshot> snap);
 
   /// Create and publish the per-type table (must not exist yet).
   void CreateManager(EventTypeId id);
 
+  /// Signal with the composition decision made: `compose_inline` feeds the
+  /// downstream compositors on the calling thread (inline mode, and
+  /// completions raised on a lane, which cascade depth-first where they
+  /// arose) instead of submitting lane tasks.
+  void Dispatch(std::shared_ptr<EventOccurrence> occ, bool compose_inline);
+
   /// Deliver to one compositor and recursively signal completions.
   void Compose(Compositor* compositor, const EventOccurrencePtr& occ);
 
-  // -- Batched pipeline (docs/EVENTS.md "Batched pipeline") ---------------
+  /// Lane worker body for one ComposeTask.
+  void RunTask(ComposeTask& task);
 
-  /// Per-thread admission buffer. `mu` guards the batch itself (owner
-  /// appends vs. an EOT/Quiesce flusher swapping it out); `flush_mu` is
-  /// held across dispatch so two flushes of one buffer cannot reorder its
-  /// batches (per-thread admission order is the order compositors see).
-  struct BatchBuffer {
-    std::mutex mu;
-    std::mutex flush_mu;
-    EventBatch batch;
-  };
-
-  /// This thread's buffer for this manager (created and registered on
-  /// first use; cached in a thread-local keyed by manager identity).
-  BatchBuffer* LocalBuffer();
-
-  /// Append to the calling thread's buffer; flushes on the size trigger.
-  void BatchAdmit(const EventOccurrencePtr& occ);
-
-  /// Swap out and dispatch one buffer. Returns occurrences dispatched.
-  size_t FlushBuffer(BatchBuffer* buf);
-
-  /// Dispatch a swapped-out batch: one snapshot load, one table lookup per
-  /// type run, then one pool enqueue per distinct downstream compositor
-  /// (SubmitBatch — one queue lock for all of them).
-  void DispatchBatch(EventBatch batch);
-
-  /// Worker side: feed `compositor` the batch elements its event
-  /// expression selects (EvalBatch), then signal completions.
-  void ComposeBatch(Compositor* compositor, const EventBatch& batch);
+  /// Single-transaction composition state dies with the transaction (§3.3).
+  void SweepTxn(TxnId txn);
 
   /// Restore a freshly created cross-txn compositor from the recovered
   /// checkpoint state and re-feed the logged tail (publish_mu_ held; the
@@ -314,20 +269,18 @@ class EventManager : public PolicyManager {
 
   Database* db_;
   EventManagerOptions options_;
-  /// batch_mode resolved against async_composition (inline never batches).
-  bool batch_enabled_ = false;
-  /// All threads' admission buffers, for the EOT/Quiesce flush sweep.
-  /// Owned here; thread-locals hold weak_ptrs so a dead manager's buffers
-  /// never dangle.
-  std::vector<std::shared_ptr<BatchBuffer>> batch_buffers_;
-  mutable std::mutex batch_buffers_mu_;
   EventRegistry registry_;
   TemporalScheduler scheduler_;
-  /// Composition workers; null when composing inline.
-  std::unique_ptr<WorkStealingPool<ComposeTask>> steal_pool_;
+  /// Composition lanes; null when composing inline.
+  std::unique_ptr<LanePool<ComposeTask>> lanes_;
   std::unique_ptr<ThreadPool> history_pool_;
 
-  std::atomic<SnapshotPtr> dispatch_;
+  /// The current snapshot. Superseded snapshots are retired to
+  /// `snapshots_`, not freed, so a reader's plain pointer stays valid
+  /// without reference counting; republishing happens only at definition
+  /// time, which bounds what they hold.
+  std::atomic<const DispatchSnapshot*> dispatch_{nullptr};
+  std::vector<std::unique_ptr<const DispatchSnapshot>> snapshots_;
   mutable std::mutex publish_mu_;  // serializes writers; readers never take it
   // Compositor ownership (under publish_mu_); raw pointers are published in
   // snapshots. Compositors are never destroyed before the manager.

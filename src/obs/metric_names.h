@@ -71,20 +71,18 @@ inline constexpr const char* kCompositorDiscardedEot =
 /// transactions hash to the same stripe or a cross-txn compositor is hot).
 inline constexpr const char* kCompositorLockWaitNs =
     "events.compositor.lock_wait_ns";
-/// Work-stealing composition pool: tasks queued across all worker queues at
-/// the last enqueue (gauge), and tasks taken from a sibling's queue.
+/// Composition lanes: tasks queued across all lanes at the last enqueue
+/// (gauge).
 inline constexpr const char* kCompositionQueueDepth =
     "events.composition.queue_depth";
-inline constexpr const char* kCompositionSteals = "events.composition.steals";
 /// Copy-on-write republishes of the snapshot dispatch table (event/listener
 /// /compositor definitions; the steady-state Signal path never writes).
 inline constexpr const char* kDispatchRepublish = "events.dispatch.republish";
-/// Batched pipeline (docs/EVENTS.md "Batched pipeline"): occurrences per
-/// admission-buffer flush (a count histogram, not nanoseconds), flushes
-/// dispatched, and occurrences that bypassed batching through the scalar
-/// fallback (listener-bearing, durable cross-txn, temporal, or composite).
+/// No longer recorded: the batched pipeline and the work-stealing pool are
+/// gone (docs/EVENTS.md "Composition lanes"). The names stay because the
+/// end-to-end benchmark still reads them; they read empty or 0.
+inline constexpr const char* kCompositionSteals = "events.composition.steals";
 inline constexpr const char* kEventsBatchSize = "events.batch.size";
-inline constexpr const char* kEventsBatchFlushes = "events.batch.flushes";
 inline constexpr const char* kEventsBatchFallbacks = "events.batch.fallbacks";
 /// Durable event history: cross-txn occurrences logged to the WAL, logged
 /// occurrences re-fed into compositors during recovery replay, cumulative

@@ -1,8 +1,11 @@
 #include "testing/fault_registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <utility>
 
+#include "common/spec.h"
 #include "testing/fault_points.h"
 
 namespace reach {
@@ -26,15 +29,39 @@ double ToUnitDouble(uint64_t v) {
   return static_cast<double>(v >> 11) / static_cast<double>(1ULL << 53);
 }
 
-Status::Code CodeFromName(const std::string& name) {
-  if (name == "io") return Status::Code::kIoError;
-  if (name == "corruption") return Status::Code::kCorruption;
-  if (name == "aborted") return Status::Code::kAborted;
-  if (name == "busy") return Status::Code::kBusy;
-  if (name == "timedout") return Status::Code::kTimedOut;
-  if (name == "notfound") return Status::Code::kNotFound;
-  if (name == "internal") return Status::Code::kInternal;
-  return Status::Code::kIoError;
+bool CodeFromName(const std::string& name, Status::Code* code) {
+  static constexpr std::pair<const char*, Status::Code> kCodes[] = {
+      {"io", Status::Code::kIoError},
+      {"corruption", Status::Code::kCorruption},
+      {"aborted", Status::Code::kAborted},
+      {"busy", Status::Code::kBusy},
+      {"timedout", Status::Code::kTimedOut},
+      {"notfound", Status::Code::kNotFound},
+      {"internal", Status::Code::kInternal}};
+  for (const auto& [known, value] : kCodes) {
+    if (name == known) {
+      *code = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool IsKnownPoint(const std::string& point) {
+  for (const char* name : faults::kAll) {
+    if (point == name) return true;
+  }
+  return false;
+}
+
+/// A probability in [0, 1], the whole value consumed.
+bool ParseProbability(const std::string& value, double* out) {
+  if (value.empty()) return false;
+  char* end = nullptr;
+  const double p = std::strtod(value.c_str(), &end);
+  if (*end != '\0' || std::isnan(p) || p < 0.0 || p > 1.0) return false;
+  *out = p;
+  return true;
 }
 
 }  // namespace
@@ -49,30 +76,42 @@ FaultRegistry::FaultRegistry() : rng_(kDefaultSeed), seed_(kDefaultSeed) {
   if (const char* seed = std::getenv("REACH_FAULTS_SEED")) {
     SetSeed(std::strtoull(seed, nullptr, 0));
   }
-  if (const char* spec = std::getenv("REACH_FAULTS")) ParseEnv(spec);
+  std::vector<SpecEntry> entries;
+  if (ParseSpec(std::getenv("REACH_FAULTS"), &entries).ok()) {
+    for (const auto& [point, fault] : entries) Arm(point, fault);
+  }
+}
+
+Status FaultRegistry::ValidateSpec(const char* spec) {
+  std::vector<SpecEntry> entries;
+  return ParseSpec(spec, &entries);
 }
 
 // REACH_FAULTS grammar (entries separated by ';' or ','):
 //   <point>=error[:<code>][@<nth>]     one-shot error on the nth hit
 //   <point>=crash[@<nth>]              simulated crash on the nth hit
 //   <point>=perror[:<code>]:<p>        error with probability p per hit
-void FaultRegistry::ParseEnv(const char* spec) {
-  std::string s(spec);
-  size_t start = 0;
-  while (start < s.size()) {
-    size_t end = s.find_first_of(";,", start);
-    if (end == std::string::npos) end = s.size();
-    std::string entry = s.substr(start, end - start);
-    start = end + 1;
-    size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0) continue;
-    std::string point = entry.substr(0, eq);
-    std::string action = entry.substr(eq + 1);
-
+Status FaultRegistry::ParseSpec(const char* spec,
+                                std::vector<SpecEntry>* out) {
+  return ForEachSpecEntry(spec, [out](const std::string& entry,
+                                      const std::string& point,
+                                      const std::string& value) {
+    if (!IsKnownPoint(point)) {
+      return Status::InvalidArgument("REACH_FAULTS: unknown fault point in '" +
+                                     entry + "'");
+    }
+    const auto malformed = [&entry] {
+      return Status::InvalidArgument("REACH_FAULTS: malformed value in '" +
+                                     entry + "'");
+    };
+    std::string action = value;
     uint64_t nth = 1;
-    if (size_t at = action.find('@'); at != std::string::npos) {
-      nth = std::strtoull(action.c_str() + at + 1, nullptr, 0);
-      if (nth == 0) nth = 1;
+    const size_t at = action.find('@');
+    if (at != std::string::npos) {
+      if (!ParseSpecUnsigned(action.substr(at + 1), UINT64_MAX, &nth) ||
+          nth == 0) {
+        return malformed();
+      }
       action.resize(at);
     }
     // Split "kind[:arg[:arg]]".
@@ -84,24 +123,29 @@ void FaultRegistry::ParseEnv(const char* spec) {
       p = colon + 1;
     }
     const std::string& kind = parts[0];
-    if (kind == "crash") {
-      ArmCrash(point, nth);
-    } else if (kind == "perror") {
-      Status::Code code = Status::Code::kIoError;
-      double prob = 0.0;
-      if (parts.size() == 2) {
-        prob = std::strtod(parts[1].c_str(), nullptr);
-      } else if (parts.size() >= 3) {
-        code = CodeFromName(parts[1]);
-        prob = std::strtod(parts[2].c_str(), nullptr);
+    Armed fault;
+    fault.remaining = nth;
+    if (kind == "crash" && parts.size() == 1) {
+      fault.kind = ActionKind::kCrash;
+    } else if (kind == "error" && parts.size() <= 2) {
+      if (parts.size() == 2 && !CodeFromName(parts[1], &fault.code)) {
+        return malformed();
       }
-      ArmErrorWithProbability(point, code, prob);
-    } else {  // "error" (default)
-      Status::Code code = parts.size() >= 2 ? CodeFromName(parts[1])
-                                            : Status::Code::kIoError;
-      ArmError(point, code, nth);
+    } else if (kind == "perror" && at == std::string::npos &&
+               (parts.size() == 2 || parts.size() == 3)) {
+      if (parts.size() == 3 && !CodeFromName(parts[1], &fault.code)) {
+        return malformed();
+      }
+      if (!ParseProbability(parts.back(), &fault.probability)) {
+        return malformed();
+      }
+      fault.one_shot = false;
+    } else {
+      return malformed();
     }
-  }
+    out->emplace_back(point, fault);
+    return Status::OK();
+  });
 }
 
 void FaultRegistry::Arm(const std::string& point, Armed fault) {

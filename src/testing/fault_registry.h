@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -54,7 +55,15 @@ class FaultRegistry {
  public:
   /// Process-wide singleton. First call parses REACH_FAULTS /
   /// REACH_FAULTS_SEED from the environment (format in docs/TESTING.md).
+  /// A REACH_FAULTS spec that does not parse arms nothing.
   static FaultRegistry& Instance();
+
+  /// Check a REACH_FAULTS spec against the shared REACH_* grammar
+  /// (common/spec.h). An unknown point (not in faults::kAll), an unknown
+  /// action or status code, a non-numeric or zero `@nth`, or a probability
+  /// outside [0, 1] is InvalidArgument naming the entry; ReachDb::Open
+  /// refuses to open on one.
+  static Status ValidateSpec(const char* spec);
 
   /// Fast global gate: true iff any point is armed. Inlined into the
   /// REACH_FAULT_POINT macro so disabled injection costs one relaxed load.
@@ -117,7 +126,9 @@ class FaultRegistry {
   };
 
   FaultRegistry();
-  void ParseEnv(const char* spec);
+  using SpecEntry = std::pair<std::string, Armed>;
+  /// Parse a REACH_FAULTS spec into (point, fault) pairs; see ValidateSpec.
+  static Status ParseSpec(const char* spec, std::vector<SpecEntry>* out);
   void Arm(const std::string& point, Armed fault);
   Status DoEvaluate(const char* point, bool keyed, uint64_t key);
   static Status MakeError(Status::Code code, const std::string& point);

@@ -1,12 +1,14 @@
-// Batched event pipeline (docs/EVENTS.md "Batched pipeline"): the batch
-// path must be detection-equivalent to single-event dispatch. Property
-// test: identical pseudo-random workloads run inline, and on the
-// work-stealing pool with batch_mode on and off (and with a small batch
-// size forcing mid-run flush boundaries), must produce exactly the same
-// composite detections under all four SNOOP
-// consumption policies; rule executions across every coupling mode must
-// not change; and a multi-threaded stress run (the TSan CI target) must
-// produce exact per-transaction completion counts.
+// Order-exact composition on the lanes (docs/EVENTS.md "Composition
+// lanes"): every occurrence of one transaction reaches its single-txn
+// compositors on one FIFO lane, so order-sensitive composites (Seq, Not)
+// detect exactly what inline composition detects, at any lane count.
+// Property tests: identical pseudo-random workloads run inline, on one lane
+// and on four lanes, with one producer and with four concurrent producers
+// owning disjoint transactions, must produce exactly the same composite
+// detections under all four SNOOP consumption policies; rule executions
+// across every coupling mode must not change; and a multi-threaded stress
+// run (the TSan CI target) must produce exact per-transaction completion
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +28,8 @@ namespace {
 
 using reach::testing::TempDir;
 
-// Deterministic 64-bit LCG so both pipeline configurations replay the
-// exact same workload (no std::random_device).
+// Deterministic 64-bit LCG so every configuration replays the exact same
+// workload (no std::random_device).
 struct Lcg {
   uint64_t state;
   explicit Lcg(uint64_t seed) : state(seed) {}
@@ -37,7 +39,18 @@ struct Lcg {
   }
 };
 
-class EventBatchTest : public ::testing::Test {
+// Inline composition is the reference; then one lane and four lanes.
+struct Config {
+  bool async;
+  size_t lanes;
+};
+constexpr Config kConfigs[] = {{false, 1}, {true, 1}, {true, 4}};
+
+constexpr ConsumptionPolicy kPolicies[] = {
+    ConsumptionPolicy::kRecent, ConsumptionPolicy::kChronicle,
+    ConsumptionPolicy::kContinuous, ConsumptionPolicy::kCumulative};
+
+class CompositionOrderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto db = Database::Open(dir_.DbPath(), {});
@@ -77,110 +90,159 @@ std::string DetectionKey(const std::string& name,
   return key;
 }
 
-TEST_F(EventBatchTest, RandomWorkloadEquivalenceAcrossPolicies) {
-  struct Config {
-    bool async;
-    bool batch;
-    size_t max_events;
+struct Shape {
+  std::string name;
+  EventExprPtr expr;
+};
+
+// Primitive types a, b, c plus every shape under every policy, each with a
+// listener recording its detections.
+struct Harness {
+  std::mutex mu;
+  std::vector<std::string> detections;
+  EventTypeId types[3] = {};
+  std::unique_ptr<EventManager> em;  // last: destroyed first
+
+  Harness(Database* db, const Config& cfg,
+          std::vector<Shape> (*shapes)(EventTypeId, EventTypeId,
+                                       EventTypeId)) {
+    EventManagerOptions opts;
+    opts.async_composition = cfg.async;
+    opts.composition_threads = cfg.lanes;
+    em = std::make_unique<EventManager>(db, opts);
+    auto a = em->DefineMethodEvent("ea", "C", "a");
+    auto b = em->DefineMethodEvent("eb", "C", "b");
+    auto c = em->DefineMethodEvent("ec", "C", "c");
+    EXPECT_TRUE(a.ok() && b.ok() && c.ok());
+    types[0] = *a;
+    types[1] = *b;
+    types[2] = *c;
+    for (ConsumptionPolicy policy : kPolicies) {
+      const std::string suffix = ConsumptionPolicyName(policy);
+      for (const Shape& shape : shapes(*a, *b, *c)) {
+        const std::string name = shape.name + "_" + suffix;
+        auto comp = em->DefineComposite(name, shape.expr,
+                                        CompositeScope::kSingleTxn, policy);
+        EXPECT_TRUE(comp.ok()) << name;
+        em->AddEventListener(*comp, [this, name](const EventOccurrencePtr& o) {
+          std::lock_guard<std::mutex> lock(mu);
+          detections.push_back(DetectionKey(name, *o));
+        });
+      }
+    }
+  }
+
+  std::vector<std::string> Sorted() {
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<std::string> out = detections;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+std::vector<Shape> AllShapes(EventTypeId a, EventTypeId b, EventTypeId c) {
+  using E = EventExpr;
+  return {
+      {"seq_ab", E::Seq(E::Prim(a), E::Prim(b))},
+      {"and_bc", E::And(E::Prim(b), E::Prim(c))},
+      {"or_ac", E::Or(E::Prim(a), E::Prim(c))},
+      {"hist_c3", E::History(E::Prim(c), 3)},
+      {"not_acb", E::Not(E::Prim(a), E::Prim(c), E::Prim(b))},
+      {"seq_ab_c", E::Seq(E::Seq(E::Prim(a), E::Prim(b)), E::Prim(c))},
   };
-  // Inline composition as the reference, then work-stealing with batching
-  // off, the default batch size, and a tiny batch size that forces flush
-  // boundaries to land mid-expression.
-  const Config configs[] = {
-      {false, false, 64}, {true, false, 64}, {true, true, 64}, {true, true, 5}};
-  const ConsumptionPolicy policies[] = {
-      ConsumptionPolicy::kRecent, ConsumptionPolicy::kChronicle,
-      ConsumptionPolicy::kContinuous, ConsumptionPolicy::kCumulative};
+}
+
+// The order-sensitive shapes only.
+std::vector<Shape> OrderShapes(EventTypeId a, EventTypeId b, EventTypeId c) {
+  using E = EventExpr;
+  return {
+      {"seq_ab", E::Seq(E::Prim(a), E::Prim(b))},
+      {"not_acb", E::Not(E::Prim(a), E::Prim(c), E::Prim(b))},
+      {"seq_ab_c", E::Seq(E::Seq(E::Prim(a), E::Prim(b)), E::Prim(c))},
+  };
+}
+
+TEST_F(CompositionOrderTest, RandomWorkloadEquivalenceAcrossPolicies) {
   for (uint64_t seed : {11ULL, 347ULL, 90001ULL}) {
     std::vector<std::vector<std::string>> per_config;
-    for (const Config& cfg : configs) {
-      EventManagerOptions opts;
-      opts.async_composition = cfg.async;
-      opts.composition_threads = 1;  // FIFO: Seq is feed-order sensitive
-      opts.batch_mode = cfg.batch;
-      opts.batch_max_events = cfg.max_events;
-      auto em = std::make_unique<EventManager>(db_.get(), opts);
-      auto a = em->DefineMethodEvent("ea", "C", "a");
-      auto b = em->DefineMethodEvent("eb", "C", "b");
-      auto c = em->DefineMethodEvent("ec", "C", "c");
-      ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-
-      std::mutex mu;
-      std::vector<std::string> detections;
-      for (ConsumptionPolicy policy : policies) {
-        const std::string suffix = ConsumptionPolicyName(policy);
-        struct Shape {
-          std::string name;
-          EventExprPtr expr;
-        };
-        const Shape shapes[] = {
-            {"seq_ab_" + suffix,
-             EventExpr::Seq(EventExpr::Prim(*a), EventExpr::Prim(*b))},
-            {"and_bc_" + suffix,
-             EventExpr::And(EventExpr::Prim(*b), EventExpr::Prim(*c))},
-            {"or_ac_" + suffix,
-             EventExpr::Or(EventExpr::Prim(*a), EventExpr::Prim(*c))},
-            {"hist_c3_" + suffix,
-             EventExpr::History(EventExpr::Prim(*c), 3)},
-        };
-        for (const Shape& shape : shapes) {
-          auto comp = em->DefineComposite(shape.name, shape.expr,
-                                          CompositeScope::kSingleTxn, policy);
-          ASSERT_TRUE(comp.ok());
-          std::string name = shape.name;
-          em->AddEventListener(
-              *comp, [&mu, &detections, name](const EventOccurrencePtr& occ) {
-                std::lock_guard<std::mutex> lock(mu);
-                detections.push_back(DetectionKey(name, *occ));
-              });
-        }
-      }
-
-      // Single producer, unique increasing timestamps: per-thread admission
-      // order is preserved by the batch path, so one producer plus one
-      // composition worker makes the feed deterministic.
+    for (const Config& cfg : kConfigs) {
+      Harness h(db_.get(), cfg, AllShapes);
+      // One producer, transactions interleaved, unique increasing
+      // timestamps.
       Lcg rng(seed);
-      const EventTypeId types[] = {*a, *b, *c};
       for (int i = 0; i < 2000; ++i) {
-        const EventTypeId type = types[rng.Next() % 3];
+        const EventTypeId type = h.types[rng.Next() % 3];
         const TxnId txn = static_cast<TxnId>(rng.Next() % 8) + 1;
-        SignalOne(em.get(), type, txn, i + 1);
+        SignalOne(h.em.get(), type, txn, i + 1);
       }
-      em->Quiesce();
+      h.em->Quiesce();
       for (TxnId txn = 1; txn <= 8; ++txn) {
-        EndTxn(em.get(), txn, /*commit=*/txn % 2 == 0);
+        EndTxn(h.em.get(), txn, /*commit=*/txn % 2 == 0);
       }
-      em->Quiesce();
-      EXPECT_EQ(em->LivePartials(), 0u);
-      std::sort(detections.begin(), detections.end());
-      per_config.push_back(std::move(detections));
+      h.em->Quiesce();
+      EXPECT_EQ(h.em->LivePartials(), 0u);
+      per_config.push_back(h.Sorted());
     }
     EXPECT_FALSE(per_config[0].empty()) << "seed " << seed;
     EXPECT_EQ(per_config[0], per_config[1])
-        << "work-stealing diverged from inline, seed " << seed;
-    EXPECT_EQ(per_config[1], per_config[2])
-        << "batch on/off diverged, seed " << seed;
-    EXPECT_EQ(per_config[1], per_config[3])
-        << "small batch size diverged, seed " << seed;
+        << "one lane diverged from inline, seed " << seed;
+    EXPECT_EQ(per_config[0], per_config[2])
+        << "four lanes diverged from inline, seed " << seed;
   }
 }
 
+// Four producers, each owning four transactions, signal concurrently into
+// four lanes. Per transaction the feed order is fixed by its producer, so
+// Seq, Not and a nested Seq must detect exactly what inline composition
+// detects — the guarantee a pool that moves one transaction's occurrences
+// between workers cannot give.
+TEST_F(CompositionOrderTest, ConcurrentProducersOnFourLanesMatchInline) {
+  constexpr int kProducers = 4;
+  constexpr int kTxnsPerProducer = 4;
+  constexpr int kPerProducer = 3000;
+  std::vector<std::vector<std::string>> per_config;
+  for (const Config& cfg : {kConfigs[0], kConfigs[2]}) {
+    Harness h(db_.get(), cfg, OrderShapes);
+    std::vector<std::thread> producers;
+    for (int w = 0; w < kProducers; ++w) {
+      producers.emplace_back([&h, w] {
+        Lcg rng(1000 + static_cast<uint64_t>(w));
+        for (int i = 0; i < kPerProducer; ++i) {
+          const EventTypeId type = h.types[rng.Next() % 3];
+          const TxnId txn = static_cast<TxnId>(
+              w * kTxnsPerProducer + rng.Next() % kTxnsPerProducer + 1);
+          SignalOne(h.em.get(), type, txn,
+                    static_cast<Timestamp>(w) * 1000000 + i + 1);
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    h.em->Quiesce();
+    for (TxnId txn = 1; txn <= kProducers * kTxnsPerProducer; ++txn) {
+      EndTxn(h.em.get(), txn, /*commit=*/true);
+    }
+    h.em->Quiesce();
+    EXPECT_EQ(h.em->LivePartials(), 0u);
+    per_config.push_back(h.Sorted());
+  }
+  ASSERT_FALSE(per_config[0].empty());
+  EXPECT_EQ(per_config[0].size(), per_config[1].size());
+  EXPECT_TRUE(per_config[0] == per_config[1])
+      << "four lanes with concurrent producers diverged from inline";
+}
+
 // Rules across every coupling mode observe the same triggers and run the
-// same actions whether or not the primitives feeding their composite were
-// batched. Immediate coupling is only legal on the primitive itself —
-// which carries a rule listener and therefore takes the scalar fallback;
-// that mixed batched/unbatched workload is exactly what production looks
-// like.
-TEST(EventBatchRulesTest, CouplingModeEquivalence) {
+// same actions whether the composite feeding them is composed inline or on
+// four lanes. Immediate coupling is only legal on the primitive itself.
+TEST(CompositionOrderRulesTest, CouplingModeEquivalence) {
   std::vector<std::map<std::string, uint64_t>> per_mode;
-  for (bool batch : {false, true}) {
+  for (bool async : {false, true}) {
     TempDir dir;
     VirtualClock clock;
     ReachOptions options;
     options.database.clock = &clock;
-    options.events.async_composition = true;
-    options.events.composition_threads = 1;
-    options.events.batch_mode = batch;
+    options.events.async_composition = async;
+    options.events.composition_threads = 4;
     auto db = ReachDb::Open(dir.DbPath(), options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_TRUE((*db)
@@ -254,15 +316,13 @@ TEST(EventBatchRulesTest, CouplingModeEquivalence) {
   EXPECT_EQ(per_mode[0], per_mode[1]);
 }
 
-// Multi-threaded producers with the batch path on (the CI TSan stress
-// target): per-transaction completion counts are exact because History(4)
-// under chronicle consumption completes on every 4th feed regardless of
-// worker interleaving.
-TEST_F(EventBatchTest, StressExactCompletionCounts) {
+// Multi-threaded producers on four lanes (the CI TSan stress target):
+// per-transaction completion counts are exact because History(4) under
+// chronicle consumption completes on every 4th feed.
+TEST_F(CompositionOrderTest, StressExactCompletionCounts) {
   EventManagerOptions opts;
   opts.async_composition = true;
   opts.composition_threads = 4;
-  opts.batch_mode = true;
   auto em = std::make_unique<EventManager>(db_.get(), opts);
   auto id = em->DefineMethodEvent("px", "C", "mx");
   ASSERT_TRUE(id.ok());

@@ -1,9 +1,9 @@
 // Concurrency suite for the lock-free event dispatch path (docs/EVENTS.md):
 // concurrent Signal across many types and transactions, listener
 // registration racing dispatch (snapshot republish vs readers), striped
-// per-txn bookkeeping, the work-stealing composition pool, and
-// composition-equivalence between inline and work-stealing composition.
-// Run under TSan in CI.
+// per-txn bookkeeping, the composition lanes, composition-equivalence
+// between inline and lane composition, and the end-of-transaction sweep
+// ordered behind a transaction's queued composition. Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/work_stealing_pool.h"
+#include "common/lane_pool.h"
 #include "core/events/event_manager.h"
 #include "test_util.h"
 
@@ -57,46 +57,88 @@ class EventPipelineTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
 };
 
-// -- WorkStealingPool unit coverage ----------------------------------------
+// -- LanePool unit coverage ------------------------------------------------
 
-TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnce) {
-  std::atomic<uint64_t> sum{0};
-  WorkStealingPool<int> pool(4, [&](int& v) {
-    sum.fetch_add(static_cast<uint64_t>(v), std::memory_order_relaxed);
+TEST(LanePoolTest, FifoPerKeyUnderConcurrentSubmitters) {
+  // Each submitter owns a few keys and numbers its tasks per key; a lane
+  // must run every key's tasks in submission order, and every task once.
+  struct Item {
+    uint64_t key;
+    uint64_t n;
+  };
+  constexpr int kSubmitters = 4;
+  constexpr uint64_t kKeysPerSubmitter = 8;
+  constexpr uint64_t kPerKey = 500;
+  constexpr uint64_t kKeys = kSubmitters * kKeysPerSubmitter;
+  std::vector<uint64_t> next(kKeys, 0);  // touched only by the key's lane
+  std::atomic<uint64_t> out_of_order{0};
+  std::atomic<uint64_t> ran{0};
+  LanePool<Item> pool(4, [&](Item& item) {
+    if (next[item.key] != item.n) out_of_order.fetch_add(1);
+    next[item.key] = item.n + 1;
+    ran.fetch_add(1, std::memory_order_relaxed);
   });
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(pool.Submit(p * kPerProducer + i + 1));
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&pool, s] {
+      for (uint64_t n = 0; n < kPerKey; ++n) {
+        for (uint64_t k = 0; k < kKeysPerSubmitter; ++k) {
+          const uint64_t key = s * kKeysPerSubmitter + k;
+          ASSERT_TRUE(pool.Submit(Item{key, n}, key));
+        }
       }
     });
   }
-  for (auto& t : producers) t.join();
+  for (auto& t : submitters) t.join();
   pool.WaitIdle();
-  const uint64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+  EXPECT_EQ(out_of_order.load(), 0u);
+  EXPECT_EQ(ran.load(), kKeys * kPerKey);
   EXPECT_EQ(pool.QueueDepth(), 0u);
-  pool.Shutdown();
-  pool.Shutdown();  // idempotent
-  EXPECT_FALSE(pool.Submit(1));  // after shutdown: rejected, not lost
+  for (uint64_t key = 0; key < kKeys; ++key) EXPECT_EQ(next[key], kPerKey);
 }
 
-TEST(WorkStealingPoolTest, WorkersSubmitRecursively) {
-  // A task submitted from a worker goes to that worker's own queue and
-  // still drains; WaitIdle must count it (queued while another runs).
+TEST(LanePoolTest, WaitIdleCoversRecursiveSubmits) {
+  // A task submits its successor to another key's lane before it returns;
+  // WaitIdle must not observe idle until the whole chain has run.
   std::atomic<int> ran{0};
-  WorkStealingPool<int>* pool_ptr = nullptr;
-  WorkStealingPool<int> pool(2, [&](int& depth) {
+  LanePool<int>* pool_ptr = nullptr;
+  LanePool<int> pool(3, [&](int& depth) {
+    if (depth > 0) {
+      std::this_thread::yield();
+      ASSERT_TRUE(pool_ptr->Submit(depth - 1, static_cast<uint64_t>(depth)));
+    }
     ran.fetch_add(1);
-    if (depth > 0) ASSERT_TRUE(pool_ptr->Submit(depth - 1));
   });
   pool_ptr = &pool;
-  ASSERT_TRUE(pool.Submit(100));
+  ASSERT_TRUE(pool.Submit(200, 0));
   pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 101);
+  EXPECT_EQ(ran.load(), 201);
+}
+
+TEST(LanePoolTest, ShutdownDrainsQueuedTasks) {
+  // Tasks queued behind a slow one still run when Shutdown comes; after
+  // it, Submit is refused and nothing runs.
+  std::atomic<int> ran{0};
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  LanePool<int> pool(2, [&](int& v) {
+    if (v == 0) {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }
+    ran.fetch_add(1);
+  });
+  ASSERT_TRUE(pool.Submit(0, 7));
+  while (!started.load()) std::this_thread::yield();
+  for (int i = 1; i < 100; ++i) ASSERT_TRUE(pool.Submit(i, 7));
+  EXPECT_EQ(pool.QueueDepth(), 99u);  // the lane's worker is busy
+  std::thread closer([&pool] { pool.Shutdown(); });
+  release.store(true);
+  closer.join();
+  EXPECT_EQ(ran.load(), 100);
+  EXPECT_FALSE(pool.Submit(1, 7));
+  pool.Shutdown();  // idempotent
+  EXPECT_EQ(ran.load(), 100);
 }
 
 // -- Concurrent dispatch stress --------------------------------------------
@@ -200,25 +242,24 @@ TEST_F(EventPipelineTest, StripedTxnBookkeepingMergesOnlyCommitted) {
   EXPECT_EQ(em->global_history()->size(), 4u * (kTxns / 2) * 5u);
 }
 
-// -- Composition equivalence: inline vs work-stealing ----------------------
+// -- Composition equivalence: inline vs lanes ------------------------------
 
-// Run the same deterministic feed inline and on the work-stealing pool and
-// demand identical composite completions. Order-sensitive expressions (Seq)
-// use one composition worker, which preserves the feed's FIFO order; the
-// multi-worker configuration uses an order-insensitive History composite.
+// Run the same deterministic feed inline and on the lanes and demand
+// identical composite completions. Each transaction's occurrences share one
+// FIFO lane, so even the order-sensitive Seq holds at four lanes.
 struct Completions {
   std::mutex mu;
   std::map<TxnId, int> per_txn;
 };
 
-TEST_F(EventPipelineTest, SequenceEquivalenceInlineVsWorkStealing) {
+TEST_F(EventPipelineTest, SequenceEquivalenceInlineVsLanes) {
   for (ConsumptionPolicy policy :
        {ConsumptionPolicy::kChronicle, ConsumptionPolicy::kRecent}) {
     std::vector<std::map<TxnId, int>> results;
     for (bool async : {false, true}) {
       EventManagerOptions opts;
       opts.async_composition = async;
-      opts.composition_threads = 1;  // FIFO: Seq is feed-order sensitive
+      opts.composition_threads = 4;
       auto em = Make(opts);
       auto a = em->DefineMethodEvent("ea", "C", "a");
       auto b = em->DefineMethodEvent("eb", "C", "b");
@@ -253,7 +294,7 @@ TEST_F(EventPipelineTest, SequenceEquivalenceInlineVsWorkStealing) {
 }
 
 TEST_F(EventPipelineTest, HistoryEquivalenceUnderParallelComposition) {
-  // Order-insensitive composite, a multi-worker pool, concurrent producers:
+  // Order-insensitive composite, four lanes, concurrent producers:
   // completion counts must still match the inline reference exactly.
   std::vector<std::map<TxnId, int>> results;
   for (bool async : {false, true}) {
@@ -293,6 +334,53 @@ TEST_F(EventPipelineTest, HistoryEquivalenceUnderParallelComposition) {
   // 40 occurrences per (producer, txn) -> exactly 5 completions each.
   for (const auto& [txn, count] : results[0]) EXPECT_EQ(count, 5) << txn;
   EXPECT_EQ(results[0], results[1]);
+}
+
+// End of transaction announced while the transaction's composition is
+// still queued, with no Quiesce in between (no deferred rule forces one).
+// The sweep of the transaction's single-txn instances must run after every
+// one of its occurrences: otherwise a late occurrence re-creates the
+// instance after EOT, it is never swept, and its partial leaks.
+TEST_F(EventPipelineTest, EotSweepRunsAfterQueuedComposition) {
+  constexpr TxnId kTxns = 200;
+  constexpr int kPerTxn = 33;  // History(x, 2): 16 completions + 1 partial
+  EventManagerOptions opts;
+  opts.composition_threads = 4;
+  auto em = Make(opts);
+  auto x = em->DefineMethodEvent("ex", "C", "x");
+  ASSERT_TRUE(x.ok());
+  auto comp = em->DefineComposite(
+      "pair", EventExpr::History(EventExpr::Prim(*x), 2),
+      CompositeScope::kSingleTxn);
+  ASSERT_TRUE(comp.ok());
+  // Per transaction: the timestamps of each completion's constituents.
+  std::mutex mu;
+  std::map<TxnId, std::vector<std::vector<Timestamp>>> done;
+  em->AddEventListener(*comp, [&](const EventOccurrencePtr& occ) {
+    std::vector<Timestamp> parts;
+    for (const auto& c : occ->constituents) parts.push_back(c->timestamp);
+    std::lock_guard<std::mutex> lock(mu);
+    done[occ->txn].push_back(std::move(parts));
+  });
+  for (TxnId txn = 1; txn <= kTxns; ++txn) {
+    for (int i = 1; i <= kPerTxn; ++i) SignalOne(em.get(), *x, txn, i);
+    Commit(em.get(), txn);
+  }
+  em->Quiesce();
+  EXPECT_EQ(em->LivePartials(), 0u);
+  // Every transaction left exactly its one trailing partial to the sweep.
+  EXPECT_EQ(em->CompositorOf(*comp)->stats().discarded_at_eot, kTxns);
+  // Completions pair occurrences (1,2), (3,4), ... (31,32) in order: a
+  // sweep that overtook queued occurrences would shift or drop pairs.
+  ASSERT_EQ(done.size(), kTxns);
+  for (const auto& [txn, completions] : done) {
+    ASSERT_EQ(completions.size(), static_cast<size_t>(kPerTxn / 2)) << txn;
+    for (size_t k = 0; k < completions.size(); ++k) {
+      const std::vector<Timestamp> want = {static_cast<Timestamp>(2 * k + 1),
+                                           static_cast<Timestamp>(2 * k + 2)};
+      EXPECT_EQ(completions[k], want) << "txn " << txn << " completion " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -351,6 +351,46 @@ TEST(MetricsEnvTest, SharedGrammarParses) {
   EXPECT_TRUE(OpenWithSpec("REACH_METRICS", "off").ok());
 }
 
+TEST(FaultsEnvTest, UnknownOrMalformedEntryFailsTheOpen) {
+  const std::string point = faults::kWalAppend;
+  for (const std::string& spec :
+       {std::string("wal.apend=error"), point, point + "=explode",
+        point + "=error:nosuchcode", point + "=error@x", point + "=error@0",
+        point + "=error:io:busy", point + "=crash:io", point + "=perror",
+        point + "=perror:1.5", point + "=perror:io:-0.1",
+        point + "=perror:io:0.5@2",
+        point + "=error@3;" + point + "=perror:x"}) {
+    SCOPED_TRACE(spec);
+    Status st = OpenWithSpec("REACH_FAULTS", spec.c_str());
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("REACH_FAULTS: "), std::string::npos)
+        << st.ToString();
+    EXPECT_TRUE(FaultRegistry::ValidateSpec(spec.c_str()).IsInvalidArgument());
+  }
+  Status st = OpenWithSpec("REACH_FAULTS", "wal.apend=error@3");
+  EXPECT_NE(st.message().find("unknown fault point in 'wal.apend=error@3'"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(FaultsEnvTest, SharedGrammarParses) {
+  const std::string point = faults::kWalAppend;
+  EXPECT_TRUE(FaultRegistry::ValidateSpec(nullptr).ok());
+  for (const std::string& spec :
+       {std::string(""), point + "=error", point + "=error:busy@3",
+        point + "=crash@2", point + "=perror:1", point + "=perror:io:0.25",
+        ";" + point + "=error," + std::string(faults::kWalFlushFsync) +
+            "=perror:corruption:0;"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_TRUE(FaultRegistry::ValidateSpec(spec.c_str()).ok());
+  }
+  // A valid spec opens (nothing is armed: the registry read the
+  // environment once, at process start).
+  EXPECT_TRUE(OpenWithSpec("REACH_FAULTS", (point + "=error@1000").c_str())
+                  .ok());
+  EXPECT_FALSE(FaultRegistry::enabled());
+}
+
 // Parallel queries racing Insert/Update/Delete from other sessions: every
 // statement may succeed or fail with a transactional status (deadlocks
 // resolve as Aborted), but nothing may crash or race (TSan).
