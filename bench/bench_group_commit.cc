@@ -1,14 +1,15 @@
 // Group commit — the acceptance benchmark for the batched WAL flusher
 // (docs/STORAGE.md): N committer threads run insert+commit transactions
-// against one StorageManager and the commit path is swept across batch
-// policies. `items_per_second` is commits/sec; the `fsyncs_per_txn` counter
-// is the piggybacking ratio (1.0 = every commit pays its own fsync). The
-// bar: grouped commit at 16 threads sustains >= 3x the direct (fsync per
-// commit) rate with fsyncs_per_txn < 0.5.
+// against one StorageManager, once with the inline path (one write+fsync
+// per commit) and once with group commit. `items_per_second` is
+// commits/sec; the `fsyncs_per_txn` counter is the piggybacking ratio (1.0 =
+// every commit pays its own fsync). The bar: grouped commit at 16 threads
+// sustains >= 3x the direct (fsync per commit) rate with fsyncs_per_txn
+// < 0.5.
 //
 // Scratch files live under the working directory by default — commit cost
 // is fsync-dominated and /tmp is frequently tmpfs, where fsync is a no-op
-// and every policy looks identical. Set REACH_BENCH_DIR to aim elsewhere.
+// and both paths look identical. Set REACH_BENCH_DIR to aim elsewhere.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -85,20 +86,11 @@ void BM_GroupCommit_Direct(benchmark::State& state) {
 }
 
 void BM_GroupCommit_Grouped(benchmark::State& state) {
-  // Default policy: flush immediately when the flusher is idle, coalesce
+  // The default: flush immediately when the flusher is idle, coalesce
   // whatever arrives while an fsync is in flight.
   WalOptions wal;
   wal.group_commit = true;
   CommitLoop(state, wal, "grouped");
-}
-
-void BM_GroupCommit_GroupedDelay(benchmark::State& state) {
-  // Bounded wait: after a back-to-back batch the flusher lingers up to
-  // 100us to widen the group, trading commit latency for fewer fsyncs.
-  WalOptions wal;
-  wal.group_commit = true;
-  wal.max_batch_delay_us = 100;
-  CommitLoop(state, wal, "grouped_delay");
 }
 
 BENCHMARK(BM_GroupCommit_Direct)
@@ -106,10 +98,6 @@ BENCHMARK(BM_GroupCommit_Direct)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GroupCommit_Grouped)
-    ->Threads(1)->Threads(4)->Threads(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GroupCommit_GroupedDelay)
     ->Threads(1)->Threads(4)->Threads(16)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);

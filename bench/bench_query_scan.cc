@@ -76,7 +76,7 @@ void BM_QueryParallelScan(benchmark::State& state) {
   const std::string query =
       "select k from S where k < " + std::to_string(state.range(1));
   QueryOptions options;
-  options.parallel = workers > 0 ? 1 : 0;
+  options.parallel = workers > 0;
   options.workers = workers > 0 ? workers : 1;
 
   QueryPm qpm;

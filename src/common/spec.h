@@ -1,7 +1,8 @@
-// The REACH_* environment grammar shared by REACH_WAL, REACH_QUERY,
-// REACH_METRICS and REACH_FAULTS: entries separated by ',' or ';', each
+// The REACH_* environment grammar shared by REACH_METRICS and REACH_FAULTS,
+// the only environment settings: entries separated by ',' or ';', each
 // `key` or `key=value` (for REACH_FAULTS the key is a fault point and the
-// value its action, docs/TESTING.md).
+// value its action, docs/TESTING.md). REACH_FAULTS_SEED is one number, read
+// with ParseSpecUnsigned.
 #pragma once
 
 #include <cerrno>

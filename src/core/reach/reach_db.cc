@@ -20,15 +20,15 @@ ReachDb::~ReachDb() {
 
 Result<std::unique_ptr<ReachDb>> ReachDb::Open(const std::string& base_path,
                                                ReachOptions options) {
-  // Like REACH_WAL (checked by the storage open), a bad REACH_QUERY,
-  // REACH_METRICS or REACH_FAULTS refuses the open rather than running the
-  // defaults (for REACH_FAULTS: rather than running with no fault armed).
-  REACH_RETURN_IF_ERROR(
-      QueryOptions::Parse(std::getenv("REACH_QUERY")).status());
+  // A bad REACH_METRICS, REACH_FAULTS or REACH_FAULTS_SEED refuses the open
+  // rather than running the defaults (for the fault settings: rather than
+  // running a fault schedule nobody typed).
   REACH_RETURN_IF_ERROR(
       obs::MetricsSpec::Parse(std::getenv("REACH_METRICS")).status());
   REACH_RETURN_IF_ERROR(
       FaultRegistry::ValidateSpec(std::getenv("REACH_FAULTS")));
+  REACH_RETURN_IF_ERROR(
+      FaultRegistry::ValidateSeed(std::getenv("REACH_FAULTS_SEED")));
   auto reach = std::unique_ptr<ReachDb>(new ReachDb());
   REACH_ASSIGN_OR_RETURN(reach->db_,
                          Database::Open(base_path, options.database));

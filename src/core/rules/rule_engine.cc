@@ -78,6 +78,18 @@ constexpr uint64_t kEvictIdleTicks = 64;
 constexpr int kMaxDeadlockRetries = 8;
 constexpr int64_t kDeadlockRetryWaitUs = 100'000;
 
+/// Third deferred-phase policy (§6.4): rules triggered by simple events fire
+/// ahead of rules triggered by composite events.
+constexpr bool kSimpleEventsFirst = true;
+
+/// Threads of the pool that runs detached rules.
+constexpr size_t kDetachedThreads = 4;
+
+/// Deferred rules may raise events that trigger more deferred rules; a
+/// cascade still pending after this many rounds fails the commit
+/// (termination is undecidable in general [AWH92]).
+constexpr size_t kMaxDeferredRounds = 32;
+
 struct PerRuleSlots {
   struct Slot {
     /// Owning rule's process-unique uid; 0 = free. Cleared before the slot
@@ -185,7 +197,7 @@ void RecordRuleTiming(Rule* rule, CouplingMode mode, uint64_t start_ns,
 RuleEngine::RuleEngine(Database* db, EventManager* events,
                        RuleEngineOptions options)
     : db_(db), events_(events), options_(options) {
-  detached_pool_ = std::make_unique<ThreadPool>(options_.detached_threads);
+  detached_pool_ = std::make_unique<ThreadPool>(kDetachedThreads);
   if (options_.multi_rule_execution ==
       RuleEngineOptions::Execution::kParallelSubtransactions) {
     rule_pool_ = std::make_unique<ThreadPool>(options_.parallel_rule_threads);
@@ -576,7 +588,7 @@ Status RuleEngine::OnPreCommit(TxnId txn) {
     if (deferred_.empty()) return Status::OK();
   }
   Status first_error = Status::OK();
-  for (size_t round = 0; round < options_.max_deferred_rounds; ++round) {
+  for (size_t round = 0;; ++round) {
     // Let asynchronous composition finish so single-transaction composite
     // events of this transaction have been delivered.
     events_->Quiesce();
@@ -591,6 +603,12 @@ Status RuleEngine::OnPreCommit(TxnId txn) {
       }
     }
     if (batch.empty()) break;
+    if (round == kMaxDeferredRounds) {
+      // Dropping the pending firings would commit a half-run cascade; the
+      // transaction manager aborts the transaction instead.
+      return Status::OutOfRange("deferred rule cascade still pending after " +
+                                std::to_string(kMaxDeferredRounds) + " rounds");
+    }
     engine_stats_.deferred_rounds.fetch_add(1, std::memory_order_relaxed);
     engine_stats_.deferred_runs.fetch_add(batch.size(),
                                           std::memory_order_relaxed);
@@ -598,7 +616,6 @@ Status RuleEngine::OnPreCommit(TxnId txn) {
     RuleMetrics::Get().deferred_runs->Inc(batch.size());
 
     // Ordering: priority, then simple-before-composite, then tie-break.
-    bool simple_first = options_.simple_events_first;
     bool oldest_first =
         options_.tie_break == RuleEngineOptions::TieBreak::kOldestFirst;
     std::shared_lock lock(mu_);
@@ -615,7 +632,7 @@ Status RuleEngine::OnPreCommit(TxnId txn) {
           }
           bool a_simple = a.occ->constituents.empty();
           bool b_simple = b.occ->constituents.empty();
-          if (simple_first && a_simple != b_simple) return a_simple;
+          if (kSimpleEventsFirst && a_simple != b_simple) return a_simple;
           return oldest_first
                      ? ra->registration_seq < rb->registration_seq
                      : ra->registration_seq > rb->registration_seq;

@@ -38,15 +38,7 @@ struct RuleEngineOptions {
   /// rule first.
   TieBreak tie_break = TieBreak::kOldestFirst;
 
-  /// Third deferred-phase policy (§6.4): rules triggered by simple events
-  /// fire ahead of rules triggered by composite events.
-  bool simple_events_first = true;
-
-  size_t detached_threads = 4;
   size_t parallel_rule_threads = 4;
-  /// Deferred rules may raise events that trigger more deferred rules;
-  /// bound the cascade (termination is undecidable in general [AWH92]).
-  size_t max_deferred_rounds = 32;
 };
 
 struct RuleEngineStats {

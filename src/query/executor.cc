@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "common/completion.h"
 #include "common/thread_pool.h"
@@ -380,14 +381,14 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
   } else {
     REACH_ASSIGN_OR_RETURN(
         Session::ExtentScan scan,
-        session.ExtentMorsels(stmt.class_name,
-                              options.ResolvedMorselPages()));
+        session.ExtentMorsels(stmt.class_name, options.morsel_pages));
     result.morsels = scan.morsels.size();
     ctx.pool = session.db()->storage()->buffer_pool();
     size_t workers = 1;
-    if (options.ResolvedParallel() && scan.morsels.size() > 1) {
-      workers = std::min(options.ResolvedWorkers(), scan.morsels.size());
-      if (workers == 0) workers = 1;
+    if (options.parallel && scan.morsels.size() > 1) {
+      size_t cap = options.workers != 0 ? options.workers
+                                        : std::thread::hardware_concurrency();
+      workers = std::max<size_t>(1, std::min(cap, scan.morsels.size()));
     }
     result.workers = workers;
     outputs.resize(workers);

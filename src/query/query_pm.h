@@ -1,6 +1,6 @@
 // Query policy manager: the facade over the planner/executor split.
 // Planning (validation + access-path selection) lives in query/planner.h;
-// morsel-parallel execution in query/executor.h; the REACH_QUERY knob in
+// morsel-parallel execution in query/executor.h; the per-query settings in
 // query/query_options.h. See docs/QUERY.md.
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "storage/storage_manager.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "testing/fault_points.h"
@@ -10,10 +9,6 @@ namespace reach {
 
 Result<std::unique_ptr<StorageManager>> StorageManager::Open(
     const std::string& base_path, const StorageOptions& options) {
-  // WalOptions::FromEnv falls back to the defaults on a bad spec; refuse to
-  // open on one instead of silently running a configuration nobody asked
-  // for.
-  REACH_RETURN_IF_ERROR(WalOptions::Parse(std::getenv("REACH_WAL")).status());
   auto sm = std::unique_ptr<StorageManager>(new StorageManager());
   REACH_ASSIGN_OR_RETURN(sm->disk_, DiskManager::Open(base_path + ".db"));
   REACH_ASSIGN_OR_RETURN(sm->wal_, Wal::Open(base_path + ".wal", options.wal));
@@ -24,7 +19,7 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
   // image reaches disk. Pages without an LSN (the meta page) force the
   // whole log.
   sm->pool_->set_pre_write_hook([wal](Lsn page_lsn) {
-    return page_lsn == kInvalidLsn ? wal->Flush() : wal->FlushUpTo(page_lsn);
+    return page_lsn == kInvalidLsn ? wal->Flush() : wal->WaitDurable(page_lsn);
   });
   sm->objects_ = std::make_unique<ObjectStore>(sm->pool_.get(), wal,
                                                /*first_data_page=*/1);

@@ -18,15 +18,13 @@ namespace reach {
 
 struct StorageOptions {
   size_t buffer_pool_pages = 256;
-  WalOptions wal = WalOptions::FromEnv();
+  WalOptions wal;
 };
 
 class StorageManager {
  public:
   /// Open (or create) the database rooted at `base_path`; the data file is
   /// `<base_path>.db` and the log `<base_path>.wal`. Runs crash recovery.
-  /// A REACH_WAL setting with an unknown key or a malformed value fails the
-  /// open with InvalidArgument.
   static Result<std::unique_ptr<StorageManager>> Open(
       const std::string& base_path, const StorageOptions& options = {});
 

@@ -5,11 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/spec.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "testing/fault_points.h"
@@ -85,42 +82,6 @@ bool GetImage(const char* data, size_t len, size_t* pos, WalCellImage* img) {
 }
 
 }  // namespace
-
-Result<WalOptions> WalOptions::Parse(const char* spec) {
-  WalOptions o;
-  REACH_RETURN_IF_ERROR(ForEachSpecEntry(
-      spec, [&o](const std::string& entry, const std::string& key,
-                 const std::string& value) {
-        uint64_t n = 0;
-        bool ok = true;
-        if ((key == "on" || key == "off") && value.empty()) {
-          o.group_commit = key == "on";
-        } else if (key == "group") {
-          ok = ParseSpecBool(value, &o.group_commit);
-        } else if (key == "max_batch_bytes") {
-          ok = ParseSpecUnsigned(value, SIZE_MAX, &n);
-          o.max_batch_bytes = static_cast<size_t>(n);
-        } else if (key == "max_batch_delay_us") {
-          ok = ParseSpecUnsigned(value, UINT32_MAX, &n);
-          o.max_batch_delay_us = static_cast<uint32_t>(n);
-        } else {
-          return Status::InvalidArgument("REACH_WAL: unknown setting '" +
-                                         entry + "'");
-        }
-        if (!ok) {
-          return Status::InvalidArgument("REACH_WAL: malformed value in '" +
-                                         entry + "'");
-        }
-        return Status::OK();
-      }));
-  return o;
-}
-
-WalOptions WalOptions::FromEnv() {
-  static const WalOptions parsed =
-      Parse(std::getenv("REACH_WAL")).value_or(WalOptions{});
-  return parsed;
-}
 
 Wal::~Wal() {
   {
@@ -323,22 +284,9 @@ Status Wal::WaitDurable(Lsn lsn) {
 
 void Wal::FlusherLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  // True when the previous batch completed with another request already
-  // pending — the signal that committers arrive faster than fsyncs finish,
-  // which is when the optional coalescing delay pays off.
-  bool back_to_back = false;
   while (true) {
     work_cv_.wait(lock, [this] { return stop_ || HasPendingWork(); });
     if (stop_) return;
-    if (back_to_back && options_.max_batch_delay_us > 0) {
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(options_.max_batch_delay_us);
-      while (!stop_ && buffer_.size() < options_.max_batch_bytes &&
-             work_cv_.wait_until(lock, deadline) !=
-                 std::cv_status::timeout) {
-      }
-      if (stop_) return;
-    }
     std::string batch;
     batch.swap(buffer_);
     const size_t batch_records = buffer_count_;
@@ -378,7 +326,6 @@ void Wal::FlusherLoop() {
           wait_targets_.begin(), wait_targets_.upper_bound(target)));
       m.group_size->Record(static_cast<uint64_t>(released));
       if (released > 1) m.fsync_saved->Inc(released - 1);
-      back_to_back = HasPendingWork();
     } else {
       if (!wrote && !batch.empty()) {
         // The records never reached the file: restore them (in order) so a
@@ -389,7 +336,6 @@ void Wal::FlusherLoop() {
       ++flush_fail_seq_;
       flush_fail_status_ = st;
       flush_fail_upto_ = target;
-      back_to_back = false;
     }
     durable_cv_.notify_all();
   }

@@ -69,28 +69,12 @@ struct WalRecord {
   std::string payload;
 };
 
-/// Group-commit policy knobs. Defaults come from the REACH_WAL environment
-/// variable (grammar mirroring REACH_METRICS, entries separated by ',' or
-/// ';'): "group=on|off", "max_batch_bytes=<N>", "max_batch_delay_us=<N>".
-/// Bare "on"/"off" toggles group commit.
+/// Group-commit policy (docs/STORAGE.md "Batch policy").
 struct WalOptions {
-  /// Commit piggybacking via the background flusher thread. Off = the
-  /// classic inline path: every Flush() does its own write+fsync.
+  /// Commit piggybacking via the background flusher thread: whatever
+  /// accumulated while the previous fsync ran forms the next batch. Off =
+  /// the classic inline path: every Flush() does its own write+fsync.
   bool group_commit = true;
-  /// When committers arrive back-to-back (a flush request is already
-  /// pending as the previous batch completes), the flusher may linger up to
-  /// max_batch_delay_us for more joiners, but never past max_batch_bytes of
-  /// buffered records. 0 delay = pure piggybacking: whatever accumulated
-  /// while the previous fsync ran forms the next batch.
-  size_t max_batch_bytes = 1u << 20;
-  uint32_t max_batch_delay_us = 0;
-
-  /// Parse a REACH_WAL spec string. An unknown key or a malformed value is
-  /// InvalidArgument naming the entry.
-  static Result<WalOptions> Parse(const char* spec);
-  /// REACH_WAL parsed once. A spec that Parse rejects yields the defaults
-  /// here; StorageManager::Open reports it instead of opening.
-  static WalOptions FromEnv();
 };
 
 class Wal {
@@ -99,9 +83,8 @@ class Wal {
 
   /// Open (creating if necessary) the log file at `path`. Starts the
   /// flusher thread when options.group_commit is set.
-  static Result<std::unique_ptr<Wal>> Open(
-      const std::string& path,
-      const WalOptions& options = WalOptions::FromEnv());
+  static Result<std::unique_ptr<Wal>> Open(const std::string& path,
+                                           const WalOptions& options = {});
 
   /// Append a record; assigns and returns its LSN. Buffered until flushed.
   Result<Lsn> Append(WalRecord record);
@@ -114,9 +97,6 @@ class Wal {
   /// batch write/fsync fails every waiter of that batch with the same
   /// status; waiters that arrive afterwards trigger a retry.
   Status WaitDurable(Lsn lsn);
-
-  /// Alias of WaitDurable for call sites that read better as a flush.
-  Status FlushUpTo(Lsn lsn) { return WaitDurable(lsn); }
 
   /// Highest LSN known to be on stable storage (monotonic watermark).
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
@@ -134,7 +114,7 @@ class Wal {
   /// buffered in memory are not visited. Memory is bounded by
   /// max(window_bytes, largest record) whatever the log size. mu_ is not
   /// held while `visit` runs, so a visitor may force the log (recovery's
-  /// redo can evict a dirty page, whose pre-write hook calls FlushUpTo).
+  /// redo can evict a dirty page, whose pre-write hook calls WaitDurable).
   /// Must not run concurrently with Truncate.
   Status Scan(const ScanVisitor& visit,
               size_t window_bytes = kScanWindowBytes);

@@ -73,9 +73,8 @@ FaultRegistry& FaultRegistry::Instance() {
 
 FaultRegistry::FaultRegistry() : rng_(kDefaultSeed), seed_(kDefaultSeed) {
   for (const char* name : faults::kAll) points_.emplace(name, Point{});
-  if (const char* seed = std::getenv("REACH_FAULTS_SEED")) {
-    SetSeed(std::strtoull(seed, nullptr, 0));
-  }
+  uint64_t seed = kDefaultSeed;
+  if (ParseSeed(std::getenv("REACH_FAULTS_SEED"), &seed).ok()) SetSeed(seed);
   std::vector<SpecEntry> entries;
   if (ParseSpec(std::getenv("REACH_FAULTS"), &entries).ok()) {
     for (const auto& [point, fault] : entries) Arm(point, fault);
@@ -85,6 +84,19 @@ FaultRegistry::FaultRegistry() : rng_(kDefaultSeed), seed_(kDefaultSeed) {
 Status FaultRegistry::ValidateSpec(const char* spec) {
   std::vector<SpecEntry> entries;
   return ParseSpec(spec, &entries);
+}
+
+Status FaultRegistry::ValidateSeed(const char* seed) {
+  uint64_t parsed = 0;
+  return ParseSeed(seed, &parsed);
+}
+
+Status FaultRegistry::ParseSeed(const char* seed, uint64_t* out) {
+  if (seed != nullptr && !ParseSpecUnsigned(seed, UINT64_MAX, out)) {
+    return Status::InvalidArgument(
+        std::string("REACH_FAULTS_SEED: malformed value '") + seed + "'");
+  }
+  return Status::OK();
 }
 
 // REACH_FAULTS grammar (entries separated by ';' or ','):

@@ -55,7 +55,8 @@ class FaultRegistry {
  public:
   /// Process-wide singleton. First call parses REACH_FAULTS /
   /// REACH_FAULTS_SEED from the environment (format in docs/TESTING.md).
-  /// A REACH_FAULTS spec that does not parse arms nothing.
+  /// A REACH_FAULTS spec that does not parse arms nothing; a malformed seed
+  /// leaves the default seed.
   static FaultRegistry& Instance();
 
   /// Check a REACH_FAULTS spec against the shared REACH_* grammar
@@ -64,6 +65,11 @@ class FaultRegistry {
   /// outside [0, 1] is InvalidArgument naming the entry; ReachDb::Open
   /// refuses to open on one.
   static Status ValidateSpec(const char* spec);
+
+  /// Check a REACH_FAULTS_SEED value: an unsigned 64-bit number (decimal,
+  /// 0x-hex or 0-octal) with nothing after it, or nullptr (unset). Anything
+  /// else is InvalidArgument; ReachDb::Open refuses to open on one.
+  static Status ValidateSeed(const char* seed);
 
   /// Fast global gate: true iff any point is armed. Inlined into the
   /// REACH_FAULT_POINT macro so disabled injection costs one relaxed load.
@@ -129,6 +135,9 @@ class FaultRegistry {
   using SpecEntry = std::pair<std::string, Armed>;
   /// Parse a REACH_FAULTS spec into (point, fault) pairs; see ValidateSpec.
   static Status ParseSpec(const char* spec, std::vector<SpecEntry>* out);
+  /// Parse a REACH_FAULTS_SEED value into *out (untouched when unset); see
+  /// ValidateSeed.
+  static Status ParseSeed(const char* seed, uint64_t* out);
   void Arm(const std::string& point, Armed fault);
   Status DoEvaluate(const char* point, bool keyed, uint64_t key);
   static Status MakeError(Status::Code code, const std::string& point);

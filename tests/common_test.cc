@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/clock.h"
-#include "common/mpmc_queue.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -160,98 +159,6 @@ TEST(ThreadPoolTest, WaitIdleWaitsForRunningTask) {
   });
   pool.WaitIdle();
   EXPECT_TRUE(done.load());
-}
-
-TEST(MpmcQueueTest, FifoOrder) {
-  MpmcQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  for (int i = 0; i < 10; ++i) {
-    auto v = q.TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(MpmcQueueTest, CloseDrainsAndStops) {
-  MpmcQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(MpmcQueueTest, ConcurrentProducersConsumers) {
-  MpmcQueue<int> q;
-  std::atomic<int64_t> sum{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      while (auto v = q.Pop()) sum.fetch_add(*v);
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 1; i <= 1000; ++i) q.Push(i);
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(sum.load(), 4 * 1000 * 1001 / 2);
-}
-
-TEST(MpmcQueueTest, CloseWakesAllBlockedConsumers) {
-  // Consumers parked in Pop() on an empty queue must all wake with nullopt
-  // when the queue closes — a missed notify_all here would hang the event
-  // pipeline's shutdown.
-  MpmcQueue<int> q;
-  std::atomic<int> woke{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      auto v = q.Pop();
-      EXPECT_FALSE(v.has_value());
-      woke.fetch_add(1);
-    });
-  }
-  // Give the consumers a moment to actually block in Pop().
-  while (q.Size() != 0) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(MpmcQueueTest, PushAfterCloseIsRejectedAndInvisible) {
-  MpmcQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_FALSE(q.Push(3));
-  // The rejected pushes must not be enqueued.
-  EXPECT_EQ(q.Size(), 1u);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(MpmcQueueTest, DrainAfterClosePreservesFifoThenSignalsEnd) {
-  MpmcQueue<int> q;
-  for (int i = 1; i <= 5; ++i) q.Push(i);
-  q.Close();
-  // Pop (blocking form) keeps yielding queued items in order after Close...
-  for (int i = 1; i <= 5; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  // ...and only then reports end-of-stream, from every API.
-  EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_FALSE(q.TryPop().has_value());
-  EXPECT_EQ(q.Size(), 0u);
 }
 
 TEST(RandomTest, DeterministicGivenSeed) {

@@ -29,11 +29,10 @@ class GroupCommitTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultRegistry::Instance().DisarmAll(); }
 
-  static StorageOptions GroupedOptions(uint32_t delay_us = 0) {
+  static StorageOptions GroupedOptions() {
     StorageOptions opts;
     opts.buffer_pool_pages = 16;
     opts.wal.group_commit = true;
-    opts.wal.max_batch_delay_us = delay_us;
     return opts;
   }
 };
@@ -127,12 +126,9 @@ TEST_F(GroupCommitTest, BatchFailureFailsEveryWaiterWithSameStatus) {
 
 TEST_F(GroupCommitTest, WaitDurableUnderConcurrentCommitAndAbort) {
   // Commit and abort traffic interleaved over the flusher: the TSan matrix
-  // runs this against the flusher thread's locking discipline. A small
-  // coalescing delay widens the batching window.
+  // runs this against the flusher thread's locking discipline.
   TempDir dir;
-  auto sm =
-      StorageManager::Open(dir.DbPath(), GroupedOptions(/*delay_us=*/200))
-          .value();
+  auto sm = StorageManager::Open(dir.DbPath(), GroupedOptions()).value();
   TransactionManager tm(sm.get());
 
   constexpr int kThreads = 8;
@@ -216,9 +212,7 @@ TEST_F(GroupCommitTest, GroupCommitRecordsGroupingMetrics) {
   reg.ResetAll();
   TempDir dir;
   {
-    auto sm =
-        StorageManager::Open(dir.DbPath(), GroupedOptions(/*delay_us=*/500))
-            .value();
+    auto sm = StorageManager::Open(dir.DbPath(), GroupedOptions()).value();
     TransactionManager tm(sm.get());
     constexpr int kThreads = 8;
     std::vector<std::thread> committers;

@@ -28,13 +28,13 @@ using reach::testing::TempDir;
 
 QueryOptions Serial() {
   QueryOptions o;
-  o.parallel = 0;
+  o.parallel = false;
   return o;
 }
 
 QueryOptions Parallel(size_t workers, size_t morsel_pages = 4) {
   QueryOptions o;
-  o.parallel = 1;
+  o.parallel = true;
   o.workers = workers;
   o.morsel_pages = morsel_pages;
   return o;
@@ -258,64 +258,15 @@ TEST_F(QueryParallelTest, CrashFaultRethrowsOnQueryingThread) {
   EXPECT_EQ(Run("select k from P", Parallel(4, 1)).rows.size(), 80u);
 }
 
-TEST_F(QueryParallelTest, QueryOptionsParseAndDefaults) {
-  QueryOptions o =
-      QueryOptions::Parse("parallel=off,morsel_pages=2,workers=3").value();
-  EXPECT_EQ(o.parallel, 0);
-  EXPECT_EQ(o.morsel_pages, 2u);
-  EXPECT_EQ(o.workers, 3u);
-  EXPECT_FALSE(o.ResolvedParallel());
-  EXPECT_EQ(o.ResolvedMorselPages(), 2u);
-  EXPECT_EQ(o.ResolvedWorkers(), 3u);
-  QueryOptions defaults = QueryOptions::Parse(nullptr).value();
-  EXPECT_TRUE(defaults.ResolvedParallel());
-  EXPECT_EQ(defaults.ResolvedMorselPages(),
-            QueryOptions::kDefaultMorselPages);
-  EXPECT_GE(defaults.ResolvedWorkers(), 1u);
-  QueryOptions on = QueryOptions::Parse("parallel=on").value();
-  EXPECT_EQ(on.parallel, 1);
-}
-
-// REACH_QUERY and REACH_METRICS reject what they do not know, like
-// REACH_WAL: the open fails with InvalidArgument naming the entry. The
-// variable is set only for the duration of one open.
+// REACH_METRICS and REACH_FAULTS reject what they do not know: the open
+// fails with InvalidArgument naming the entry. The variable is set only for
+// the duration of one open.
 Status OpenWithSpec(const char* var, const char* spec) {
   ::setenv(var, spec, 1);
   TempDir dir;
   Status st = ReachDb::Open(dir.DbPath()).status();
   ::unsetenv(var);
   return st;
-}
-
-Status OpenWithQuerySpec(const char* spec) {
-  return OpenWithSpec("REACH_QUERY", spec);
-}
-
-TEST(QueryEnvTest, UnknownKeyFailsTheOpen) {
-  for (const char* spec : {"bogus=1", "future=x", "parallel=on,bogus=1"}) {
-    SCOPED_TRACE(spec);
-    Status st = OpenWithQuerySpec(spec);
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.message().find("REACH_QUERY: unknown setting"),
-              std::string::npos)
-        << st.ToString();
-  }
-  Status st = OpenWithQuerySpec("workers=2,bogus=1");
-  EXPECT_NE(st.message().find("'bogus=1'"), std::string::npos)
-      << st.ToString();
-  // The same spec without the unknown entry opens.
-  EXPECT_TRUE(OpenWithQuerySpec("workers=2").ok());
-}
-
-TEST(QueryEnvTest, MalformedValueFailsTheOpen) {
-  for (const char* spec :
-       {"workers=two", "workers=", "morsel_pages=-1", "morsel_pages=4k",
-        "parallel=maybe"}) {
-    SCOPED_TRACE(spec);
-    Status st = OpenWithQuerySpec(spec);
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.message().find(spec), std::string::npos) << st.ToString();
-  }
 }
 
 TEST(MetricsEnvTest, UnknownOrMalformedEntryFailsTheOpen) {
@@ -389,6 +340,28 @@ TEST(FaultsEnvTest, SharedGrammarParses) {
   EXPECT_TRUE(OpenWithSpec("REACH_FAULTS", (point + "=error@1000").c_str())
                   .ok());
   EXPECT_FALSE(FaultRegistry::enabled());
+}
+
+// REACH_FAULTS_SEED is a whole unsigned number: a seed that strtoull would
+// read only in part (or not at all) refuses the open instead of running a
+// fault schedule that cannot be reproduced from what was typed.
+TEST(FaultsEnvTest, MalformedSeedFailsTheOpen) {
+  for (const char* seed :
+       {"12x", "abc", "", "-1", "+7", "0x", "1.5", "18446744073709551616"}) {
+    SCOPED_TRACE(seed);
+    Status st = OpenWithSpec("REACH_FAULTS_SEED", seed);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("REACH_FAULTS_SEED: malformed value"),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_TRUE(FaultRegistry::ValidateSeed(seed).IsInvalidArgument());
+  }
+  EXPECT_TRUE(FaultRegistry::ValidateSeed(nullptr).ok());
+  for (const char* seed : {"0", "12", "0x2a", "18446744073709551615"}) {
+    SCOPED_TRACE(seed);
+    EXPECT_TRUE(FaultRegistry::ValidateSeed(seed).ok());
+    EXPECT_TRUE(OpenWithSpec("REACH_FAULTS_SEED", seed).ok());
+  }
 }
 
 // Parallel queries racing Insert/Update/Delete from other sessions: every

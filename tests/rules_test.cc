@@ -265,6 +265,38 @@ TEST_F(RulesTest, DeferredCascadeRuns) {
   ASSERT_TRUE(check.Commit().ok());
 }
 
+TEST_F(RulesTest, DeferredCascadePastTheRoundBoundAbortsTheCommit) {
+  // The same cascade with no terminating condition: each round's action
+  // enqueues another firing. Once the cascade is still pending after the
+  // round bound, the commit fails and the transaction aborts, instead of
+  // committing with the pending firings dropped.
+  Oid counter = MakeCounter();
+  auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
+  RuleSpec spec;
+  spec.name = "runaway";
+  spec.event = *ev;
+  spec.coupling = CouplingMode::kDeferred;
+  spec.action = [counter](Session& s, const EventOccurrence&) -> Status {
+    auto r = s.Invoke(counter, "bump");
+    return r.ok() ? Status::OK() : r.status();
+  };
+  ASSERT_TRUE(db_->rules()->DefineRule(std::move(spec)).ok());
+
+  Session s(db_->database());
+  ASSERT_TRUE(s.Begin().ok());
+  ASSERT_TRUE(s.Invoke(counter, "bump").ok());
+  Status st = s.Commit();
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_NE(st.message().find("deferred rule cascade"), std::string::npos)
+      << st.ToString();
+  Session check(db_->database());
+  ASSERT_TRUE(check.Begin().ok());
+  Result<Value> n = check.GetAttr(counter, "n");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n->as_int(), 0);
+  ASSERT_TRUE(check.Commit().ok());
+}
+
 TEST_F(RulesTest, DetachedRuleRunsInIndependentTransaction) {
   Oid counter = MakeCounter();
   auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/reach/reach_db.h"
 #include "oodb/database.h"
 #include "oodb/session.h"
 #include "storage/buffer_pool.h"
@@ -991,70 +989,6 @@ TEST_F(DiskBatchFaultTest, SubmitAndCompleteFaultsDegradeGracefully) {
     auto body = (*reopened)->objects()->Read(oid);
     ASSERT_TRUE(body.ok());
     EXPECT_EQ(*body, "survives the fault");
-  }
-}
-
-// REACH_WAL rejects what it does not know instead of silently running the
-// defaults. Each case sets the variable only for the duration of one open;
-// the cached FromEnv value is never a valid non-default spec here, so later
-// tests still see the defaults.
-class StorageEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override { ::unsetenv("REACH_WAL"); }
-
-  /// Open a fresh database with REACH_WAL=spec and return the open's status.
-  Status OpenWith(const char* spec) {
-    ::setenv("REACH_WAL", spec, 1);
-    TempDir dir;
-    Status st = StorageManager::Open(dir.DbPath()).status();
-    ::unsetenv("REACH_WAL");
-    return st;
-  }
-};
-
-TEST_F(StorageEnvTest, RemovedWalKeyAndMalformedNumbersFailTheOpen) {
-  for (const char* spec : {"adaptive", "adaptive=on", "adaptive=off",
-                           "group=on,adaptive", "max_batch_delay_us=fast"}) {
-    SCOPED_TRACE(spec);
-    Status st = OpenWith(spec);
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  }
-}
-
-TEST_F(StorageEnvTest, ReachDbOpenReportsTheBadEntry) {
-  ::setenv("REACH_WAL", "group=on,adaptive", 1);
-  TempDir dir;
-  auto db = ReachDb::Open(dir.DbPath());
-  ::unsetenv("REACH_WAL");
-  ASSERT_FALSE(db.ok());
-  EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
-  EXPECT_NE(db.status().message().find("'adaptive'"), std::string::npos);
-  // The same path opens once the variable is gone.
-  EXPECT_TRUE(ReachDb::Open(dir.DbPath()).ok());
-}
-
-TEST(WalOptionsTest, ParsesGroupCommitKnobs) {
-  auto o = WalOptions::Parse(
-      "group=off;max_batch_bytes=4096,max_batch_delay_us=50");
-  ASSERT_TRUE(o.ok()) << o.status().ToString();
-  EXPECT_FALSE(o->group_commit);
-  EXPECT_EQ(o->max_batch_bytes, 4096u);
-  EXPECT_EQ(o->max_batch_delay_us, 50u);
-  EXPECT_TRUE(WalOptions::Parse(nullptr)->group_commit);
-  EXPECT_TRUE(WalOptions::Parse("on")->group_commit);
-  EXPECT_FALSE(WalOptions::Parse("off")->group_commit);
-  EXPECT_TRUE(WalOptions::Parse("group=true")->group_commit);
-}
-
-TEST(WalOptionsTest, RejectsUnknownEntriesAndMalformedNumbers) {
-  for (const char* bad :
-       {"adaptive", "adaptive=on", "group=on,adaptive", "future=1",
-        "group=maybe", "on=1", "max_batch_bytes=", "max_batch_delay_us=fast",
-        "max_batch_delay_us=5000000000"}) {
-    SCOPED_TRACE(bad);
-    auto r = WalOptions::Parse(bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
   }
 }
 
