@@ -83,6 +83,8 @@ Status DataDictionary::Store(
 
 Status DataDictionary::Bind(TxnId txn, const std::string& name,
                             const Oid& oid) {
+  // Before mu_: waiting here must not block other transactions' Lookups.
+  REACH_RETURN_IF_ERROR(locks_->Acquire(txn, root_, LockMode::kExclusive));
   std::lock_guard<std::mutex> lock(mu_);
   REACH_ASSIGN_OR_RETURN(auto entries, Load());
   for (const auto& [n, _] : entries) {
@@ -94,6 +96,7 @@ Status DataDictionary::Bind(TxnId txn, const std::string& name,
 
 Status DataDictionary::Rebind(TxnId txn, const std::string& name,
                               const Oid& oid) {
+  REACH_RETURN_IF_ERROR(locks_->Acquire(txn, root_, LockMode::kExclusive));
   std::lock_guard<std::mutex> lock(mu_);
   REACH_ASSIGN_OR_RETURN(auto entries, Load());
   for (auto& [n, o] : entries) {
@@ -116,6 +119,7 @@ Result<Oid> DataDictionary::Lookup(const std::string& name) {
 }
 
 Status DataDictionary::Unbind(TxnId txn, const std::string& name) {
+  REACH_RETURN_IF_ERROR(locks_->Acquire(txn, root_, LockMode::kExclusive));
   std::lock_guard<std::mutex> lock(mu_);
   REACH_ASSIGN_OR_RETURN(auto entries, Load());
   for (size_t i = 0; i < entries.size(); ++i) {

@@ -2,6 +2,12 @@
 // names ("Block A") to OIDs; persisted as a single root object whose OID
 // lives in the storage meta page. Extent anchors and other system objects
 // are registered here under reserved "__" names.
+//
+// Bind, Rebind and Unbind X-lock the root object for the binding
+// transaction before reading it: the root is rewritten whole, so without
+// the lock one transaction's abort (a physical undo of the root) would
+// erase another's committed binding. Lookup reads the latest image
+// without a lock.
 #pragma once
 
 #include <mutex>
@@ -12,12 +18,14 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/storage_manager.h"
+#include "txn/lock_manager.h"
 
 namespace reach {
 
 class DataDictionary {
  public:
-  explicit DataDictionary(StorageManager* storage) : storage_(storage) {}
+  DataDictionary(StorageManager* storage, LockManager* locks)
+      : storage_(storage), locks_(locks) {}
 
   /// Load (or create) the dictionary root object. Runs in its own
   /// bootstrap transaction id supplied by the caller.
@@ -42,6 +50,7 @@ class DataDictionary {
                const std::vector<std::pair<std::string, Oid>>& entries);
 
   StorageManager* storage_;
+  LockManager* locks_;
   std::mutex mu_;
   Oid root_;
 };

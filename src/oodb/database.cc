@@ -43,7 +43,8 @@ Result<std::unique_ptr<Database>> Database::Open(
   REACH_ASSIGN_OR_RETURN(db->storage_,
                          StorageManager::Open(base_path, options.storage));
   db->txns_ = std::make_unique<TransactionManager>(db->storage_.get());
-  db->dictionary_ = std::make_unique<DataDictionary>(db->storage_.get());
+  db->dictionary_ = std::make_unique<DataDictionary>(db->storage_.get(),
+                                                    db->txns_->locks());
 
   // Dictionary bootstrap runs in its own transaction.
   REACH_ASSIGN_OR_RETURN(TxnId boot, db->txns_->Begin());

@@ -1,71 +1,6 @@
 #include "oodb/persistence_pm.h"
 
-#include <cstring>
-
-#include "storage/slotted_page.h"
-
 namespace reach {
-
-namespace {
-
-// Extent chunk layout: [next chunk oid (8)][count u16][oid]*count
-// Anchor layout: [head chunk oid (8)]
-
-struct Chunk {
-  Oid next;
-  std::vector<Oid> oids;
-};
-
-std::string EncodeChunk(const Chunk& c) {
-  std::string out;
-  char buf[SlottedPage::kOidEncodedSize];
-  SlottedPage::EncodeOid(c.next, buf);
-  out.append(buf, sizeof(buf));
-  uint16_t count = static_cast<uint16_t>(c.oids.size());
-  out.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const Oid& oid : c.oids) {
-    SlottedPage::EncodeOid(oid, buf);
-    out.append(buf, sizeof(buf));
-  }
-  return out;
-}
-
-Result<Chunk> DecodeChunk(const std::string& bytes) {
-  Chunk c;
-  size_t pos = 0;
-  if (bytes.size() < SlottedPage::kOidEncodedSize + sizeof(uint16_t)) {
-    return Status::Corruption("extent chunk truncated");
-  }
-  c.next = SlottedPage::DecodeOid(bytes.data());
-  pos += SlottedPage::kOidEncodedSize;
-  uint16_t count = 0;
-  std::memcpy(&count, bytes.data() + pos, sizeof(count));
-  pos += sizeof(count);
-  if (pos + count * SlottedPage::kOidEncodedSize > bytes.size()) {
-    return Status::Corruption("extent chunk truncated (oids)");
-  }
-  c.oids.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    c.oids.push_back(SlottedPage::DecodeOid(bytes.data() + pos));
-    pos += SlottedPage::kOidEncodedSize;
-  }
-  return c;
-}
-
-std::string EncodeAnchor(const Oid& head) {
-  char buf[SlottedPage::kOidEncodedSize];
-  SlottedPage::EncodeOid(head, buf);
-  return std::string(buf, sizeof(buf));
-}
-
-Result<Oid> DecodeAnchor(const std::string& bytes) {
-  if (bytes.size() < SlottedPage::kOidEncodedSize) {
-    return Status::Corruption("extent anchor truncated");
-  }
-  return SlottedPage::DecodeOid(bytes.data());
-}
-
-}  // namespace
 
 PersistencePm::PersistencePm(StorageManager* storage,
                              TransactionManager* txns,
@@ -83,6 +18,8 @@ PersistencePm::~PersistencePm() { txns_->RemoveListener(this); }
 
 void PersistencePm::OnAbort(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(open_anchors_,
+                [txn](const auto& entry) { return entry.second.first == txn; });
   auto it = touched_.find(txn);
   if (it == touched_.end()) return;
   for (const Oid& oid : it->second) cache_.erase(oid);
@@ -92,10 +29,19 @@ void PersistencePm::OnAbort(TxnId txn) {
 void PersistencePm::OnCommit(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
   touched_.erase(txn);
+  std::erase_if(open_anchors_, [&](const auto& entry) {
+    const auto& [creator, class_name] = entry.second;
+    if (creator != txn) return false;
+    anchors_.emplace(class_name, entry.first);
+    return true;
+  });
 }
 
 void PersistencePm::OnCommitChild(TxnId child, TxnId parent) {
   std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [anchor, created] : open_anchors_) {
+    if (created.first == child) created.first = parent;
+  }
   auto it = touched_.find(child);
   if (it == touched_.end()) return;
   touched_[parent].merge(it->second);
@@ -118,12 +64,15 @@ Result<Oid> PersistencePm::Persist(TxnId txn, DbObject* obj) {
     return Status::NotFound("class " + obj->class_name() +
                             " not registered");
   }
-  REACH_ASSIGN_OR_RETURN(Oid oid,
-                         storage_->objects()->Insert(txn, obj->Serialize()));
+  // The extent lock comes first: a scan holding it S must never see an
+  // uncommitted cell on one of the class's pages.
+  REACH_ASSIGN_OR_RETURN(
+      Oid anchor, LockExtent(txn, obj->class_name(), LockMode::kExclusive));
+  REACH_ASSIGN_OR_RETURN(
+      Oid oid, storage_->objects()->Insert(txn, obj->Serialize(), anchor));
   obj->set_oid(oid);
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
-  REACH_RETURN_IF_ERROR(ExtentAdd(txn, obj->class_name(), oid));
   {
     std::lock_guard<std::mutex> lock(mu_);
     cache_[oid] = std::make_shared<DbObject>(*obj);
@@ -247,11 +196,16 @@ Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
   if (txn == kNoTxn) {
     return Status::FailedPrecondition("delete outside a transaction");
   }
+  // Need the class to lock its extent and parameterize the delete event.
+  // The extent X lock comes before the object's: a scan holds the extent S
+  // while it S-locks objects, so the other order would deadlock a delete
+  // with every scan covering its object. Freeing the cell is what takes the
+  // object out of the extent.
+  REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj, Fetch(txn, oid));
+  REACH_RETURN_IF_ERROR(
+      LockExtent(txn, obj->class_name(), LockMode::kExclusive).status());
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
-  // Need the class to fix the extent and parameterize the delete event.
-  REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj, Fetch(txn, oid));
-  REACH_RETURN_IF_ERROR(ExtentRemove(txn, obj->class_name(), oid));
 
   // Announce before the storage delete so rules can still read the object
   // (the persistent-C++ destructor-event semantics of §4).
@@ -271,91 +225,75 @@ Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
   return Status::OK();
 }
 
-Result<Oid> PersistencePm::ExtentAnchor(TxnId txn,
-                                        const std::string& class_name) {
-  std::string name = ExtentName(class_name);
-  auto found = dictionary_->Lookup(name);
-  if (found.ok()) return found;
-  if (!found.status().IsNotFound()) return found.status();
-  // Create a fresh anchor; a concurrent creator may win the Bind race.
-  REACH_ASSIGN_OR_RETURN(
-      Oid anchor,
-      storage_->objects()->Insert(txn, EncodeAnchor(kInvalidOid)));
-  Status bind = dictionary_->Bind(txn, name, anchor);
-  if (bind.IsAlreadyExists()) {
-    REACH_RETURN_IF_ERROR(storage_->objects()->Delete(txn, anchor));
-    return dictionary_->Lookup(name);
+Result<Oid> PersistencePm::LockExtent(TxnId txn,
+                                      const std::string& class_name,
+                                      LockMode mode) {
+  Oid cached;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = anchors_.find(class_name);
+    if (it != anchors_.end()) cached = it->second;
   }
-  if (!bind.ok()) return bind;
-  return anchor;
-}
-
-Status PersistencePm::ExtentAdd(TxnId txn, const std::string& class_name,
-                                const Oid& oid) {
-  REACH_ASSIGN_OR_RETURN(Oid anchor, ExtentAnchor(txn, class_name));
-  REACH_RETURN_IF_ERROR(
-      txns_->locks()->Acquire(txn, anchor, LockMode::kExclusive));
-  REACH_ASSIGN_OR_RETURN(std::string anchor_bytes,
-                         storage_->objects()->Read(anchor));
-  REACH_ASSIGN_OR_RETURN(Oid head, DecodeAnchor(anchor_bytes));
-  if (head.valid()) {
-    REACH_ASSIGN_OR_RETURN(std::string chunk_bytes,
-                           storage_->objects()->Read(head));
-    REACH_ASSIGN_OR_RETURN(Chunk chunk, DecodeChunk(chunk_bytes));
-    if (chunk.oids.size() < kChunkCapacity) {
-      chunk.oids.push_back(oid);
-      return storage_->objects()->Update(txn, head, EncodeChunk(chunk));
-    }
+  if (cached.valid()) {
+    REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, cached, mode));
+    return cached;
   }
-  Chunk fresh;
-  fresh.next = head;
-  fresh.oids.push_back(oid);
-  REACH_ASSIGN_OR_RETURN(Oid new_head,
-                         storage_->objects()->Insert(txn, EncodeChunk(fresh)));
-  return storage_->objects()->Update(txn, anchor, EncodeAnchor(new_head));
-}
-
-Status PersistencePm::ExtentRemove(TxnId txn, const std::string& class_name,
-                                   const Oid& oid) {
-  REACH_ASSIGN_OR_RETURN(Oid anchor, ExtentAnchor(txn, class_name));
-  REACH_RETURN_IF_ERROR(
-      txns_->locks()->Acquire(txn, anchor, LockMode::kExclusive));
-  REACH_ASSIGN_OR_RETURN(std::string anchor_bytes,
-                         storage_->objects()->Read(anchor));
-  REACH_ASSIGN_OR_RETURN(Oid cur, DecodeAnchor(anchor_bytes));
-  while (cur.valid()) {
-    REACH_ASSIGN_OR_RETURN(std::string chunk_bytes,
-                           storage_->objects()->Read(cur));
-    REACH_ASSIGN_OR_RETURN(Chunk chunk, DecodeChunk(chunk_bytes));
-    for (size_t i = 0; i < chunk.oids.size(); ++i) {
-      if (chunk.oids[i] == oid) {
-        chunk.oids.erase(chunk.oids.begin() + i);
-        return storage_->objects()->Update(txn, cur, EncodeChunk(chunk));
+  const std::string name = ExtentName(class_name);
+  for (;;) {
+    auto found = dictionary_->Lookup(name);
+    if (found.ok()) {
+      REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, *found, mode));
+      // The lock outwaits any other transaction that created the anchor
+      // (it holds it X until it ends); an aborted creator's binding is
+      // undone by then, so look again.
+      auto again = dictionary_->Lookup(name);
+      if (again.ok() && *again == *found) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!open_anchors_.contains(*found)) {
+          anchors_.emplace(class_name, *found);
+        }
+        return *found;
       }
+      if (!again.ok() && !again.status().IsNotFound()) return again.status();
+      continue;
     }
-    cur = chunk.next;
+    if (!found.status().IsNotFound() || mode == LockMode::kShared) {
+      return found.status();
+    }
+    // First object of the class: create and bind its anchor. The anchor is
+    // X-locked before it is bound, so no other transaction gets past the
+    // lock above until this one has ended (and left open_anchors_).
+    REACH_ASSIGN_OR_RETURN(Oid anchor,
+                           storage_->objects()->Insert(txn, class_name));
+    REACH_RETURN_IF_ERROR(
+        txns_->locks()->Acquire(txn, anchor, LockMode::kExclusive));
+    Status bind = dictionary_->Bind(txn, name, anchor);
+    if (bind.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_anchors_.emplace(anchor, std::make_pair(txn, class_name));
+      return anchor;
+    }
+    if (!bind.IsAlreadyExists()) return bind;
+    // Another transaction bound the class first; use its anchor.
+    REACH_RETURN_IF_ERROR(storage_->objects()->Delete(txn, anchor));
   }
-  return Status::NotFound("oid not in extent of " + class_name);
+}
+
+Result<std::vector<PageId>> PersistencePm::ExtentPages(
+    TxnId txn, const std::string& class_name) {
+  auto anchor = LockExtent(txn, class_name, LockMode::kShared);
+  if (anchor.status().IsNotFound()) return std::vector<PageId>{};
+  if (!anchor.ok()) return anchor.status();
+  return storage_->objects()->OwnedPages(*anchor);
 }
 
 Result<std::vector<Oid>> PersistencePm::Extent(TxnId txn,
                                                const std::string& class_name) {
-  std::string name = ExtentName(class_name);
-  auto anchor = dictionary_->Lookup(name);
-  if (anchor.status().IsNotFound()) return std::vector<Oid>{};  // empty
-  if (!anchor.ok()) return anchor.status();
-  REACH_RETURN_IF_ERROR(
-      txns_->locks()->Acquire(txn, anchor.value(), LockMode::kShared));
-  REACH_ASSIGN_OR_RETURN(std::string anchor_bytes,
-                         storage_->objects()->Read(anchor.value()));
-  REACH_ASSIGN_OR_RETURN(Oid cur, DecodeAnchor(anchor_bytes));
+  REACH_ASSIGN_OR_RETURN(std::vector<PageId> pages,
+                         ExtentPages(txn, class_name));
   std::vector<Oid> out;
-  while (cur.valid()) {
-    REACH_ASSIGN_OR_RETURN(std::string chunk_bytes,
-                           storage_->objects()->Read(cur));
-    REACH_ASSIGN_OR_RETURN(Chunk chunk, DecodeChunk(chunk_bytes));
-    out.insert(out.end(), chunk.oids.begin(), chunk.oids.end());
-    cur = chunk.next;
+  for (PageId page : pages) {
+    REACH_RETURN_IF_ERROR(storage_->objects()->AppendHomes(page, &out));
   }
   return out;
 }

@@ -1,6 +1,14 @@
 // Persistence policy manager: object faulting, the object cache, class
-// extents (as chunked linked lists), and write-through of attribute
-// updates. Announces persist/fetch/delete events on the meta bus.
+// extents, and write-through of attribute updates. Announces
+// persist/fetch/delete events on the meta bus.
+//
+// A class extent is the set of slotted pages its extent anchor owns
+// (docs/STORAGE.md "Page owners"): Persist stores each object on a page of
+// its class, and the extent is read back as the home cells of those pages,
+// so no extent list is written per insert. The anchor — an object bound as
+// "__extent::<Class>" in the dictionary — is also the extent's lock:
+// inserters and deleters hold it X (taken before the store insert), scans
+// hold it S, which keeps phantoms out of a scan.
 #pragma once
 
 #include <memory>
@@ -38,8 +46,8 @@ class PersistencePm : public PolicyManager, public TxnListener {
   /// parent abort still invalidates the child's cache entries.
   void OnCommitChild(TxnId child, TxnId parent) override;
 
-  /// Make a transient object persistent: assigns an OID, stores it, adds
-  /// it to its class extent, announces kPersist.
+  /// Make a transient object persistent: X-locks its class extent, stores
+  /// it on a page of that extent (assigning the OID), announces kPersist.
   Result<Oid> Persist(TxnId txn, DbObject* obj);
 
   /// Fault an object in (S-locks it). Announces kFetch.
@@ -56,32 +64,35 @@ class PersistencePm : public PolicyManager, public TxnListener {
   /// Write an updated attribute set back to the store (X-locks the OID).
   Status Write(TxnId txn, const DbObject& obj);
 
-  /// Delete a persistent object: removes it from its extent, announces
+  /// Delete a persistent object: X-locks its class extent, announces
   /// kDelete (with the object's class so deletion-triggered rules fire —
   /// the §4 layered-architecture pain point), then frees storage.
   Status Delete(TxnId txn, const Oid& oid);
 
-  /// OIDs in the extent of exactly `class_name`.
+  /// OIDs in the extent of exactly `class_name`, in Oid order. S-locks
+  /// the extent.
   Result<std::vector<Oid>> Extent(TxnId txn, const std::string& class_name);
+
+  /// Pages of the extent of exactly `class_name`, ascending; their home
+  /// cells are the extent (ObjectStore::AppendHomes). S-locks the extent.
+  Result<std::vector<PageId>> ExtentPages(TxnId txn,
+                                          const std::string& class_name);
 
   /// Cache statistics.
   size_t cached_objects() const;
   uint64_t faults() const { return faults_; }
 
  private:
-  static constexpr size_t kChunkCapacity = 256;
-
   /// Extent anchors are named "__extent::<Class>" in the dictionary.
   static std::string ExtentName(const std::string& class_name) {
     return "__extent::" + class_name;
   }
 
-  /// Get (creating on demand) the anchor object for a class extent.
-  Result<Oid> ExtentAnchor(TxnId txn, const std::string& class_name);
-
-  Status ExtentAdd(TxnId txn, const std::string& class_name, const Oid& oid);
-  Status ExtentRemove(TxnId txn, const std::string& class_name,
-                      const Oid& oid);
+  /// Resolve the anchor of `class_name`'s extent and lock it in `mode`.
+  /// kExclusive creates the anchor on demand; kShared returns NotFound for
+  /// a class with no anchor yet.
+  Result<Oid> LockExtent(TxnId txn, const std::string& class_name,
+                         LockMode mode);
 
   void TrackTouch(TxnId txn, const Oid& oid);
 
@@ -95,6 +106,12 @@ class PersistencePm : public PolicyManager, public TxnListener {
   std::unordered_map<Oid, std::shared_ptr<DbObject>> cache_;
   std::unordered_map<TxnId, std::unordered_set<Oid>> touched_;
   uint64_t faults_ = 0;
+  // Class -> extent anchor, for anchors whose creator committed (an anchor
+  // is never rebound once committed). Guarded by mu_.
+  std::unordered_map<std::string, Oid> anchors_;
+  // Anchors bound by unfinished transactions: anchor -> (creator, class).
+  // The creator's commit moves them into anchors_; its abort drops them.
+  std::unordered_map<Oid, std::pair<TxnId, std::string>> open_anchors_;
 };
 
 }  // namespace reach

@@ -215,34 +215,31 @@ Result<std::vector<Oid>> Session::Extent(const std::string& class_name,
   return out;
 }
 
-Result<Session::ExtentScan> Session::ExtentMorsels(
+Result<std::vector<Session::ExtentMorsel>> Session::ExtentMorsels(
     const std::string& class_name, size_t morsel_pages,
     bool include_subclasses) {
+  REACH_RETURN_IF_ERROR(RequireTxn());
   if (morsel_pages == 0) morsel_pages = 1;
-  ExtentScan scan;
-  REACH_ASSIGN_OR_RETURN(scan.oids, Extent(class_name, include_subclasses));
-  // Canonical scan order: Oid's (page, slot, generation) ordering groups
-  // each home page's objects into one contiguous run.
-  std::sort(scan.oids.begin(), scan.oids.end());
-  ExtentMorsel cur;
-  for (size_t i = 0; i < scan.oids.size(); ++i) {
-    PageId page = scan.oids[i].page;
-    bool new_page = cur.pages.empty() || cur.pages.back() != page;
-    if (new_page && cur.pages.size() == morsel_pages) {
-      cur.end = i;
-      scan.morsels.push_back(std::move(cur));
-      cur = ExtentMorsel{};
-      cur.begin = i;
-    }
-    if (cur.pages.empty() || cur.pages.back() != page) {
-      cur.pages.push_back(page);
-    }
+  std::vector<PageId> pages;
+  std::vector<std::string> classes =
+      include_subclasses ? db_->types()->SelfAndSubclasses(class_name)
+                         : std::vector<std::string>{class_name};
+  for (const std::string& cls : classes) {
+    REACH_ASSIGN_OR_RETURN(
+        std::vector<PageId> part,
+        db_->persistence()->ExtentPages(current_txn(), cls));
+    pages.insert(pages.end(), part.begin(), part.end());
   }
-  if (!cur.pages.empty()) {
-    cur.end = scan.oids.size();
-    scan.morsels.push_back(std::move(cur));
+  // Each page has one owner, so sorting the union keeps page order (and
+  // with it Oid order) across a class and its subclasses.
+  std::sort(pages.begin(), pages.end());
+  std::vector<ExtentMorsel> morsels;
+  for (size_t i = 0; i < pages.size(); i += morsel_pages) {
+    morsels.emplace_back(
+        pages.begin() + i,
+        pages.begin() + std::min(pages.size(), i + morsel_pages));
   }
-  return scan;
+  return morsels;
 }
 
 Status Session::FetchMany(const std::vector<Oid>& oids,

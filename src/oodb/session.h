@@ -88,27 +88,15 @@ class Session {
   Result<std::vector<Oid>> Extent(const std::string& class_name,
                                   bool include_subclasses = true);
 
-  /// One page-aligned partition of an extent scan: `pages` are the distinct
-  /// home pages (ascending, at most the morsel size), [begin, end) the
-  /// slice of ExtentScan::oids whose objects live on them.
-  struct ExtentMorsel {
-    std::vector<PageId> pages;
-    size_t begin = 0;
-    size_t end = 0;
-  };
-
-  /// An extent in canonical scan order — OIDs sorted by (page, slot,
-  /// generation) — partitioned into morsels of at most `morsel_pages`
-  /// distinct home pages each. The canonical order makes morsel boundaries
-  /// (and thus parallel query merges) independent of extent-chunk layout.
-  struct ExtentScan {
-    std::vector<Oid> oids;
-    std::vector<ExtentMorsel> morsels;
-  };
-
-  Result<ExtentScan> ExtentMorsels(const std::string& class_name,
-                                   size_t morsel_pages,
-                                   bool include_subclasses = true);
+  /// An extent scan cut into morsels: the pages of the class's extent
+  /// (subclasses included) in ascending page order, in consecutive runs of
+  /// at most `morsel_pages` pages. A morsel's objects are the home cells of
+  /// its pages (ObjectStore::AppendHomes), so concatenating the morsels in
+  /// order visits the extent in Oid order. S-locks every extent scanned.
+  using ExtentMorsel = std::vector<PageId>;
+  Result<std::vector<ExtentMorsel>> ExtentMorsels(
+      const std::string& class_name, size_t morsel_pages,
+      bool include_subclasses = true);
 
   /// Batch Fetch in input order (see PersistencePm::FetchMany). Safe to call
   /// from parallel query workers while the session's transaction stack is

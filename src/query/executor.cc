@@ -67,7 +67,7 @@ struct GroupState {
 };
 using GroupMap = std::map<std::string, GroupState>;  // by encoded key
 
-/// One worker's partial result: hits in canonical scan order (the worker
+/// One worker's partial result: hits in page order (the worker
 /// owns a contiguous morsel slice, so concatenating outputs in worker order
 /// reproduces the serial sequence exactly).
 struct WorkerOutput {
@@ -81,7 +81,8 @@ struct ScanContext {
   Session* session;
   const SelectStatement* stmt;
   const QueryPlan* plan;
-  BufferPool* pool;  // morsel readahead; null on the index path
+  ObjectStore* store;  // morsel page listing; null on the index path
+  BufferPool* pool;    // morsel readahead; null on the index path
 };
 
 /// Evaluate the plan's fast prefix directly against the attribute map.
@@ -199,24 +200,25 @@ Status ProcessObject(const ScanContext& ctx, const Oid& oid,
   return Status::OK();
 }
 
-Status RunMorsel(const ScanContext& ctx, const Session::ExtentScan& scan,
-                 const Session::ExtentMorsel& m, WorkerOutput* out) {
+Status RunMorsel(const ScanContext& ctx, const Session::ExtentMorsel& pages,
+                 WorkerOutput* out) {
   {
     Status st = REACH_FAULT_HIT(faults::kQueryMorsel);
     if (!st.ok()) return st;
   }
-  // Warm the morsel's home pages, windowed so one call never floods the
-  // pool. Readahead failure only costs performance (FetchPage falls back to
-  // a per-page read), so it is not propagated.
-  for (size_t i = 0; i < m.pages.size();
-       i += ObjectStore::kScanReadAheadPages) {
-    size_t n =
-        std::min(m.pages.size() - i, ObjectStore::kScanReadAheadPages);
-    std::vector<PageId> window(m.pages.begin() + i, m.pages.begin() + i + n);
+  // List the home cells of the morsel's pages, warming them window by
+  // window so one call never floods the pool. Readahead failure only costs
+  // performance (FetchPage falls back to a per-page read), so it is not
+  // propagated.
+  std::vector<Oid> oids;
+  for (size_t i = 0; i < pages.size(); i += ObjectStore::kScanReadAheadPages) {
+    size_t n = std::min(pages.size() - i, ObjectStore::kScanReadAheadPages);
+    std::vector<PageId> window(pages.begin() + i, pages.begin() + i + n);
     (void)ctx.pool->ReadAhead(window);
+    for (PageId page : window) {
+      REACH_RETURN_IF_ERROR(ctx.store->AppendHomes(page, &oids));
+    }
   }
-  std::vector<Oid> oids(scan.oids.begin() + m.begin,
-                        scan.oids.begin() + m.end);
   std::vector<std::shared_ptr<DbObject>> objs;
   REACH_RETURN_IF_ERROR(ctx.session->FetchMany(oids, &objs));
   bool use_fast = !ctx.plan->fast_prefix.empty();
@@ -240,26 +242,27 @@ std::shared_ptr<ThreadPool> ScanPool(size_t workers) {
   return *pool;
 }
 
-Status RunParallel(const ScanContext& ctx, const Session::ExtentScan& scan,
+Status RunParallel(const ScanContext& ctx,
+                   const std::vector<Session::ExtentMorsel>& morsels,
                    size_t workers, std::vector<WorkerOutput>* outputs) {
   std::shared_ptr<ThreadPool> pool = ScanPool(workers);
   CompletionLatch latch(workers);
   std::atomic<bool> cancel{false};
   std::mutex crash_mu;
   std::exception_ptr crash;
-  size_t n = scan.morsels.size();
+  size_t n = morsels.size();
   size_t base = n / workers, rem = n % workers;
   size_t lo = 0;
   for (size_t w = 0; w < workers; ++w) {
     size_t hi = lo + base + (w < rem ? 1 : 0);
     WorkerOutput* out = &(*outputs)[w];
-    bool accepted = pool->Submit([&ctx, &scan, &latch, &cancel, &crash,
+    bool accepted = pool->Submit([&ctx, &morsels, &latch, &cancel, &crash,
                                   &crash_mu, lo, hi, out] {
       Status st;
       try {
         for (size_t m = lo;
              m < hi && !cancel.load(std::memory_order_relaxed); ++m) {
-          st = RunMorsel(ctx, scan, scan.morsels[m], out);
+          st = RunMorsel(ctx, morsels[m], out);
           if (!st.ok()) {
             cancel.store(true, std::memory_order_relaxed);
             break;
@@ -364,7 +367,7 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
                                 const QueryOptions& options) {
   uint64_t start = obs::NowNanos();
   QueryResult result;
-  ScanContext ctx{&session, &stmt, &plan, nullptr};
+  ScanContext ctx{&session, &stmt, &plan, nullptr, nullptr};
   std::vector<WorkerOutput> outputs;
 
   if (plan.access != QueryPlan::Access::kExtentScan) {
@@ -380,24 +383,25 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
     }
   } else {
     REACH_ASSIGN_OR_RETURN(
-        Session::ExtentScan scan,
+        std::vector<Session::ExtentMorsel> morsels,
         session.ExtentMorsels(stmt.class_name, options.morsel_pages));
-    result.morsels = scan.morsels.size();
+    result.morsels = morsels.size();
+    ctx.store = session.db()->storage()->objects();
     ctx.pool = session.db()->storage()->buffer_pool();
     size_t workers = 1;
-    if (options.parallel && scan.morsels.size() > 1) {
+    if (options.parallel && morsels.size() > 1) {
       size_t cap = options.workers != 0 ? options.workers
                                         : std::thread::hardware_concurrency();
-      workers = std::max<size_t>(1, std::min(cap, scan.morsels.size()));
+      workers = std::max<size_t>(1, std::min(cap, morsels.size()));
     }
     result.workers = workers;
     outputs.resize(workers);
     if (workers <= 1) {
-      for (const Session::ExtentMorsel& m : scan.morsels) {
-        REACH_RETURN_IF_ERROR(RunMorsel(ctx, scan, m, &outputs[0]));
+      for (const Session::ExtentMorsel& m : morsels) {
+        REACH_RETURN_IF_ERROR(RunMorsel(ctx, m, &outputs[0]));
       }
     } else {
-      REACH_RETURN_IF_ERROR(RunParallel(ctx, scan, workers, &outputs));
+      REACH_RETURN_IF_ERROR(RunParallel(ctx, morsels, workers, &outputs));
     }
   }
 

@@ -1,12 +1,12 @@
 // Query executor: runs a planned statement. Index plans probe serially in
 // index order; extent scans are partitioned into page-aligned morsels and
 // fanned over a shared worker pool (docs/QUERY.md "Morsel execution").
-// Each worker warms its morsel via BufferPool::ReadAhead, batch-fetches the
-// morsel's objects, applies the plan's fast predicate prefix before full
-// evaluation, and accumulates partial results (rows tagged with their
-// canonical scan ordinal, and per-group aggregate states). Partials merge
-// in worker order over contiguous morsel slices, so parallel output is
-// byte-identical to the serial fallback.
+// A morsel is a run of the extent's pages; each worker warms its pages via
+// BufferPool::ReadAhead, lists their home cells, batch-fetches those
+// objects, applies the plan's fast predicate prefix before full evaluation,
+// and accumulates partial results (rows in page order, and per-group
+// aggregate states). Partials merge in worker order over contiguous morsel
+// slices, so parallel output is byte-identical to the serial fallback.
 #pragma once
 
 #include <memory>

@@ -56,6 +56,7 @@ Status ObjectStore::Bootstrap() {
     std::lock_guard<std::mutex> flock(free_mu_);
     free_space_.clear();
     by_space_.clear();
+    owned_.clear();
   }
   // The disk manager knows how many pages exist; scan the data range in
   // readahead-sized chunks so the cold pass goes down as batched backend
@@ -101,43 +102,61 @@ Status ObjectStore::LogPhysical(TxnId txn, SlottedPage* sp, PageId page,
 void ObjectStore::NoteFreeSpace(PageId page, const SlottedPage& sp) {
   const size_t space = sp.FreeSpaceForInsert();
   std::lock_guard<std::mutex> lock(free_mu_);
-  auto [it, inserted] = free_space_.try_emplace(page, space);
-  if (!inserted) {
-    if (it->second == space) return;
-    by_space_.erase({it->second, page});
-    it->second = space;
+  // A page's owner is fixed once it is formatted, so the owner read at the
+  // first note is the page's for good.
+  auto [it, inserted] =
+      free_space_.try_emplace(page, PageSpace{sp.owner(), space});
+  PageSpace& entry = it->second;
+  if (inserted) {
+    std::vector<PageId>& pages = owned_[entry.owner];
+    pages.insert(std::lower_bound(pages.begin(), pages.end(), page), page);
+  } else {
+    if (entry.space == space) return;
+    by_space_.erase({entry.owner, entry.space, page});
+    entry.space = space;
   }
-  by_space_.emplace(space, page);
+  by_space_.emplace(entry.owner, space, page);
 }
 
-Result<PageId> ObjectStore::PageWithSpace(size_t need) {
+Result<PageId> ObjectStore::PageWithSpace(const Oid& owner, size_t need) {
   {
     std::lock_guard<std::mutex> lock(free_mu_);
-    auto it = by_space_.lower_bound({need, 0});
-    if (it != by_space_.end()) return it->second;
+    auto it = by_space_.lower_bound({owner, need, 0});
+    if (it != by_space_.end() && std::get<0>(*it) == owner) {
+      return std::get<2>(*it);
+    }
   }
   REACH_ASSIGN_OR_RETURN(Page * page, pool_->NewPage());
   PageGuard guard(pool_, page);
   guard.MarkDirty();
-  SlottedPage sp(page);
-  sp.Init();
   PageId id = page->page_id();
   if (id < first_data_page_) {
     // Reserved page numbers are claimed by the storage manager before any
     // object traffic, so this indicates a bootstrapping bug.
     return Status::Internal("data page allocated in reserved range");
   }
+  SlottedPage sp(page);
+  sp.Init(owner);
+  // The owner must survive a crash before the page is flushed: redo formats
+  // the page from this record. If it cannot be logged the page is never
+  // offered for inserts (a flushed copy still carries its owner).
+  WalRecord rec;
+  rec.type = WalRecordType::kPageFormat;
+  rec.page = id;
+  rec.owner = owner;
+  REACH_ASSIGN_OR_RETURN(Lsn lsn, wal_->Append(std::move(rec)));
+  sp.set_lsn(lsn);
   NoteFreeSpace(id, sp);
   return id;
 }
 
-Result<Oid> ObjectStore::InsertCell(TxnId txn, std::string_view payload,
-                                    SlotFlag flag) {
+Result<Oid> ObjectStore::InsertCell(TxnId txn, const Oid& owner,
+                                    std::string_view payload, SlotFlag flag) {
   if (payload.size() > kMaxCellBytes) {
     return Status::InvalidArgument("cell payload too large");
   }
   REACH_ASSIGN_OR_RETURN(PageId page_id,
-                         PageWithSpace(payload.size() + kMinCellSlack));
+                         PageWithSpace(owner, payload.size() + kMinCellSlack));
   return InsertCellAt(txn, page_id, payload, flag);
 }
 
@@ -258,7 +277,8 @@ Result<std::string> ObjectStore::BuildBody(TxnId txn, std::string_view bytes) {
     SlottedPage::EncodeOid(next, oid_buf);
     seg.append(oid_buf, SlottedPage::kOidEncodedSize);
     seg.append(it->data(), it->size());
-    REACH_ASSIGN_OR_RETURN(next, InsertCell(txn, seg, SlotFlag::kMoved));
+    REACH_ASSIGN_OR_RETURN(
+        next, InsertCell(txn, kInvalidOid, seg, SlotFlag::kMoved));
   }
   std::string head;
   head.reserve(kEnvelopeMax + head_len);
@@ -325,7 +345,8 @@ Result<std::string> ObjectStore::AssembleBody(const std::string& head_payload) {
   return out;
 }
 
-Result<Oid> ObjectStore::Insert(TxnId txn, std::string_view bytes) {
+Result<Oid> ObjectStore::Insert(TxnId txn, std::string_view bytes,
+                                const Oid& owner) {
   if (bytes.size() + 1 <= kMaxCellBytes) {
     // Single-page fast path: an unsegmented object touches exactly one data
     // page, so a shared op lock plus that page's stripe suffices — readers
@@ -338,8 +359,8 @@ Result<Oid> ObjectStore::Insert(TxnId txn, std::string_view bytes) {
     payload.push_back(kWhole);
     payload.append(bytes.data(), bytes.size());
     for (int attempt = 0; attempt < 8; ++attempt) {
-      REACH_ASSIGN_OR_RETURN(PageId page_id,
-                             PageWithSpace(payload.size() + kMinCellSlack));
+      REACH_ASSIGN_OR_RETURN(
+          PageId page_id, PageWithSpace(owner, payload.size() + kMinCellSlack));
       std::unique_lock<std::shared_mutex> plock(PageLockFor(page_id));
       auto oid = InsertCellAt(txn, page_id, payload, SlotFlag::kLive);
       if (oid.ok() || !oid.status().IsOutOfRange()) return oid;
@@ -347,7 +368,7 @@ Result<Oid> ObjectStore::Insert(TxnId txn, std::string_view bytes) {
   }
   std::unique_lock<std::shared_mutex> lock(op_mu_);
   REACH_ASSIGN_OR_RETURN(std::string head, BuildBody(txn, bytes));
-  return InsertCell(txn, head, SlotFlag::kLive);
+  return InsertCell(txn, owner, head, SlotFlag::kLive);
 }
 
 Result<std::string> ObjectStore::Read(const Oid& oid) {
@@ -420,7 +441,8 @@ Status ObjectStore::Update(TxnId txn, const Oid& oid, std::string_view bytes) {
   if (home_flag == SlotFlag::kForward) {
     REACH_RETURN_IF_ERROR(DeleteCell(txn, body_oid));
   }
-  REACH_ASSIGN_OR_RETURN(Oid new_body, InsertCell(txn, head, SlotFlag::kMoved));
+  REACH_ASSIGN_OR_RETURN(Oid new_body,
+                         InsertCell(txn, kInvalidOid, head, SlotFlag::kMoved));
   char fwd[SlottedPage::kOidEncodedSize];
   SlottedPage::EncodeOid(new_body, fwd);
   return UpdateCellInPlace(txn, oid,
@@ -473,7 +495,6 @@ bool ObjectStore::Exists(const Oid& oid) {
 }
 
 Result<std::vector<Oid>> ObjectStore::ScanAll() {
-  std::shared_lock<std::shared_mutex> lock(op_mu_);
   // Snapshot the data pages (the map keeps them in page order), then visit
   // them without holding the free-space mutex.
   std::vector<PageId> pages;
@@ -492,67 +513,85 @@ Result<std::vector<Oid>> ObjectStore::ScanAll() {
           pages.begin() + std::min(pages.size(), i + kScanReadAheadPages));
       REACH_RETURN_IF_ERROR(pool_->ReadAhead(window));
     }
-    const PageId page_id = pages[i];
-    std::shared_lock<std::shared_mutex> plock(PageLockFor(page_id));
-    REACH_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
-    PageGuard guard(pool_, page);
-    SlottedPage sp(page);
-    for (const auto& [slot, flag] : sp.OccupiedSlots()) {
-      if (flag == SlotFlag::kLive || flag == SlotFlag::kForward) {
-        Oid oid;
-        oid.page = page_id;
-        oid.slot = slot;
-        auto gen = sp.Generation(slot);
-        if (!gen.ok()) return gen.status();
-        oid.generation = gen.value();
-        out.push_back(oid);
-      }
-    }
+    REACH_RETURN_IF_ERROR(AppendHomes(pages[i], &out));
   }
   return out;
+}
+
+std::vector<PageId> ObjectStore::OwnedPages(const Oid& owner) {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  auto it = owned_.find(owner);
+  return it == owned_.end() ? std::vector<PageId>{} : it->second;
+}
+
+Status ObjectStore::AppendHomes(PageId page_id, std::vector<Oid>* out) {
+  std::shared_lock<std::shared_mutex> lock(op_mu_);
+  std::shared_lock<std::shared_mutex> plock(PageLockFor(page_id));
+  REACH_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
+  PageGuard guard(pool_, page);
+  SlottedPage sp(page);
+  for (const auto& [slot, flag] : sp.OccupiedSlots()) {
+    if (flag != SlotFlag::kLive && flag != SlotFlag::kForward) continue;
+    REACH_ASSIGN_OR_RETURN(uint16_t gen, sp.Generation(slot));
+    out->push_back(Oid{page_id, slot, gen});
+  }
+  return Status::OK();
+}
+
+Result<Page*> ObjectStore::FetchForRedo(PageId page_id) {
+  for (;;) {
+    auto page = pool_->FetchPage(page_id);
+    if (page.ok() || !page.status().IsOutOfRange()) return page;
+    // An unowned placeholder: a page's kPageFormat record replays before
+    // any image of it and sets the owner. Placeholders stay out of the
+    // free-space map, which Bootstrap rebuilds after recovery.
+    REACH_ASSIGN_OR_RETURN(Page * fresh, pool_->NewPage());
+    PageGuard guard(pool_, fresh);
+    guard.MarkDirty();
+    SlottedPage(fresh).Init();
+  }
 }
 
 Status ObjectStore::ApplyImage(PageId page_id, SlotId slot,
                                const WalCellImage& img, Lsn lsn) {
   std::unique_lock<std::shared_mutex> lock(op_mu_);
-  // Recovery may reference pages the (possibly truncated) data file does
-  // not have yet; allocate up to the target page.
-  for (;;) {
-    auto page = pool_->FetchPage(page_id);
-    if (page.ok()) {
-      PageGuard guard(pool_, page.value());
-      SlottedPage sp(page.value());
-      if (!sp.IsInitialized()) sp.Init();
-      // Conditional redo: a flushed page image already reflects every
-      // record at or below its pageLSN. Re-applying them is not just
-      // wasted work — replaying old history on top of a newer page can
-      // transiently need more cell space than the page has.
-      if (lsn != 0 && sp.lsn() >= lsn) return Status::OK();
-      Status st;
-      if (img.flag == static_cast<uint16_t>(SlotFlag::kFree)) {
-        st = sp.FreeAt(slot, img.generation);
-      } else {
-        st = sp.PlaceAt(slot, img.generation, img.bytes.data(),
-                        img.bytes.size(), static_cast<SlotFlag>(img.flag));
-      }
-      if (st.ok()) {
-        if (lsn != 0) sp.set_lsn(lsn);
-        guard.MarkDirty();
-        NoteFreeSpace(page_id, sp);
-      }
-      return st;
-    }
-    if (!page.status().IsOutOfRange()) return page.status();
-    auto fresh = pool_->NewPage();
-    if (!fresh.ok()) return fresh.status();
-    PageGuard guard(pool_, fresh.value());
-    guard.MarkDirty();
-    SlottedPage sp(fresh.value());
-    sp.Init();
-    if (fresh.value()->page_id() >= first_data_page_) {
-      NoteFreeSpace(fresh.value()->page_id(), sp);
-    }
+  REACH_ASSIGN_OR_RETURN(Page * page, FetchForRedo(page_id));
+  PageGuard guard(pool_, page);
+  SlottedPage sp(page);
+  if (!sp.IsInitialized()) sp.Init();
+  // Conditional redo: a flushed page image already reflects every record
+  // at or below its pageLSN. Re-applying them is not just wasted work —
+  // replaying old history on top of a newer page can transiently need more
+  // cell space than the page has.
+  if (lsn != 0 && sp.lsn() >= lsn) return Status::OK();
+  Status st;
+  if (img.flag == static_cast<uint16_t>(SlotFlag::kFree)) {
+    st = sp.FreeAt(slot, img.generation);
+  } else {
+    st = sp.PlaceAt(slot, img.generation, img.bytes.data(), img.bytes.size(),
+                    static_cast<SlotFlag>(img.flag));
   }
+  if (st.ok()) {
+    if (lsn != 0) sp.set_lsn(lsn);
+    guard.MarkDirty();
+    NoteFreeSpace(page_id, sp);
+  }
+  return st;
+}
+
+Status ObjectStore::ApplyFormat(PageId page_id, const Oid& owner, Lsn lsn) {
+  std::unique_lock<std::shared_mutex> lock(op_mu_);
+  REACH_ASSIGN_OR_RETURN(Page * page, FetchForRedo(page_id));
+  PageGuard guard(pool_, page);
+  SlottedPage sp(page);
+  // The format is the first record of a page's life, so an initialized
+  // page below `lsn` is one of FetchForRedo's placeholders.
+  if (sp.IsInitialized() && sp.lsn() >= lsn) return Status::OK();
+  sp.Init(owner);
+  sp.set_lsn(lsn);
+  guard.MarkDirty();
+  NoteFreeSpace(page_id, sp);
+  return Status::OK();
 }
 
 Status ObjectStore::ApplyImageLogged(TxnId txn, PageId page_id, SlotId slot,

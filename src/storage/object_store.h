@@ -17,9 +17,16 @@
 // write. Multi-page mutations (relocation, forwarding, segment chains,
 // recovery applies) fall back to the operation lock exclusive. No path ever
 // holds two page stripes at once, so the stripes cannot deadlock. The
-// free-space map has its own mutex and is indexed by free bytes, so picking
-// a page for an insert costs O(log pages) however large the store grows;
-// page stripes are always taken before the free-space mutex.
+// free-space map has its own mutex and is indexed by (owner, free bytes), so
+// picking a page for an insert costs O(log pages) however large the store
+// grows; page stripes are always taken before the free-space mutex.
+//
+// Page owners: every data page belongs to one owner for its whole life — a
+// class extent anchor, or kInvalidOid (unowned). Insert places an object's
+// home cell only on pages of the owner it names, so a class extent is the
+// set of home cells on its owner's pages (OwnedPages + AppendHomes) and
+// needs no list of its own. Formatting a page appends one redo-only
+// kPageFormat record; nothing else about ownership is logged.
 #pragma once
 
 #include <functional>
@@ -29,6 +36,8 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -50,12 +59,15 @@ class ObjectStore {
   /// morsels) so one warming call never floods the pool.
   static constexpr size_t kScanReadAheadPages = 32;
 
-  /// Rebuild the free-space map by scanning existing pages. Call once after
-  /// recovery / open.
+  /// Rebuild the free-space map and the owner -> pages index by scanning
+  /// existing pages. Call once after recovery / open.
   Status Bootstrap();
 
-  /// Store a new object; returns its stable OID.
-  Result<Oid> Insert(TxnId txn, std::string_view bytes);
+  /// Store a new object; returns its stable OID. The home cell lands on a
+  /// page of `owner` (formatted on demand); continuation segments of a
+  /// large object go to unowned pages.
+  Result<Oid> Insert(TxnId txn, std::string_view bytes,
+                     const Oid& owner = kInvalidOid);
 
   /// Read an object (follows forwarding stubs and segment chains).
   Result<std::string> Read(const Oid& oid);
@@ -72,6 +84,13 @@ class ObjectStore {
   /// Home OIDs of every live object.
   Result<std::vector<Oid>> ScanAll();
 
+  /// Data pages owned by `owner`, ascending.
+  std::vector<PageId> OwnedPages(const Oid& owner);
+
+  /// Append the home OIDs on `page` (kLive and kForward cells; kMoved
+  /// bodies and segments belong to homes elsewhere), in slot order.
+  Status AppendHomes(PageId page, std::vector<Oid>* out);
+
   /// Recovery support: apply a physical image directly to a page. Not
   /// WAL-logged — only recovery may use this. A nonzero `lsn` makes the
   /// apply conditional (redo): pages whose pageLSN already covers `lsn`
@@ -79,6 +98,10 @@ class ObjectStore {
   /// passes 0 to apply unconditionally.
   Status ApplyImage(PageId page, SlotId slot, const WalCellImage& img,
                     Lsn lsn = 0);
+
+  /// Recovery redo of a kPageFormat record: format `page` for `owner`
+  /// unless its pageLSN already covers `lsn`.
+  Status ApplyFormat(PageId page, const Oid& owner, Lsn lsn);
 
   /// Transaction-rollback support: restore a cell to `target`, logging the
   /// change as a regular (compensating) physical record of `txn` so a crash
@@ -116,12 +139,15 @@ class ObjectStore {
   // that in-place head updates usually succeed).
   static constexpr size_t kHeadChunk = 1024;
 
-  /// Pick (or allocate) a page with at least `need` insertable bytes: the
-  /// best fit (least such space, then lowest page id), O(log pages).
-  Result<PageId> PageWithSpace(size_t need);
+  /// Pick (or format) a page of `owner` with at least `need` insertable
+  /// bytes: the best fit (least such space, then lowest page id), O(log
+  /// pages).
+  Result<PageId> PageWithSpace(const Oid& owner, size_t need);
 
-  /// Insert one raw cell; logs the mutation; returns its OID.
-  Result<Oid> InsertCell(TxnId txn, std::string_view payload, SlotFlag flag);
+  /// Insert one raw cell on a page of `owner`; logs the mutation; returns
+  /// its OID.
+  Result<Oid> InsertCell(TxnId txn, const Oid& owner,
+                         std::string_view payload, SlotFlag flag);
 
   /// Insert one raw cell on exactly `page_id`; OutOfRange if it no longer
   /// fits there (the free-space entry is refreshed so retries move on).
@@ -161,7 +187,12 @@ class ObjectStore {
   Status LogPhysical(TxnId txn, SlottedPage* sp, PageId page, SlotId slot,
                      const WalCellImage& before, const WalCellImage& after);
 
+  /// Record `page`'s owner and insertable bytes in the free-space map.
   void NoteFreeSpace(PageId page, const SlottedPage& sp);
+
+  /// Fetch `page` for redo, allocating pages up to it when the data file is
+  /// shorter (recovery may reference pages that never reached disk).
+  Result<Page*> FetchForRedo(PageId page);
 
   /// Striped per-page lock (see the concurrency note above). These order
   /// page *content* access; `free_mu_` guards the free-space map.
@@ -179,13 +210,19 @@ class ObjectStore {
   // Tier two: per-page striped locks ordering page-content access among
   // op_mu_ shared holders.
   std::shared_mutex page_locks_[kPageLockStripes];
-  // Free-space map: insertable bytes per data page, in page order, plus the
-  // same entries ordered by (insertable bytes, page) so PageWithSpace's
-  // best fit is one lower_bound. `free_mu_` guards both; it is taken after
-  // op_mu_ and any page stripe, and nothing is locked while holding it.
+  // Free-space map: owner and insertable bytes per data page, in page
+  // order; the same entries ordered by (owner, insertable bytes, page) so
+  // PageWithSpace's best fit is one lower_bound; and each owner's pages,
+  // ascending. `free_mu_` guards all three; it is taken after op_mu_ and
+  // any page stripe, and nothing is locked while holding it.
+  struct PageSpace {
+    Oid owner;
+    size_t space = 0;
+  };
   std::mutex free_mu_;
-  std::map<PageId, size_t> free_space_;
-  std::set<std::pair<size_t, PageId>> by_space_;
+  std::map<PageId, PageSpace> free_space_;
+  std::set<std::tuple<Oid, size_t, PageId>> by_space_;
+  std::unordered_map<Oid, std::vector<PageId>> owned_;
   MutationListener mutation_listener_;
 };
 

@@ -34,8 +34,9 @@ Status RecoveryManager::Recover(RecoveryStats* stats) {
   }
   stats->loser_txns = losers.size();
 
-  // Redo: repeat history. Conditional on the page LSN — pages flushed after
-  // a record already contain its effect and are left untouched. The losers'
+  // Redo: repeat history, page formats (with their owners) included.
+  // Conditional on the page LSN — pages flushed after a record already
+  // contain its effect and are left untouched. The losers'
   // before-images are collected on the way: undo needs nothing else.
   struct UndoImage {
     PageId page;
@@ -44,6 +45,10 @@ Status RecoveryManager::Recover(RecoveryStats* stats) {
   };
   std::vector<UndoImage> undo;
   REACH_RETURN_IF_ERROR(wal_->Scan([&](WalRecord& rec) {
+    if (rec.type == WalRecordType::kPageFormat) {
+      ++stats->records_redone;
+      return store_->ApplyFormat(rec.page, rec.owner, rec.lsn);
+    }
     if (rec.type != WalRecordType::kPhysical) return Status::OK();
     REACH_RETURN_IF_ERROR(
         store_->ApplyImage(rec.page, rec.slot, rec.after, rec.lsn));

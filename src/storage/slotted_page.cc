@@ -14,13 +14,14 @@ uint16_t CapacityFor(size_t len) {
 }
 }  // namespace
 
-void SlottedPage::Init() {
+void SlottedPage::Init(const Oid& owner) {
   std::memset(page_->data(), 0, kPageSize);
   Header* h = header();
   h->magic = kMagic;
   h->slot_count = 0;
   h->cell_start = kPageSize;
   h->page_lsn = 0;
+  EncodeOid(owner, h->owner);
 }
 
 bool SlottedPage::IsInitialized() const { return header()->magic == kMagic; }

@@ -9,6 +9,12 @@
 // keeps a forward pointer so the OID stays stable. Cells always reserve at
 // least kMinCellSize bytes, which guarantees a live cell can be converted
 // into a forward stub (an encoded Oid) in place.
+//
+// The header also carries the page's owner: the extent anchor OID of the
+// class whose objects live here, or kInvalidOid for unowned pages (the
+// dictionary, extent anchors, relocated bodies and continuation segments).
+// The owner is set when the page is formatted and never changes, so a
+// class extent is exactly the home cells of the pages its anchor owns.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +44,8 @@ class SlottedPage {
   /// Wrap an in-memory page buffer. Does not take ownership.
   explicit SlottedPage(Page* page) : page_(page) {}
 
-  /// Format a fresh page (zero slots, all payload free).
-  void Init();
+  /// Format a fresh page (zero slots, all payload free) owned by `owner`.
+  void Init(const Oid& owner = kInvalidOid);
 
   /// True if the page has been formatted by Init().
   bool IsInitialized() const;
@@ -109,12 +115,16 @@ class SlottedPage {
   uint64_t lsn() const { return header()->page_lsn; }
   void set_lsn(uint64_t lsn) { header()->page_lsn = lsn; }
 
+  /// Extent anchor owning this page (kInvalidOid: unowned).
+  Oid owner() const { return DecodeOid(header()->owner); }
+
  private:
   struct Header {
     uint32_t magic;
     uint16_t slot_count;
     uint16_t cell_start;  // offset of the lowest cell byte
     uint64_t page_lsn;    // last WAL record reflected in this page image
+    char owner[kOidEncodedSize];  // encoded owner anchor OID
   };
   struct Slot {
     uint16_t offset;

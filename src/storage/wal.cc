@@ -126,6 +126,11 @@ void Wal::EncodeRecord(const WalRecord& rec, std::string* out) {
     PutScalar<uint16_t>(&body, rec.slot);
     PutImage(&body, rec.before);
     PutImage(&body, rec.after);
+  } else if (rec.type == WalRecordType::kPageFormat) {
+    PutScalar<uint32_t>(&body, rec.page);
+    PutScalar<uint32_t>(&body, rec.owner.page);
+    PutScalar<uint16_t>(&body, rec.owner.slot);
+    PutScalar<uint16_t>(&body, rec.owner.generation);
   } else if (IsEventRecord(rec.type)) {
     PutScalar<uint32_t>(&body, static_cast<uint32_t>(rec.payload.size()));
     body.append(rec.payload);
@@ -166,6 +171,15 @@ bool Wal::DecodeRecord(const char* data, size_t len, size_t* consumed,
     out->slot = slot;
     if (!GetImage(body, body_len, &bpos, &out->before)) return false;
     if (!GetImage(body, body_len, &bpos, &out->after)) return false;
+  } else if (out->type == WalRecordType::kPageFormat) {
+    uint32_t page = 0, owner_page = 0;
+    uint16_t owner_slot = 0, owner_gen = 0;
+    if (!GetScalar(body, body_len, &bpos, &page)) return false;
+    if (!GetScalar(body, body_len, &bpos, &owner_page)) return false;
+    if (!GetScalar(body, body_len, &bpos, &owner_slot)) return false;
+    if (!GetScalar(body, body_len, &bpos, &owner_gen)) return false;
+    out->page = page;
+    out->owner = Oid{owner_page, owner_slot, owner_gen};
   } else if (IsEventRecord(out->type)) {
     uint32_t n = 0;
     if (!GetScalar(body, body_len, &bpos, &n)) return false;

@@ -38,6 +38,10 @@ enum class WalRecordType : uint8_t {
   kEventOccurrence = 6,  // one cross-txn leaf occurrence, logged at Signal
   kEventCheckpoint = 7,  // compositor partial-state snapshot (replay floor)
   kEventTombstone = 8,   // consumption (completion fired) or expiry cutoff
+  // A fresh data page formatted for its owner (docs/STORAGE.md "Page
+  // owners"). Redo-only: the envelope txn is kNoTxn and it is never undone;
+  // truncation drops it because the flushed page header holds the owner.
+  kPageFormat = 9,
 };
 
 /// Records that belong to the event history rather than data recovery.
@@ -60,8 +64,11 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kBegin;
   Lsn lsn = kInvalidLsn;
   TxnId txn = kNoTxn;
-  // kPhysical only:
+  // kPhysical and kPageFormat:
   PageId page = kInvalidPageId;
+  // kPageFormat only: the extent anchor owning the page.
+  Oid owner;
+  // kPhysical only:
   SlotId slot = 0;
   WalCellImage before;
   WalCellImage after;

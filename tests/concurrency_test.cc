@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/reach/reach_db.h"
 #include "test_util.h"
@@ -188,6 +192,128 @@ TEST_F(ConcurrencyTest, ExtentConsistentUnderConcurrentPersists) {
   ASSERT_TRUE(extent.ok());
   EXPECT_EQ(extent->size(), static_cast<size_t>(kThreads * kObjects));
   ASSERT_TRUE(check.Commit().ok());
+}
+
+// Phantom protection on class extents: inserters and deleters hold the
+// class's extent anchor X from before the store insert, scans hold it S
+// (docs/STORAGE.md "Page owners"). A scan never sees another transaction's
+// uncommitted object and never misses a committed one.
+TEST_F(ConcurrencyTest, ExtentScansSeeExactlyCommittedObjects) {
+  const std::string classes[] = {"Left", "Right"};
+  for (const std::string& cls : classes) {
+    ASSERT_TRUE(db_->RegisterClass(
+                       ClassBuilder(cls).Attribute("doomed", ValueType::kInt,
+                                                   Value(0)))
+                    .ok());
+  }
+  constexpr int kInserters = 4, kTxns = 30, kPerTxn = 3, kDeletes = 15;
+  std::mutex mu;
+  std::set<Oid> live[2];   // committed and not being deleted, per class
+  std::set<Oid> deleting;  // handed to the deleter (Left only)
+  std::atomic<int> errors{0};
+  std::string first_error;
+  auto fail = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (errors++ == 0) first_error = what;
+  };
+  {
+    Session s(db_->database());
+    ASSERT_TRUE(s.Begin().ok());
+    for (int i = 0; i < 2 * kDeletes; ++i) {
+      live[0].insert(*s.PersistNew("Left", {}));
+    }
+    live[1].insert(*s.PersistNew("Right", {}));
+    ASSERT_TRUE(s.Commit().ok());
+  }
+
+  std::atomic<int> inserting{kInserters};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kInserters; ++t) {
+    threads.emplace_back([&, t] {
+      const int c = t % 2;
+      Session s(db_->database());
+      for (int n = 0; n < kTxns; ++n) {
+        const bool doomed = n % 2 == 1;
+        std::vector<Oid> mine;
+        Status st = s.Begin();
+        for (int k = 0; st.ok() && k < kPerTxn; ++k) {
+          auto oid = s.PersistNew(classes[c], {{"doomed", Value(doomed ? 1 : 0)}});
+          st = oid.status();
+          if (oid.ok()) mine.push_back(*oid);
+        }
+        if (st.ok() && !doomed) {
+          st = s.Commit();
+          if (st.ok()) {
+            std::lock_guard<std::mutex> lock(mu);
+            live[c].insert(mine.begin(), mine.end());
+          }
+        } else {
+          (void)s.AbortAll();
+        }
+        if (!st.ok() && !st.IsAborted()) fail("insert: " + st.ToString());
+      }
+      inserting--;
+    });
+  }
+  threads.emplace_back([&] {
+    Session s(db_->database());
+    for (int n = 0; n < kDeletes; ++n) {
+      Oid victim;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        victim = *live[0].begin();
+        live[0].erase(victim);
+        deleting.insert(victim);
+      }
+      Status st = s.Begin();
+      if (st.ok()) st = s.Delete(victim);
+      if (st.ok()) st = s.Commit();
+      if (!st.ok()) {
+        (void)s.AbortAll();
+        std::lock_guard<std::mutex> lock(mu);
+        deleting.erase(victim);
+        live[0].insert(victim);
+        if (!st.IsAborted()) fail("delete: " + st.ToString());
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    Session s(db_->database());
+    for (int scans = 0; inserting.load() > 0 || scans < 4; ++scans) {
+      for (int c = 0; c < 2; ++c) {
+        std::set<Oid> expect;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          expect = live[c];
+        }
+        Status st = s.Begin();
+        auto extent = s.Extent(classes[c], /*include_subclasses=*/false);
+        std::vector<std::shared_ptr<DbObject>> objs;
+        if (st.ok()) st = extent.status();
+        if (st.ok()) st = s.FetchMany(*extent, &objs);
+        if (st.ok()) st = s.Commit();
+        if (!st.ok()) {
+          (void)s.AbortAll();
+          if (!st.IsAborted()) fail("scan: " + st.ToString());
+          continue;
+        }
+        for (const auto& obj : objs) {
+          if (obj->Get("doomed") != Value(0)) {
+            fail("scan saw an uncommitted object " + obj->oid().ToString());
+          }
+        }
+        std::set<Oid> seen(extent->begin(), extent->end());
+        std::lock_guard<std::mutex> lock(mu);
+        for (const Oid& oid : expect) {
+          if (!seen.contains(oid) && !deleting.contains(oid)) {
+            fail("scan missed committed object " + oid.ToString());
+          }
+        }
+      }
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0) << first_error;
 }
 
 }  // namespace

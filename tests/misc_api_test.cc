@@ -2,6 +2,9 @@
 // dictionary listing, engine introspection.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/reach/reach_db.h"
 #include "oodb/meta_bus.h"
 #include "oodb/sentry.h"
@@ -70,9 +73,47 @@ TEST(DictionaryTest, NamesEnumerated) {
   ASSERT_TRUE(s.Commit().ok());
   auto names = (*db)->dictionary()->Names();
   ASSERT_TRUE(names.ok());
-  // alpha, beta plus the __extent:: system binding.
+  // Names also lists the __extent::Thing anchor; only user names are
+  // checked here.
   EXPECT_NE(std::find(names->begin(), names->end(), "alpha"), names->end());
   EXPECT_NE(std::find(names->begin(), names->end(), "beta"), names->end());
+}
+
+// The dictionary is one root object rewritten whole by every binding. An
+// abort undoes it physically, so a second binder that wrote over the
+// aborting transaction's image would lose its committed binding. The
+// binder therefore X-locks the root: B waits for A here.
+TEST(DictionaryTest, AbortDoesNotLoseAnotherTxnsBinding) {
+  TempDir dir;
+  auto db = Database::Open(dir.DbPath());
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(
+      (*db)->types()->RegisterClass(ClassBuilder("Thing").Build()).ok());
+  Session a(db->get());
+  ASSERT_TRUE(a.Begin().ok());
+  auto thing = a.PersistNew("Thing", {});
+  ASSERT_TRUE(thing.ok());
+  ASSERT_TRUE(a.Commit().ok());
+
+  ASSERT_TRUE(a.Begin().ok());
+  ASSERT_TRUE(a.Bind("alpha", *thing).ok());
+  Status b_status = Status::Aborted("not run");
+  std::thread b_thread([&] {
+    Session b(db->get());
+    b_status = b.Begin();
+    if (b_status.ok()) b_status = b.Bind("beta", *thing);
+    if (b_status.ok()) b_status = b.Commit();
+  });
+  // Give B time to bind over A's uncommitted image if nothing stops it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(a.Abort().ok());
+  b_thread.join();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  auto beta = (*db)->dictionary()->Lookup("beta");
+  ASSERT_TRUE(beta.ok()) << "committed binding lost by another txn's abort: "
+                         << beta.status().ToString();
+  EXPECT_EQ(*beta, *thing);
+  EXPECT_TRUE((*db)->dictionary()->Lookup("alpha").status().IsNotFound());
 }
 
 TEST(RuleEngineIntrospection, NamesStatsOptions) {

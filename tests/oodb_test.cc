@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "oodb/database.h"
 #include "oodb/sentry.h"
 #include "oodb/session.h"
@@ -415,6 +417,38 @@ TEST_F(SessionTest, ExtentIncludesSubclasses) {
   EXPECT_EQ(s.Extent("Reactor", /*include_subclasses=*/false)->size(), 1u);
   EXPECT_EQ(s.Extent("FastReactor")->size(), 1u);
   ASSERT_TRUE(s.Commit().ok());
+}
+
+// Storing an object costs about what it stores in the log: one physical
+// record per insert, with no extent list rewritten beside it
+// (docs/STORAGE.md "Page owners").
+TEST_F(SessionTest, PersistLogsAboutWhatItStores) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  const bool was_enabled = obs::MetricsEnabled();
+  registry.SetEnabled(true);
+  obs::Counter* flushed = registry.counter(obs::kWalFlushedBytes);
+  Session s(db_.get());
+  // The class's first insert creates its extent anchor; measure after it.
+  ASSERT_TRUE(s.Begin().ok());
+  ASSERT_TRUE(s.PersistNew("Reactor", {}).ok());
+  ASSERT_TRUE(s.Commit().ok());
+  const uint64_t before = flushed->value();
+  size_t stored = 0;
+  ASSERT_TRUE(s.Begin().ok());
+  for (int i = 0; i < 1000; ++i) {
+    auto obj = s.New("Reactor");
+    ASSERT_TRUE(obj.ok());
+    obj->Set("name", Value(std::string(200, 'n')));
+    obj->Set("output", Value(i));
+    stored += obj->Serialize().size();
+    ASSERT_TRUE(s.Persist(&*obj).ok());
+  }
+  ASSERT_TRUE(s.Commit().ok());
+  const uint64_t logged = flushed->value() - before;
+  registry.SetEnabled(was_enabled);
+  EXPECT_GT(stored, 1000u * 200);
+  EXPECT_LT(logged, 2 * stored)
+      << logged << " WAL bytes for " << stored << " serialized bytes";
 }
 
 TEST_F(SessionTest, NestedSessionTransactions) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "oodb/database.h"
+#include "oodb/session.h"
 #include "storage/storage_manager.h"
 #include "test_util.h"
 
@@ -15,6 +18,7 @@ namespace reach {
 namespace {
 
 using reach::testing::DurableLogCommit;
+using reach::testing::ScanRecords;
 using reach::testing::TempDir;
 
 TEST(RecoveryTest, CommittedInsertSurvivesCrash) {
@@ -254,6 +258,153 @@ TEST(RecoveryTest, LoserSpanningScanWindowsIsUndone) {
   for (const Oid& oid : loser_inserts) {
     EXPECT_TRUE((*sm)->objects()->Read(oid).status().IsNotFound());
   }
+}
+
+// -- Class extents on owned pages (docs/STORAGE.md "Page owners") ----------
+
+Status RegisterItem(Database* db) {
+  return db->types()->RegisterClass(
+      ClassBuilder("Item").Attribute("k", ValueType::kInt, Value(0)).Build());
+}
+
+Status RegisterClasses(Database* db) {
+  REACH_RETURN_IF_ERROR(RegisterItem(db));
+  return db->types()->RegisterClass(
+      ClassBuilder("Other").Attribute("k", ValueType::kInt, Value(0)).Build());
+}
+
+/// True when `page` of the data file holds a formatted page (a nonzero
+/// first word), i.e. some image of it was flushed.
+bool PageFormattedOnDisk(const std::string& db_file, PageId page) {
+  std::ifstream in(db_file, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(page) * kPageSize);
+  uint32_t magic = 0;
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  return in.gcount() == sizeof(magic) && magic != 0;
+}
+
+Result<std::vector<Oid>> ExtentOf(Database* db, const std::string& cls) {
+  Session s(db);
+  REACH_RETURN_IF_ERROR(s.Begin());
+  REACH_ASSIGN_OR_RETURN(std::vector<Oid> extent,
+                         s.Extent(cls, /*include_subclasses=*/false));
+  REACH_RETURN_IF_ERROR(s.Commit());
+  return extent;
+}
+
+TEST(RecoveryTest, UnflushedOwnedPageRecoversWinnersOnly) {
+  TempDir dir;
+  std::vector<Oid> winners, losers;
+  Oid anchor;
+  PageId page = kInvalidPageId;
+  {
+    auto db = Database::Open(dir.DbPath());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(RegisterItem(db->get()).ok());
+    Session w(db->get());
+    ASSERT_TRUE(w.Begin().ok());
+    for (int i = 0; i < 3; ++i) {
+      winners.push_back(*w.PersistNew("Item", {{"k", Value(i)}}));
+    }
+    ASSERT_TRUE(w.Commit().ok());
+    Session l(db->get());
+    ASSERT_TRUE(l.Begin().ok());
+    for (int i = 0; i < 3; ++i) {
+      losers.push_back(*l.PersistNew("Item", {{"k", Value(100 + i)}}));
+    }
+    anchor = *(*db)->dictionary()->Lookup("__extent::Item");
+    std::vector<PageId> pages = (*db)->storage()->objects()->OwnedPages(anchor);
+    ASSERT_EQ(pages.size(), 1u);
+    page = pages[0];
+    for (const Oid& oid : winners) ASSERT_EQ(oid.page, page);
+    for (const Oid& oid : losers) ASSERT_EQ(oid.page, page);
+    // The loser's inserts reach the log, so recovery must undo them; the
+    // page itself stays in the buffer pool.
+    ASSERT_TRUE((*db)->storage()->wal()->Flush().ok());
+    l.ReleaseTxn();  // crash: the loser neither commits nor aborts
+  }
+  // Only the kPageFormat redo can give the page its owner back.
+  ASSERT_FALSE(PageFormattedOnDisk(dir.DbPath() + ".db", page));
+  auto db = Database::Open(dir.DbPath());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->storage()->recovery_stats().loser_txns, 1u);
+  ASSERT_TRUE(RegisterItem(db->get()).ok());
+  EXPECT_EQ((*db)->storage()->objects()->OwnedPages(anchor),
+            std::vector<PageId>{page});
+  auto extent = ExtentOf(db->get(), "Item");
+  ASSERT_TRUE(extent.ok()) << extent.status().ToString();
+  EXPECT_EQ(*extent, winners);
+}
+
+TEST(RecoveryTest, ExtentsUnchangedAcrossCheckpointAndReopen) {
+  TempDir dir;
+  std::vector<Oid> items, others;
+  {
+    auto db = Database::Open(dir.DbPath());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(RegisterClasses(db->get()).ok());
+    Session s(db->get());
+    ASSERT_TRUE(s.Begin().ok());
+    // Interleaved inserts of two classes, enough to span several pages.
+    for (int i = 0; i < 120; ++i) {
+      std::vector<std::pair<std::string, Value>> attrs = {{"k", Value(i)}};
+      if (i % 3 == 0) {
+        others.push_back(*s.PersistNew("Other", std::move(attrs)));
+      } else {
+        items.push_back(*s.PersistNew("Item", std::move(attrs)));
+      }
+    }
+    ASSERT_TRUE(s.Delete(items[7]).ok());
+    items.erase(items.begin() + 7);
+    ASSERT_TRUE(s.Commit().ok());
+    ASSERT_TRUE((*db)->storage()->Checkpoint().ok());
+    // The flushed headers hold the owners; no page format is carried.
+    std::vector<WalRecord> records;
+    ASSERT_TRUE(ScanRecords((*db)->storage()->wal(), &records).ok());
+    for (const WalRecord& rec : records) {
+      EXPECT_NE(rec.type, WalRecordType::kPageFormat);
+    }
+    EXPECT_EQ(*ExtentOf(db->get(), "Item"), items);
+    EXPECT_EQ(*ExtentOf(db->get(), "Other"), others);
+  }
+  auto db = Database::Open(dir.DbPath());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(RegisterClasses(db->get()).ok());
+  auto item_extent = ExtentOf(db->get(), "Item");
+  ASSERT_TRUE(item_extent.ok()) << item_extent.status().ToString();
+  EXPECT_EQ(*item_extent, items);
+  EXPECT_EQ(*ExtentOf(db->get(), "Other"), others);
+}
+
+TEST(RecoveryTest, AbortedDeleteReturnsObjectToExtent) {
+  TempDir dir;
+  std::vector<Oid> items;
+  {
+    auto db = Database::Open(dir.DbPath());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(RegisterItem(db->get()).ok());
+    Session s(db->get());
+    ASSERT_TRUE(s.Begin().ok());
+    for (int i = 0; i < 4; ++i) {
+      items.push_back(*s.PersistNew("Item", {{"k", Value(i)}}));
+    }
+    ASSERT_TRUE(s.Commit().ok());
+
+    ASSERT_TRUE(s.Begin().ok());
+    ASSERT_TRUE(s.Delete(items[1]).ok());
+    auto inside = s.Extent("Item");
+    ASSERT_TRUE(inside.ok());
+    EXPECT_EQ(inside->size(), 3u);
+    ASSERT_TRUE(s.Abort().ok());
+    EXPECT_EQ(*ExtentOf(db->get(), "Item"), items);
+    // Crash without a checkpoint: the compensation replays too.
+  }
+  auto db = Database::Open(dir.DbPath());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(RegisterItem(db->get()).ok());
+  auto extent = ExtentOf(db->get(), "Item");
+  ASSERT_TRUE(extent.ok()) << extent.status().ToString();
+  EXPECT_EQ(*extent, items);
 }
 
 }  // namespace
