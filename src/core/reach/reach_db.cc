@@ -75,10 +75,10 @@ std::string ReachDb::StatsReport() {
   BufferPool* pool = db_->storage()->buffer_pool();
   add("buffer pool hits/misses: " + std::to_string(pool->hit_count()) + "/" +
       std::to_string(pool->miss_count()));
-  add("cached objects:        " +
-      std::to_string(db_->persistence()->cached_objects()));
-  add("object faults:         " +
-      std::to_string(db_->persistence()->faults()));
+  add("data pages:            " +
+      std::to_string(db_->storage()->objects()->data_page_count()));
+  add("locked resources:      " +
+      std::to_string(db_->txns()->locks()->locked_resources()));
   add("index maintenance ops: " +
       std::to_string(db_->indexing()->maintenance_ops()));
   return out;

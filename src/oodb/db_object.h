@@ -1,9 +1,14 @@
 // DbObject: the in-memory representation of a persistent object — a class
 // name plus attribute values, with binary (de)serialization to the object
-// store format.
+// store format. RecordView reads that format in place.
+//
+// Record format: [u16 len][class name][u16 count], then `count` pairs of
+// [u16 len][attribute name][encoded Value] (Value::Encode).
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +48,7 @@ class DbObject {
 
   /// Serialize to the object-store byte format.
   std::string Serialize() const;
-  static Result<DbObject> Deserialize(const std::string& bytes);
+  static Result<DbObject> Deserialize(std::string_view bytes);
 
   std::string ToString() const;
 
@@ -51,6 +56,39 @@ class DbObject {
   std::string class_name_;
   Oid oid_;  // invalid while transient
   std::unordered_map<std::string, Value> attrs_;
+};
+
+/// A read-only view over one serialized object: the stored record, often
+/// straight from a pinned page frame. Looking an attribute up walks the
+/// encoded pairs without allocating (only decoding a string or list value
+/// allocates). The viewed bytes must outlive the view.
+class RecordView {
+ public:
+  /// Corruption if `bytes` does not start with a well-formed header.
+  static Result<RecordView> Parse(std::string_view bytes);
+
+  std::string_view class_name() const { return class_name_; }
+
+  /// The value of `attr`; NotFound if the record does not carry it.
+  Result<Value> Get(std::string_view attr) const;
+
+  /// Calls `fn(name, value)` for each stored attribute, in stored order.
+  Status ForEach(
+      const std::function<void(std::string_view, Value)>& fn) const;
+
+  /// The record with `attr` set to `value`: its encoded value replaced, or
+  /// the pair appended when the record does not carry `attr`.
+  Result<std::string> With(std::string_view attr, const Value& value) const;
+
+ private:
+  /// Offsets [*begin, *end) of the encoded value of `attr`; NotFound if
+  /// absent.
+  Status Find(std::string_view attr, size_t* begin, size_t* end) const;
+
+  std::string_view bytes_;
+  std::string_view class_name_;
+  uint16_t count_ = 0;
+  size_t pairs_ = 0;  // offset of the first [name][value] pair
 };
 
 }  // namespace reach

@@ -95,7 +95,7 @@ void IndexingPm::OnEvent(const SentryEvent& event) {
       for (Index* index : Covering(event.class_name, "")) {
         auto obj = persistence_->Fetch(event.txn, event.oid);
         if (!obj.ok()) return;
-        InsertEntry(index, event.oid, KeyOf(obj.value()->Get(index->attr)),
+        InsertEntry(index, event.oid, KeyOf(obj->Get(index->attr)),
                     event.txn);
       }
       break;
@@ -187,13 +187,12 @@ Status IndexingPm::CreateIndex(TxnId txn, const std::string& class_name,
     REACH_ASSIGN_OR_RETURN(std::vector<Oid> extent,
                            persistence_->Extent(txn, cls));
     for (const Oid& oid : extent) {
-      REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj,
-                             persistence_->Fetch(txn, oid));
-      std::string key = KeyOf(obj->Get(attr));
+      REACH_ASSIGN_OR_RETURN(DbObject obj, persistence_->Fetch(txn, oid));
+      std::string key = KeyOf(obj.Get(attr));
       fresh.buckets[key].push_back(oid);
       fresh.reverse[oid] = key;
       if (kind == IndexKind::kOrdered) {
-        fresh.ordered[obj->Get(attr)].push_back(oid);
+        fresh.ordered[obj.Get(attr)].push_back(oid);
       }
     }
   }

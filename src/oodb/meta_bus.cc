@@ -86,8 +86,8 @@ void MetaBus::Unsubscribe(PolicyManager* pm) {
   }
 }
 
-bool MetaBus::Monitored(SentryKind kind, const std::string& class_name,
-                        const std::string& member) const {
+bool MetaBus::Monitored(SentryKind kind, std::string_view class_name,
+                        std::string_view member) const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t k = static_cast<size_t>(kind);
   if (wildcard_[k]) return true;

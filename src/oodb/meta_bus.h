@@ -40,8 +40,8 @@ class MetaBus {
 
   /// Is any policy manager interested? Sentries consult this before
   /// constructing an event (useful vs. useless overhead).
-  bool Monitored(SentryKind kind, const std::string& class_name,
-                 const std::string& member) const;
+  bool Monitored(SentryKind kind, std::string_view class_name,
+                 std::string_view member) const;
 
   /// Dispatch to every interested policy manager; returns how many
   /// received it.

@@ -20,15 +20,10 @@ void PersistencePm::OnAbort(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
   std::erase_if(open_anchors_,
                 [txn](const auto& entry) { return entry.second.first == txn; });
-  auto it = touched_.find(txn);
-  if (it == touched_.end()) return;
-  for (const Oid& oid : it->second) cache_.erase(oid);
-  touched_.erase(it);
 }
 
 void PersistencePm::OnCommit(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
-  touched_.erase(txn);
   std::erase_if(open_anchors_, [&](const auto& entry) {
     const auto& [creator, class_name] = entry.second;
     if (creator != txn) return false;
@@ -42,15 +37,6 @@ void PersistencePm::OnCommitChild(TxnId child, TxnId parent) {
   for (auto& [anchor, created] : open_anchors_) {
     if (created.first == child) created.first = parent;
   }
-  auto it = touched_.find(child);
-  if (it == touched_.end()) return;
-  touched_[parent].merge(it->second);
-  touched_.erase(child);
-}
-
-void PersistencePm::TrackTouch(TxnId txn, const Oid& oid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  touched_[txn].insert(oid);
 }
 
 Result<Oid> PersistencePm::Persist(TxnId txn, DbObject* obj) {
@@ -73,11 +59,6 @@ Result<Oid> PersistencePm::Persist(TxnId txn, DbObject* obj) {
   obj->set_oid(oid);
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_[oid] = std::make_shared<DbObject>(*obj);
-  }
-  TrackTouch(txn, oid);
 
   SentryEvent ev;
   ev.kind = SentryKind::kPersist;
@@ -88,108 +69,48 @@ Result<Oid> PersistencePm::Persist(TxnId txn, DbObject* obj) {
   return oid;
 }
 
-Result<std::shared_ptr<DbObject>> PersistencePm::Fetch(TxnId txn,
-                                                       const Oid& oid) {
+Result<std::string> PersistencePm::Load(TxnId txn, const Oid& oid,
+                                        LockMode mode) {
   if (txn == kNoTxn) {
     return Status::FailedPrecondition("fetch outside a transaction");
   }
-  REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, oid, LockMode::kShared));
-  std::shared_ptr<DbObject> obj;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(oid);
-    if (it != cache_.end()) obj = it->second;
-  }
-  if (!obj) {
-    REACH_ASSIGN_OR_RETURN(std::string bytes, storage_->objects()->Read(oid));
-    REACH_ASSIGN_OR_RETURN(DbObject parsed, DbObject::Deserialize(bytes));
-    parsed.set_oid(oid);
-    obj = std::make_shared<DbObject>(std::move(parsed));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++faults_;
-    cache_[oid] = obj;
-  }
-  if (bus_->Monitored(SentryKind::kFetch, obj->class_name(), "")) {
-    SentryEvent ev;
-    ev.kind = SentryKind::kFetch;
-    ev.class_name = obj->class_name();
-    ev.oid = oid;
-    ev.txn = txn;
-    bus_->Announce(ev);
-  }
+  REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, oid, mode));
+  REACH_ASSIGN_OR_RETURN(std::string record, storage_->objects()->Read(oid));
+  REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
+  AnnounceFetch(txn, oid, view.class_name());
+  return record;
+}
+
+Result<DbObject> PersistencePm::Fetch(TxnId txn, const Oid& oid) {
+  REACH_ASSIGN_OR_RETURN(std::string record,
+                         Load(txn, oid, LockMode::kShared));
+  REACH_ASSIGN_OR_RETURN(DbObject obj, DbObject::Deserialize(record));
+  obj.set_oid(oid);
   return obj;
 }
 
-Status PersistencePm::FetchMany(TxnId txn, const std::vector<Oid>& oids,
-                                std::vector<std::shared_ptr<DbObject>>* out) {
-  if (txn == kNoTxn) {
-    return Status::FailedPrecondition("fetch outside a transaction");
-  }
-  REACH_RETURN_IF_ERROR(txns_->locks()->AcquireSharedBatch(txn, oids));
-  out->clear();
-  out->resize(oids.size());
-  std::vector<size_t> misses;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < oids.size(); ++i) {
-      auto it = cache_.find(oids[i]);
-      if (it != cache_.end()) {
-        (*out)[i] = it->second;
-      } else {
-        misses.push_back(i);
-      }
-    }
-  }
-  // Read and deserialize misses outside the cache mutex; the S locks keep
-  // the stored bytes stable.
-  for (size_t i : misses) {
-    REACH_ASSIGN_OR_RETURN(std::string bytes,
-                           storage_->objects()->Read(oids[i]));
-    REACH_ASSIGN_OR_RETURN(DbObject parsed, DbObject::Deserialize(bytes));
-    parsed.set_oid(oids[i]);
-    (*out)[i] = std::make_shared<DbObject>(std::move(parsed));
-  }
-  if (!misses.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i : misses) {
-      faults_++;
-      // A concurrent fetch may have cached the object meanwhile; keep the
-      // existing entry so every caller sees one shared instance.
-      auto [it, inserted] = cache_.emplace(oids[i], (*out)[i]);
-      if (!inserted) (*out)[i] = it->second;
-    }
-  }
-  for (size_t i = 0; i < oids.size(); ++i) {
-    const std::shared_ptr<DbObject>& obj = (*out)[i];
-    if (bus_->Monitored(SentryKind::kFetch, obj->class_name(), "")) {
-      SentryEvent ev;
-      ev.kind = SentryKind::kFetch;
-      ev.class_name = obj->class_name();
-      ev.oid = oids[i];
-      ev.txn = txn;
-      bus_->Announce(ev);
-    }
-  }
-  return Status::OK();
+void PersistencePm::AnnounceFetch(TxnId txn, const Oid& oid,
+                                  std::string_view class_name) {
+  if (!bus_->Monitored(SentryKind::kFetch, class_name, "")) return;
+  SentryEvent ev;
+  ev.kind = SentryKind::kFetch;
+  ev.class_name = std::string(class_name);
+  ev.oid = oid;
+  ev.txn = txn;
+  bus_->Announce(ev);
 }
 
-Status PersistencePm::Write(TxnId txn, const DbObject& obj) {
+Status PersistencePm::Write(TxnId txn, const Oid& oid,
+                            std::string_view record) {
   if (txn == kNoTxn) {
     return Status::FailedPrecondition("write outside a transaction");
   }
-  if (!obj.persistent()) {
+  if (!oid.valid()) {
     return Status::FailedPrecondition("object is not persistent");
   }
   REACH_RETURN_IF_ERROR(
-      txns_->locks()->Acquire(txn, obj.oid(), LockMode::kExclusive));
-  REACH_RETURN_IF_ERROR(
-      storage_->objects()->Update(txn, obj.oid(), obj.Serialize()));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_[obj.oid()] = std::make_shared<DbObject>(obj);
-  }
-  TrackTouch(txn, obj.oid());
-  return Status::OK();
+      txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
+  return storage_->objects()->Update(txn, oid, record);
 }
 
 Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
@@ -201,9 +122,12 @@ Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
   // while it S-locks objects, so the other order would deadlock a delete
   // with every scan covering its object. Freeing the cell is what takes the
   // object out of the extent.
-  REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj, Fetch(txn, oid));
+  REACH_ASSIGN_OR_RETURN(std::string record,
+                         Load(txn, oid, LockMode::kShared));
+  REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
+  const std::string class_name(view.class_name());
   REACH_RETURN_IF_ERROR(
-      LockExtent(txn, obj->class_name(), LockMode::kExclusive).status());
+      LockExtent(txn, class_name, LockMode::kExclusive).status());
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
 
@@ -211,18 +135,12 @@ Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
   // (the persistent-C++ destructor-event semantics of §4).
   SentryEvent ev;
   ev.kind = SentryKind::kDelete;
-  ev.class_name = obj->class_name();
+  ev.class_name = class_name;
   ev.oid = oid;
   ev.txn = txn;
   bus_->Announce(ev);
 
-  REACH_RETURN_IF_ERROR(storage_->objects()->Delete(txn, oid));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.erase(oid);
-  }
-  TrackTouch(txn, oid);
-  return Status::OK();
+  return storage_->objects()->Delete(txn, oid);
 }
 
 Result<Oid> PersistencePm::LockExtent(TxnId txn,
@@ -296,11 +214,6 @@ Result<std::vector<Oid>> PersistencePm::Extent(TxnId txn,
     REACH_RETURN_IF_ERROR(storage_->objects()->AppendHomes(page, &out));
   }
   return out;
-}
-
-size_t PersistencePm::cached_objects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
 }
 
 }  // namespace reach

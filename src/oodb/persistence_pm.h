@@ -1,6 +1,12 @@
-// Persistence policy manager: object faulting, the object cache, class
-// extents, and write-through of attribute updates. Announces
-// persist/fetch/delete events on the meta bus.
+// Persistence policy manager: object faulting, class extents, and
+// write-through of attribute updates. Announces persist/fetch/delete events
+// on the meta bus.
+//
+// The stored record is an object's only copy. A fetch decodes a fresh
+// DbObject that no other reader shares; attribute reads and extent scans
+// read the record through a RecordView, scans straight from the pinned
+// page frame (ObjectStore::VisitHomes). So rolling back an aborted
+// transaction is the store's undo alone, finished before its locks go.
 //
 // A class extent is the set of slotted pages its extent anchor owns
 // (docs/STORAGE.md "Page owners"): Persist stores each object on a page of
@@ -14,8 +20,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -38,31 +44,32 @@ class PersistencePm : public PolicyManager, public TxnListener {
   std::string name() const override { return "Persistence PM"; }
   void OnEvent(const SentryEvent& event) override { (void)event; }
 
-  /// TxnListener: drop cached versions of objects an aborted transaction
-  /// touched (the store already rolled them back).
+  /// TxnListener: an extent anchor is known for good once its creator
+  /// commits; an aborted creator's anchor is forgotten, and a committed
+  /// child's passes to its parent.
   void OnAbort(TxnId txn) override;
   void OnCommit(TxnId txn) override;
-  /// Nested commit: the child's touch set moves into the parent so a later
-  /// parent abort still invalidates the child's cache entries.
   void OnCommitChild(TxnId child, TxnId parent) override;
 
   /// Make a transient object persistent: X-locks its class extent, stores
   /// it on a page of that extent (assigning the OID), announces kPersist.
   Result<Oid> Persist(TxnId txn, DbObject* obj);
 
-  /// Fault an object in (S-locks it). Announces kFetch.
-  Result<std::shared_ptr<DbObject>> Fetch(TxnId txn, const Oid& oid);
+  /// An object's stored record (RecordView reads it), locked in `mode`
+  /// first: kShared to read it, kExclusive to patch it and Write it back.
+  /// Announces kFetch.
+  Result<std::string> Load(TxnId txn, const Oid& oid, LockMode mode);
 
-  /// Batch fault: S-locks all OIDs with one lock-manager pass, resolves
-  /// cache hits under one mutex hold, reads misses outside any lock, then
-  /// inserts them in one pass. `out` holds the objects in input order.
-  /// Announces kFetch per object (when monitored), like Fetch. Safe to call
-  /// from several threads of one transaction concurrently (query morsels).
-  Status FetchMany(TxnId txn, const std::vector<Oid>& oids,
-                   std::vector<std::shared_ptr<DbObject>>* out);
+  /// Fault an object in (S-locks it): a freshly decoded copy, the
+  /// caller's own. Announces kFetch.
+  Result<DbObject> Fetch(TxnId txn, const Oid& oid);
 
-  /// Write an updated attribute set back to the store (X-locks the OID).
-  Status Write(TxnId txn, const DbObject& obj);
+  /// Announce kFetch for `oid` when its class is monitored — for readers
+  /// that take the record in place rather than through Load.
+  void AnnounceFetch(TxnId txn, const Oid& oid, std::string_view class_name);
+
+  /// Replace an object's stored record (X-locks the OID).
+  Status Write(TxnId txn, const Oid& oid, std::string_view record);
 
   /// Delete a persistent object: X-locks its class extent, announces
   /// kDelete (with the object's class so deletion-triggered rules fire —
@@ -78,10 +85,6 @@ class PersistencePm : public PolicyManager, public TxnListener {
   Result<std::vector<PageId>> ExtentPages(TxnId txn,
                                           const std::string& class_name);
 
-  /// Cache statistics.
-  size_t cached_objects() const;
-  uint64_t faults() const { return faults_; }
-
  private:
   /// Extent anchors are named "__extent::<Class>" in the dictionary.
   static std::string ExtentName(const std::string& class_name) {
@@ -94,18 +97,13 @@ class PersistencePm : public PolicyManager, public TxnListener {
   Result<Oid> LockExtent(TxnId txn, const std::string& class_name,
                          LockMode mode);
 
-  void TrackTouch(TxnId txn, const Oid& oid);
-
   StorageManager* storage_;
   TransactionManager* txns_;
   DataDictionary* dictionary_;
   TypeSystem* types_;
   MetaBus* bus_;
 
-  mutable std::mutex mu_;
-  std::unordered_map<Oid, std::shared_ptr<DbObject>> cache_;
-  std::unordered_map<TxnId, std::unordered_set<Oid>> touched_;
-  uint64_t faults_ = 0;
+  std::mutex mu_;
   // Class -> extent anchor, for anchors whose creator committed (an anchor
   // is never rebound once committed). Guarded by mu_.
   std::unordered_map<std::string, Oid> anchors_;

@@ -86,7 +86,9 @@ Result<Oid> Session::PersistNew(
 
 Result<std::shared_ptr<DbObject>> Session::Fetch(const Oid& oid) {
   REACH_RETURN_IF_ERROR(RequireTxn());
-  return db_->persistence()->Fetch(current_txn(), oid);
+  REACH_ASSIGN_OR_RETURN(DbObject obj,
+                         db_->persistence()->Fetch(current_txn(), oid));
+  return std::make_shared<DbObject>(std::move(obj));
 }
 
 Result<std::shared_ptr<DbObject>> Session::FetchByName(
@@ -117,35 +119,47 @@ Status Session::Unbind(const std::string& name) {
 Status Session::SetAttr(const Oid& oid, const std::string& attr,
                         Value value) {
   REACH_RETURN_IF_ERROR(RequireTxn());
-  REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj, Fetch(oid));
-  if (db_->types()->ResolveAttribute(obj->class_name(), attr) == nullptr) {
-    return Status::NotFound("attribute " + obj->class_name() + "." + attr);
+  // Patch the stored record under an X lock: the encoded value is replaced
+  // in a copy of the record, and the copy written through.
+  REACH_ASSIGN_OR_RETURN(
+      std::string record,
+      db_->persistence()->Load(current_txn(), oid, LockMode::kExclusive));
+  REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
+  const std::string class_name(view.class_name());
+  if (db_->types()->ResolveAttribute(class_name, attr) == nullptr) {
+    return Status::NotFound("attribute " + class_name + "." + attr);
   }
-  Value old = obj->Get(attr);
-  // Write-through under an X lock; the cache copy is replaced atomically.
-  DbObject updated = *obj;
-  updated.Set(attr, value);
-  REACH_RETURN_IF_ERROR(db_->persistence()->Write(current_txn(), updated));
+  Result<Value> old = view.Get(attr);
+  if (!old.ok() && !old.status().IsNotFound()) return old.status();
+  REACH_ASSIGN_OR_RETURN(std::string patched, view.With(attr, value));
+  REACH_RETURN_IF_ERROR(
+      db_->persistence()->Write(current_txn(), oid, patched));
 
-  if (db_->bus()->Monitored(SentryKind::kStateChange, obj->class_name(),
-                            attr)) {
+  if (db_->bus()->Monitored(SentryKind::kStateChange, class_name, attr)) {
     SentryEvent ev;
     ev.detect_ns = obs::NowNanosIfEnabled();
     ev.kind = SentryKind::kStateChange;
-    ev.class_name = obj->class_name();
+    ev.class_name = class_name;
     ev.member = attr;
     ev.oid = oid;
     ev.txn = current_txn();
     ev.timestamp = db_->clock()->Now();
-    ev.args = {std::move(old), std::move(value)};
+    ev.args = {old.value_or(Value()), std::move(value)};
     db_->bus()->Announce(ev);
   }
   return Status::OK();
 }
 
 Result<Value> Session::GetAttr(const Oid& oid, const std::string& attr) {
-  REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj, Fetch(oid));
-  return obj->Get(attr);
+  REACH_RETURN_IF_ERROR(RequireTxn());
+  REACH_ASSIGN_OR_RETURN(
+      std::string record,
+      db_->persistence()->Load(current_txn(), oid, LockMode::kShared));
+  REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
+  Result<Value> v = view.Get(attr);
+  // An attribute the record does not carry reads as null.
+  if (!v.ok() && v.status().IsNotFound()) return Value();
+  return v;
 }
 
 Result<Value> Session::DoInvoke(DbObject* obj, const std::string& method,
@@ -188,11 +202,11 @@ Result<Value> Session::DoInvoke(DbObject* obj, const std::string& method,
 Result<Value> Session::Invoke(const Oid& oid, const std::string& method,
                               std::vector<Value> args) {
   REACH_RETURN_IF_ERROR(RequireTxn());
-  REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj, Fetch(oid));
-  // Work on a copy so method bodies mutate through SetAttr (sentried), not
-  // by aliasing the shared cache entry.
-  DbObject copy = *obj;
-  return DoInvoke(&copy, method, &args);
+  // A fresh copy: method bodies change the object through SetAttr
+  // (sentried), never through what they were handed.
+  REACH_ASSIGN_OR_RETURN(DbObject obj,
+                         db_->persistence()->Fetch(current_txn(), oid));
+  return DoInvoke(&obj, method, &args);
 }
 
 Result<Value> Session::Invoke(DbObject* obj, const std::string& method,
@@ -240,12 +254,6 @@ Result<std::vector<Session::ExtentMorsel>> Session::ExtentMorsels(
         pages.begin() + std::min(pages.size(), i + morsel_pages));
   }
   return morsels;
-}
-
-Status Session::FetchMany(const std::vector<Oid>& oids,
-                          std::vector<std::shared_ptr<DbObject>>* out) {
-  REACH_RETURN_IF_ERROR(RequireTxn());
-  return db_->persistence()->FetchMany(current_txn(), oids, out);
 }
 
 }  // namespace reach

@@ -65,10 +65,13 @@ class Session {
 
   // -- Sentried attribute access -----------------------------------------
 
-  /// Write an attribute (write-through). Raises a state-change event with
-  /// {old, new} parameters.
+  /// Write an attribute (write-through: X-locks the object and patches its
+  /// stored record). Raises a state-change event with {old, new}
+  /// parameters.
   Status SetAttr(const Oid& oid, const std::string& attr, Value value);
 
+  /// Read one attribute through a view of the stored record (S-locks the
+  /// object); null if the object does not carry it.
   Result<Value> GetAttr(const Oid& oid, const std::string& attr);
 
   // -- Sentried method invocation ----------------------------------------
@@ -97,12 +100,6 @@ class Session {
   Result<std::vector<ExtentMorsel>> ExtentMorsels(
       const std::string& class_name, size_t morsel_pages,
       bool include_subclasses = true);
-
-  /// Batch Fetch in input order (see PersistencePm::FetchMany). Safe to call
-  /// from parallel query workers while the session's transaction stack is
-  /// stable.
-  Status FetchMany(const std::vector<Oid>& oids,
-                   std::vector<std::shared_ptr<DbObject>>* out);
 
   // -- Engine-internal transaction adoption --------------------------------
 

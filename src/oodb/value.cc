@@ -13,7 +13,7 @@ void PutScalar(std::string* out, T v) {
 }
 
 template <typename T>
-bool GetScalar(const std::string& data, size_t* pos, T* v) {
+bool GetScalar(std::string_view data, size_t* pos, T* v) {
   if (*pos + sizeof(T) > data.size()) return false;
   std::memcpy(v, data.data() + *pos, sizeof(T));
   *pos += sizeof(T);
@@ -91,7 +91,7 @@ void Value::Encode(std::string* out) const {
   }
 }
 
-Result<Value> Value::Decode(const std::string& data, size_t* pos) {
+Result<Value> Value::Decode(std::string_view data, size_t* pos) {
   uint8_t tag = 0;
   if (!GetScalar(data, pos, &tag)) {
     return Status::Corruption("value: truncated tag");
@@ -125,7 +125,7 @@ Result<Value> Value::Decode(const std::string& data, size_t* pos) {
       if (!GetScalar(data, pos, &len) || *pos + len > data.size()) {
         return Status::Corruption("value: truncated string");
       }
-      Value v(data.substr(*pos, len));
+      Value v(std::string(data.substr(*pos, len)));
       *pos += len;
       return v;
     }
@@ -153,6 +153,51 @@ Result<Value> Value::Decode(const std::string& data, size_t* pos) {
     default:
       return Status::Corruption("value: unknown tag " + std::to_string(tag));
   }
+}
+
+Status Value::Skip(std::string_view data, size_t* pos) {
+  uint8_t tag = 0;
+  if (!GetScalar(data, pos, &tag)) {
+    return Status::Corruption("value: truncated tag");
+  }
+  size_t len = 0;
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kBool:
+      len = sizeof(uint8_t);
+      break;
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      len = sizeof(int64_t);
+      break;
+    case ValueType::kRef:
+      len = SlottedPage::kOidEncodedSize;
+      break;
+    case ValueType::kString: {
+      uint32_t n = 0;
+      if (!GetScalar(data, pos, &n)) {
+        return Status::Corruption("value: truncated string");
+      }
+      len = n;
+      break;
+    }
+    case ValueType::kList: {
+      uint32_t n = 0;
+      if (!GetScalar(data, pos, &n)) {
+        return Status::Corruption("value: truncated list");
+      }
+      for (uint32_t i = 0; i < n; ++i) REACH_RETURN_IF_ERROR(Skip(data, pos));
+      break;
+    }
+    default:
+      return Status::Corruption("value: unknown tag " + std::to_string(tag));
+  }
+  if (*pos + len > data.size()) {
+    return Status::Corruption("value: truncated value");
+  }
+  *pos += len;
+  return Status::OK();
 }
 
 std::string Value::ToString() const {

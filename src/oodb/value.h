@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -79,7 +80,10 @@ class Value {
   void Encode(std::string* out) const;
 
   /// Decode one value from data[*pos...]; advances *pos.
-  static Result<Value> Decode(const std::string& data, size_t* pos);
+  static Result<Value> Decode(std::string_view data, size_t* pos);
+
+  /// Advance *pos past one encoded value without decoding it.
+  static Status Skip(std::string_view data, size_t* pos);
 
   std::string ToString() const;
 

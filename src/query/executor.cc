@@ -22,16 +22,11 @@ Result<Value> ObjectEnv::Resolve(const std::vector<std::string>& path) {
   if (path.empty()) return Status::InvalidArgument("empty path");
   size_t attr_start = 0;
   if (path[0] == alias_) {
-    if (path.size() == 1) return Value(obj_->oid());
+    if (path.size() == 1) return Value(oid_);
     attr_start = 1;
   }
-  // First attribute must exist on the candidate object.
-  const std::string& attr = path[attr_start];
-  if (!obj_->Has(attr)) {
-    return Status::NotFound("attribute " + attr + " on " +
-                            obj_->class_name());
-  }
-  Value v = obj_->Get(attr);
+  // First attribute must exist on the candidate object (NotFound if not).
+  REACH_ASSIGN_OR_RETURN(Value v, record_->Get(path[attr_start]));
   // Follow reference attributes for multi-segment paths (o.ref.attr).
   for (size_t i = attr_start + 1; i < path.size(); ++i) {
     if (!v.is_ref()) {
@@ -51,9 +46,10 @@ Result<Value> ObjectEnv::Resolve(const std::vector<std::string>& path) {
 
 namespace {
 
+/// One returned row before emission: only what the row shows and sorts by.
 struct Hit {
   Oid oid;
-  std::shared_ptr<DbObject> obj;
+  std::vector<Value> values;  // projected attributes
   Value sort_key;
 };
 
@@ -81,30 +77,59 @@ struct ScanContext {
   Session* session;
   const SelectStatement* stmt;
   const QueryPlan* plan;
+  TxnId txn;
   ObjectStore* store;  // morsel page listing; null on the index path
   BufferPool* pool;    // morsel readahead; null on the index path
+  // False when the where clause or the sort key follows a reference:
+  // resolving it locks and reads another object, which must not happen
+  // under a page stripe, so such scans copy each record out first.
+  bool in_place = true;
 };
 
-/// Evaluate the plan's fast prefix directly against the attribute map.
-/// Mirrors ObjectEnv::Resolve (missing attribute => NotFound, which the
-/// caller treats as no-match) and CompareValues' null/error semantics, so
-/// taking the fast path can never change a query's result.
-Result<bool> FastPrefixPasses(const QueryPlan& plan, const DbObject& obj) {
+/// True if resolving `path` reads an object other than the candidate.
+bool Dereferences(const std::vector<std::string>& path,
+                  const std::string& alias) {
+  size_t attrs = path.size();
+  if (!path.empty() && path[0] == alias) --attrs;
+  return attrs > 1;
+}
+
+bool Dereferences(const ExprPtr& expr, const std::string& alias) {
+  if (!expr) return false;
+  if (expr->op() == ExprOp::kPath) return Dereferences(expr->path(), alias);
+  for (const ExprPtr& operand : expr->operands()) {
+    if (Dereferences(operand, alias)) return true;
+  }
+  return false;
+}
+
+/// `attr` of the record, null when the record does not carry it (the
+/// DbObject::Get convention for projections and aggregates).
+Result<Value> AttrOrNull(const RecordView& rec, const std::string& attr) {
+  Result<Value> v = rec.Get(attr);
+  if (!v.ok() && v.status().IsNotFound()) return Value();
+  return v;
+}
+
+/// Evaluate the plan's fast prefix directly against the record. Mirrors
+/// ObjectEnv::Resolve (missing attribute => NotFound, which the caller
+/// treats as no-match) and CompareValues' null/error semantics, so taking
+/// the fast path can never change a query's result.
+Result<bool> FastPrefixPasses(const QueryPlan& plan, const RecordView& rec) {
   for (const QueryPlan::FastComparison& fc : plan.fast_prefix) {
-    if (!obj.Has(fc.attr)) {
-      return Status::NotFound("attribute " + fc.attr + " on " +
-                              obj.class_name());
-    }
-    REACH_ASSIGN_OR_RETURN(
-        Value keep, CompareValues(fc.op, obj.Get(fc.attr), *fc.literal));
+    REACH_ASSIGN_OR_RETURN(Value v, rec.Get(fc.attr));
+    REACH_ASSIGN_OR_RETURN(Value keep, CompareValues(fc.op, v, *fc.literal));
     if (!keep.as_bool()) return false;
   }
   return true;
 }
 
-void FoldAggregate(const SelectStatement& stmt, const DbObject& obj,
-                   GroupMap* groups) {
-  Value key = stmt.group_by.empty() ? Value() : obj.Get(stmt.group_by);
+Status FoldAggregate(const SelectStatement& stmt, const RecordView& rec,
+                     GroupMap* groups) {
+  Value key;
+  if (!stmt.group_by.empty()) {
+    REACH_ASSIGN_OR_RETURN(key, AttrOrNull(rec, stmt.group_by));
+  }
   std::string enc;
   key.Encode(&enc);
   GroupState& g = (*groups)[enc];
@@ -120,13 +145,14 @@ void FoldAggregate(const SelectStatement& stmt, const DbObject& obj,
   for (size_t i = 0; i < n_items; ++i) {
     const SelectItem& item = stmt.items[i];
     if (!item.is_aggregate() || item.attr.empty()) continue;
-    Value v = obj.Get(item.attr);
+    REACH_ASSIGN_OR_RETURN(Value v, AttrOrNull(rec, item.attr));
     if (v.is_null()) continue;
     g.counts[i]++;
     if (v.is_numeric()) g.sums[i] += v.AsNumber();
     if (g.mins[i].is_null() || v < g.mins[i]) g.mins[i] = v;
     if (g.maxs[i].is_null() || v > g.maxs[i]) g.maxs[i] = v;
   }
+  return Status::OK();
 }
 
 /// Fold `src` into `dst`. Called in worker order, so partial sums combine
@@ -155,17 +181,17 @@ void MergeGroups(GroupMap&& src, GroupMap* dst) {
   }
 }
 
-/// Predicate + accumulate for one candidate. `use_fast` is false on the
-/// index path (no fast prefix is compiled for it).
-Status ProcessObject(const ScanContext& ctx, const Oid& oid,
-                     const std::shared_ptr<DbObject>& obj, bool use_fast,
+/// Predicate + accumulate for one candidate record. `use_fast` is false on
+/// the index path (no fast prefix is compiled for it).
+Status ProcessRecord(const ScanContext& ctx, const Oid& oid,
+                     const RecordView& rec, bool use_fast,
                      WorkerOutput* out) {
   ++out->scanned;
   const SelectStatement& stmt = *ctx.stmt;
   if (stmt.where) {
     bool residual = true;
     if (use_fast) {
-      auto fast = FastPrefixPasses(*ctx.plan, *obj);
+      auto fast = FastPrefixPasses(*ctx.plan, rec);
       // Missing attributes on heterogeneous extents: treat as no-match.
       if (!fast.ok()) {
         if (fast.status().IsNotFound()) return Status::OK();
@@ -175,7 +201,7 @@ Status ProcessObject(const ScanContext& ctx, const Oid& oid,
       residual = !ctx.plan->fast_exact;
     }
     if (residual) {
-      ObjectEnv env(ctx.session, stmt.alias, obj.get());
+      ObjectEnv env(ctx.session, stmt.alias, oid, &rec);
       auto keep = EvaluateBool(stmt.where, &env);
       if (!keep.ok()) {
         if (keep.status().IsNotFound()) return Status::OK();
@@ -184,15 +210,16 @@ Status ProcessObject(const ScanContext& ctx, const Oid& oid,
       if (!keep.value()) return Status::OK();
     }
   }
-  if (ctx.plan->aggregate_mode) {
-    FoldAggregate(stmt, *obj, &out->groups);
-    return Status::OK();
-  }
+  if (ctx.plan->aggregate_mode) return FoldAggregate(stmt, rec, &out->groups);
   Hit hit;
   hit.oid = oid;
-  hit.obj = obj;
+  hit.values.reserve(stmt.items.size());
+  for (const SelectItem& item : stmt.items) {
+    REACH_ASSIGN_OR_RETURN(Value v, AttrOrNull(rec, item.attr));
+    hit.values.push_back(std::move(v));
+  }
   if (!stmt.order_by.empty()) {
-    ObjectEnv env(ctx.session, stmt.alias, obj.get());
+    ObjectEnv env(ctx.session, stmt.alias, oid, &rec);
     auto key = env.Resolve(stmt.order_by);
     hit.sort_key = key.ok() ? key.value() : Value();
   }
@@ -219,12 +246,41 @@ Status RunMorsel(const ScanContext& ctx, const Session::ExtentMorsel& pages,
       REACH_RETURN_IF_ERROR(ctx.store->AppendHomes(page, &oids));
     }
   }
-  std::vector<std::shared_ptr<DbObject>> objs;
-  REACH_RETURN_IF_ERROR(ctx.session->FetchMany(oids, &objs));
+  // The extent S lock keeps the pages' homes fixed; the object S locks keep
+  // out uncommitted updates. With both held the records can be read in
+  // place.
+  Database* db = ctx.session->db();
+  REACH_RETURN_IF_ERROR(db->txns()->locks()->AcquireSharedBatch(ctx.txn, oids));
+
   bool use_fast = !ctx.plan->fast_prefix.empty();
-  for (size_t i = 0; i < oids.size(); ++i) {
-    REACH_RETURN_IF_ERROR(
-        ProcessObject(ctx, oids[i], objs[i], use_fast, out));
+  std::vector<std::pair<Oid, std::string>> copies;  // !in_place
+  // kFetch announcements run rules, so they wait until no stripe is held.
+  std::vector<std::pair<Oid, std::string>> fetched;
+  std::string monitored_class;
+  bool monitored = false;
+  for (PageId page : pages) {
+    REACH_RETURN_IF_ERROR(ctx.store->VisitHomes(
+        page, [&](const Oid& oid, std::string_view bytes) -> Status {
+          REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(bytes));
+          if (rec.class_name() != monitored_class) {
+            monitored_class = rec.class_name();
+            monitored = db->bus()->Monitored(SentryKind::kFetch,
+                                             monitored_class, "");
+          }
+          if (monitored) fetched.emplace_back(oid, monitored_class);
+          if (!ctx.in_place) {
+            copies.emplace_back(oid, bytes);
+            return Status::OK();
+          }
+          return ProcessRecord(ctx, oid, rec, use_fast, out);
+        }));
+  }
+  for (const auto& [oid, bytes] : copies) {
+    REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(bytes));
+    REACH_RETURN_IF_ERROR(ProcessRecord(ctx, oid, rec, use_fast, out));
+  }
+  for (const auto& [oid, class_name] : fetched) {
+    db->persistence()->AnnounceFetch(ctx.txn, oid, class_name);
   }
   return Status::OK();
 }
@@ -353,9 +409,7 @@ void EmitRows(const SelectStatement& stmt, std::vector<Hit>* hits,
   for (size_t i = 0; i < hits->size() && i < limit; ++i) {
     QueryRow row;
     row.oid = (*hits)[i].oid;
-    for (const SelectItem& item : stmt.items) {
-      row.values.push_back((*hits)[i].obj->Get(item.attr));
-    }
+    row.values = std::move((*hits)[i].values);
     result->rows.push_back(std::move(row));
   }
 }
@@ -367,7 +421,10 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
                                 const QueryOptions& options) {
   uint64_t start = obs::NowNanos();
   QueryResult result;
-  ScanContext ctx{&session, &stmt, &plan, nullptr, nullptr};
+  ScanContext ctx{&session, &stmt, &plan, session.current_txn(), nullptr,
+                  nullptr};
+  ctx.in_place = !Dereferences(stmt.where, stmt.alias) &&
+                 !Dereferences(stmt.order_by, stmt.alias);
   std::vector<WorkerOutput> outputs;
 
   if (plan.access != QueryPlan::Access::kExtentScan) {
@@ -376,10 +433,11 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
     result.used_index = true;
     outputs.resize(1);
     for (const Oid& oid : plan.candidates) {
-      REACH_ASSIGN_OR_RETURN(std::shared_ptr<DbObject> obj,
-                             session.Fetch(oid));
-      REACH_RETURN_IF_ERROR(
-          ProcessObject(ctx, oid, obj, false, &outputs[0]));
+      REACH_ASSIGN_OR_RETURN(
+          std::string record,
+          session.db()->persistence()->Load(ctx.txn, oid, LockMode::kShared));
+      REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(record));
+      REACH_RETURN_IF_ERROR(ProcessRecord(ctx, oid, rec, false, &outputs[0]));
     }
   } else {
     REACH_ASSIGN_OR_RETURN(

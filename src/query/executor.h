@@ -2,9 +2,11 @@
 // index order; extent scans are partitioned into page-aligned morsels and
 // fanned over a shared worker pool (docs/QUERY.md "Morsel execution").
 // A morsel is a run of the extent's pages; each worker warms its pages via
-// BufferPool::ReadAhead, lists their home cells, batch-fetches those
-// objects, applies the plan's fast predicate prefix before full evaluation,
-// and accumulates partial results (rows in page order, and per-group
+// BufferPool::ReadAhead, lists their home cells, S-locks those objects in
+// one batch, then reads each stored record in place (ObjectStore::VisitHomes
+// and RecordView — no object is decoded): the plan's fast predicate prefix
+// runs before full evaluation, and partial results accumulate (rows hold
+// only their projected values and sort key, in page order, and per-group
 // aggregate states). Partials merge in worker order over contiguous morsel
 // slices, so parallel output is byte-identical to the serial fallback.
 #pragma once
@@ -42,20 +44,23 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
                                 const QueryPlan& plan,
                                 const QueryOptions& options);
 
-/// EvalEnv over one candidate object: `<alias>.attr` resolves to the
-/// object's attribute; a bare `<alias>` resolves to its OID; single-segment
-/// paths also try the object's attributes directly.
+/// EvalEnv over one candidate object's stored record: `<alias>.attr`
+/// resolves to the object's attribute; a bare `<alias>` resolves to its OID;
+/// single-segment paths also try the object's attributes directly. Paths
+/// through reference attributes fetch the referenced objects.
 class ObjectEnv : public EvalEnv {
  public:
-  ObjectEnv(Session* session, const std::string& alias, const DbObject* obj)
-      : session_(session), alias_(alias), obj_(obj) {}
+  ObjectEnv(Session* session, const std::string& alias, const Oid& oid,
+            const RecordView* record)
+      : session_(session), alias_(alias), oid_(oid), record_(record) {}
 
   Result<Value> Resolve(const std::vector<std::string>& path) override;
 
  private:
   Session* session_;
-  std::string alias_;
-  const DbObject* obj_;
+  const std::string& alias_;
+  Oid oid_;
+  const RecordView* record_;
 };
 
 }  // namespace reach

@@ -160,10 +160,12 @@ class BufferPool {
   size_t table_mask_ = 0;
   size_t table_empties_ = 0;         // guarded by mu_
   std::vector<size_t> free_frames_;  // guarded by mu_
-  std::atomic<uint64_t> tick_{0};    // approximate-LRU access clock
+  // Written on every access: kept off the line of the read-mostly fields
+  // above, which every lock-free probe reads.
+  alignas(64) std::atomic<uint64_t> tick_{0};  // approximate-LRU access clock
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  PreWriteHook pre_write_hook_;
+  alignas(64) PreWriteHook pre_write_hook_;
   std::atomic<size_t> dirty_count_{0};
 };
 

@@ -57,6 +57,8 @@ Status ObjectStore::Bootstrap() {
     free_space_.clear();
     by_space_.clear();
     owned_.clear();
+    withheld_.clear();
+    withheld_by_.clear();
   }
   // The disk manager knows how many pages exist; scan the data range in
   // readahead-sized chunks so the cold pass goes down as batched backend
@@ -118,12 +120,39 @@ void ObjectStore::NoteFreeSpace(PageId page, const SlottedPage& sp) {
   by_space_.emplace(entry.owner, space, page);
 }
 
-Result<PageId> ObjectStore::PageWithSpace(const Oid& owner, size_t need) {
+void ObjectStore::WithholdPage(TxnId txn, PageId page) {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  std::vector<TxnId>& txns = withheld_[page];
+  if (std::find(txns.begin(), txns.end(), txn) != txns.end()) return;
+  txns.push_back(txn);
+  withheld_by_[txn].push_back(page);
+}
+
+bool ObjectStore::InsertableBy(TxnId txn, PageId page) const {
+  auto it = withheld_.find(page);
+  return it == withheld_.end() ||
+         (it->second.size() == 1 && it->second[0] == txn);
+}
+
+void ObjectStore::ReleaseFreedSpace(TxnId txn) {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  auto by = withheld_by_.find(txn);
+  if (by == withheld_by_.end()) return;
+  for (PageId page : by->second) {
+    auto it = withheld_.find(page);
+    std::erase(it->second, txn);
+    if (it->second.empty()) withheld_.erase(it);
+  }
+  withheld_by_.erase(by);
+}
+
+Result<PageId> ObjectStore::PageWithSpace(TxnId txn, const Oid& owner,
+                                          size_t need) {
   {
     std::lock_guard<std::mutex> lock(free_mu_);
-    auto it = by_space_.lower_bound({owner, need, 0});
-    if (it != by_space_.end() && std::get<0>(*it) == owner) {
-      return std::get<2>(*it);
+    for (auto it = by_space_.lower_bound({owner, need, 0});
+         it != by_space_.end() && std::get<0>(*it) == owner; ++it) {
+      if (InsertableBy(txn, std::get<2>(*it))) return std::get<2>(*it);
     }
   }
   REACH_ASSIGN_OR_RETURN(Page * page, pool_->NewPage());
@@ -155,14 +184,22 @@ Result<Oid> ObjectStore::InsertCell(TxnId txn, const Oid& owner,
   if (payload.size() > kMaxCellBytes) {
     return Status::InvalidArgument("cell payload too large");
   }
-  REACH_ASSIGN_OR_RETURN(PageId page_id,
-                         PageWithSpace(owner, payload.size() + kMinCellSlack));
+  REACH_ASSIGN_OR_RETURN(
+      PageId page_id, PageWithSpace(txn, owner, payload.size() + kMinCellSlack));
   return InsertCellAt(txn, page_id, payload, flag);
 }
 
 Result<Oid> ObjectStore::InsertCellAt(TxnId txn, PageId page_id,
                                       std::string_view payload,
                                       SlotFlag flag) {
+  {
+    // A free-space map pick is advisory: the page may have been withheld
+    // since. Callers hold its stripe, so no withholding delete is mid-way.
+    std::lock_guard<std::mutex> lock(free_mu_);
+    if (!InsertableBy(txn, page_id)) {
+      return Status::OutOfRange("page holds space freed by another txn");
+    }
+  }
   REACH_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
   PageGuard guard(pool_, page);
   SlottedPage sp(page);
@@ -208,6 +245,7 @@ Status ObjectStore::DeleteCell(TxnId txn, const Oid& oid) {
   after.flag = static_cast<uint16_t>(SlotFlag::kFree);
   after.generation = oid.generation;
   REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, oid.page, oid.slot, before, after));
+  WithholdPage(txn, oid.page);
   NoteFreeSpace(oid.page, sp);
   return Status::OK();
 }
@@ -230,6 +268,7 @@ Status ObjectStore::UpdateCellInPlace(TxnId txn, const Oid& oid,
   after.generation = oid.generation;
   after.bytes.assign(payload.data(), payload.size());
   REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, oid.page, oid.slot, before, after));
+  if (payload.size() < before.bytes.size()) WithholdPage(txn, oid.page);
   NoteFreeSpace(oid.page, sp);
   return Status::OK();
 }
@@ -310,10 +349,11 @@ Status ObjectStore::FreeChain(TxnId txn, const std::string& head_payload) {
   return Status::OK();
 }
 
-Result<std::string> ObjectStore::AssembleBody(const std::string& head_payload) {
+Result<std::string> ObjectStore::AssembleBody(std::string head_payload) {
   if (head_payload.empty()) return Status::Corruption("empty cell payload");
   if (head_payload[0] == kWhole) {
-    return head_payload.substr(1);
+    head_payload.erase(0, 1);
+    return head_payload;
   }
   if (head_payload[0] != kHead) {
     return Status::Corruption("unexpected envelope kind");
@@ -330,7 +370,8 @@ Result<std::string> ObjectStore::AssembleBody(const std::string& head_payload) {
   while (next.valid()) {
     std::string seg;
     SlotFlag flag;
-    // Reader path (only Read calls this): take each segment's page stripe.
+    // Reader path (only ReadHeld calls this): take each segment's page
+    // stripe.
     REACH_RETURN_IF_ERROR(ReadCellShared(next, &seg, &flag));
     if (seg.empty() || seg[0] != kCont) {
       return Status::Corruption("broken segment chain at " + next.ToString());
@@ -360,7 +401,8 @@ Result<Oid> ObjectStore::Insert(TxnId txn, std::string_view bytes,
     payload.append(bytes.data(), bytes.size());
     for (int attempt = 0; attempt < 8; ++attempt) {
       REACH_ASSIGN_OR_RETURN(
-          PageId page_id, PageWithSpace(owner, payload.size() + kMinCellSlack));
+          PageId page_id,
+          PageWithSpace(txn, owner, payload.size() + kMinCellSlack));
       std::unique_lock<std::shared_mutex> plock(PageLockFor(page_id));
       auto oid = InsertCellAt(txn, page_id, payload, SlotFlag::kLive);
       if (oid.ok() || !oid.status().IsOutOfRange()) return oid;
@@ -373,6 +415,10 @@ Result<Oid> ObjectStore::Insert(TxnId txn, std::string_view bytes,
 
 Result<std::string> ObjectStore::Read(const Oid& oid) {
   std::shared_lock<std::shared_mutex> lock(op_mu_);
+  return ReadHeld(oid);
+}
+
+Result<std::string> ObjectStore::ReadHeld(const Oid& oid) {
   std::string payload;
   SlotFlag flag;
   REACH_RETURN_IF_ERROR(ReadCellShared(oid, &payload, &flag));
@@ -385,7 +431,7 @@ Result<std::string> ObjectStore::Read(const Oid& oid) {
   } else if (flag != SlotFlag::kLive) {
     return Status::NotFound("oid does not name an object home");
   }
-  return AssembleBody(payload);
+  return AssembleBody(std::move(payload));
 }
 
 Status ObjectStore::Update(TxnId txn, const Oid& oid, std::string_view bytes) {
@@ -536,6 +582,38 @@ Status ObjectStore::AppendHomes(PageId page_id, std::vector<Oid>* out) {
     out->push_back(Oid{page_id, slot, gen});
   }
   return Status::OK();
+}
+
+Status ObjectStore::VisitHomes(PageId page_id, const HomeVisitor& visit) {
+  std::shared_lock<std::shared_mutex> lock(op_mu_);
+  SlotId next = 0;
+  for (;;) {
+    // A forwarded or segmented home ends a stripe hold: its body is read
+    // after the release, and the walk resumes at the following slot.
+    Oid indirect;
+    {
+      std::shared_lock<std::shared_mutex> plock(PageLockFor(page_id));
+      REACH_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
+      PageGuard guard(pool_, page);
+      SlottedPage sp(page);
+      for (; !indirect.valid() && next < sp.slot_count(); ++next) {
+        SlotFlag flag;
+        std::string_view payload = sp.View(next, &flag);
+        if (flag != SlotFlag::kLive && flag != SlotFlag::kForward) continue;
+        REACH_ASSIGN_OR_RETURN(uint16_t gen, sp.Generation(next));
+        Oid oid{page_id, next, gen};
+        if (flag == SlotFlag::kLive && !payload.empty() &&
+            payload[0] == kWhole) {
+          REACH_RETURN_IF_ERROR(visit(oid, payload.substr(1)));
+        } else {
+          indirect = oid;
+        }
+      }
+    }
+    if (!indirect.valid()) return Status::OK();
+    REACH_ASSIGN_OR_RETURN(std::string bytes, ReadHeld(indirect));
+    REACH_RETURN_IF_ERROR(visit(indirect, bytes));
+  }
 }
 
 Result<Page*> ObjectStore::FetchForRedo(PageId page_id) {

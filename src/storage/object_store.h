@@ -8,9 +8,9 @@
 //  * Every cell mutation is logged to the WAL as a physical before/after
 //    image, making redo and undo idempotent.
 //
-// Concurrency: two-tier locking. Readers (Read/Exists/ScanAll) hold the
-// operation lock shared plus, one page at a time, a striped per-page lock
-// shared, so lookups of distinct objects proceed in parallel. Single-page
+// Concurrency: two-tier locking. Readers (Read/Exists/ScanAll/VisitHomes)
+// hold the operation lock shared plus, one page at a time, a striped
+// per-page lock shared, so lookups of distinct objects proceed in parallel. Single-page
 // mutations (unsegmented insert, in-place whole-object update, whole-object
 // delete) also hold the operation lock shared and take only their page's
 // stripe exclusively — readers of *other* pages keep flowing during the
@@ -20,6 +20,13 @@
 // free-space map has its own mutex and is indexed by (owner, free bytes), so
 // picking a page for an insert costs O(log pages) however large the store
 // grows; page stripes are always taken before the free-space mutex.
+//
+// Freed space stays with its transaction: a page on which an unfinished
+// transaction deleted a cell or shrank one is offered to no other
+// transaction's insert until the transaction manager reports the freeing
+// transaction ended (ReleaseFreedSpace). Reusing that slot or those bytes
+// would leave the transaction's undo nothing to restore into — its
+// before-image would overwrite the newcomer.
 //
 // Page owners: every data page belongs to one owner for its whole life — a
 // class extent anchor, or kInvalidOid (unowned). Insert places an object's
@@ -72,6 +79,17 @@ class ObjectStore {
   /// Read an object (follows forwarding stubs and segment chains).
   Result<std::string> Read(const Oid& oid);
 
+  /// Calls `visit(oid, bytes)` for each home on `page` (AppendHomes), in
+  /// slot order. An unforwarded, unsegmented object's bytes are a view
+  /// over the pinned frame, read under the page's stripe (shared) — one pin
+  /// and one stripe hold for all of them. A forwarded or segmented object's
+  /// body is assembled and visited after the stripe is released, since no
+  /// path may hold two stripes. The view is valid only during the call;
+  /// `visit` must not block or call back into the store. A non-OK status
+  /// from `visit` stops the visit and is returned.
+  using HomeVisitor = std::function<Status(const Oid&, std::string_view)>;
+  Status VisitHomes(PageId page, const HomeVisitor& visit);
+
   /// Replace an object's bytes. The OID remains valid.
   Status Update(TxnId txn, const Oid& oid, std::string_view bytes);
 
@@ -109,6 +127,11 @@ class ObjectStore {
   Status ApplyImageLogged(TxnId txn, PageId page, SlotId slot,
                           const WalCellImage& target);
 
+  /// Offer the space `txn` freed (deletes, shrinking updates) to every
+  /// transaction's inserts again. Call once `txn` has ended: after its
+  /// commit record, or after its undo.
+  void ReleaseFreedSpace(TxnId txn);
+
   /// Before-image notification for every logged cell mutation; the
   /// transaction manager uses it to build per-transaction undo chains.
   using MutationListener = std::function<void(
@@ -140,9 +163,9 @@ class ObjectStore {
   static constexpr size_t kHeadChunk = 1024;
 
   /// Pick (or format) a page of `owner` with at least `need` insertable
-  /// bytes: the best fit (least such space, then lowest page id), O(log
-  /// pages).
-  Result<PageId> PageWithSpace(const Oid& owner, size_t need);
+  /// bytes that `txn` may insert on: the best fit (least such space, then
+  /// lowest page id), O(log pages) plus the withheld pages skipped.
+  Result<PageId> PageWithSpace(TxnId txn, const Oid& owner, size_t need);
 
   /// Insert one raw cell on a page of `owner`; logs the mutation; returns
   /// its OID.
@@ -150,7 +173,8 @@ class ObjectStore {
                          std::string_view payload, SlotFlag flag);
 
   /// Insert one raw cell on exactly `page_id`; OutOfRange if it no longer
-  /// fits there (the free-space entry is refreshed so retries move on).
+  /// fits there (the free-space entry is refreshed so retries move on) or
+  /// the page is withheld from `txn`.
   Result<Oid> InsertCellAt(TxnId txn, PageId page_id, std::string_view payload,
                            SlotFlag flag);
 
@@ -179,7 +203,10 @@ class ObjectStore {
   Status FreeChain(TxnId txn, const std::string& head_payload);
 
   /// Concatenate a head payload and its chain into the full object bytes.
-  Result<std::string> AssembleBody(const std::string& head_payload);
+  Result<std::string> AssembleBody(std::string head_payload);
+
+  /// Read with op_mu_ already held shared.
+  Result<std::string> ReadHeld(const Oid& oid);
 
   /// Append a physical record and stamp `sp`'s page LSN with the record's
   /// LSN, maintaining the ARIES invariant that a flushed page image reflects
@@ -190,6 +217,15 @@ class ObjectStore {
   /// Record `page`'s owner and insertable bytes in the free-space map.
   void NoteFreeSpace(PageId page, const SlottedPage& sp);
 
+  /// `txn` freed space on `page`: withhold the page from other
+  /// transactions' inserts until ReleaseFreedSpace(txn). Called under the
+  /// page's stripe (or op_mu_ exclusive), before NoteFreeSpace.
+  void WithholdPage(TxnId txn, PageId page);
+
+  /// True unless a transaction other than `txn` freed space on `page` and
+  /// has not ended. Requires free_mu_.
+  bool InsertableBy(TxnId txn, PageId page) const;
+
   /// Fetch `page` for redo, allocating pages up to it when the data file is
   /// shorter (recovery may reference pages that never reached disk).
   Result<Page*> FetchForRedo(PageId page);
@@ -198,18 +234,23 @@ class ObjectStore {
   /// page *content* access; `free_mu_` guards the free-space map.
   static constexpr size_t kPageLockStripes = 64;
   std::shared_mutex& PageLockFor(PageId page) {
-    return page_locks_[page % kPageLockStripes];
+    return page_locks_[page % kPageLockStripes].mu;
   }
 
   BufferPool* pool_;
   Wal* wal_;
   PageId first_data_page_;
   // Tier one: readers and single-page writers shared, multi-page writers
-  // exclusive (see the concurrency note at the top).
-  std::shared_mutex op_mu_;
+  // exclusive (see the concurrency note at the top). Every object read
+  // takes it and one stripe, so each lock gets a cache line of its own:
+  // concurrent readers of different pages then share no line but op_mu_'s.
+  alignas(64) std::shared_mutex op_mu_;
   // Tier two: per-page striped locks ordering page-content access among
   // op_mu_ shared holders.
-  std::shared_mutex page_locks_[kPageLockStripes];
+  struct alignas(64) Stripe {
+    std::shared_mutex mu;
+  };
+  Stripe page_locks_[kPageLockStripes];
   // Free-space map: owner and insertable bytes per data page, in page
   // order; the same entries ordered by (owner, insertable bytes, page) so
   // PageWithSpace's best fit is one lower_bound; and each owner's pages,
@@ -223,6 +264,11 @@ class ObjectStore {
   std::map<PageId, PageSpace> free_space_;
   std::set<std::tuple<Oid, size_t, PageId>> by_space_;
   std::unordered_map<Oid, std::vector<PageId>> owned_;
+  // Pages holding space freed by unfinished transactions, with those
+  // transactions, and the same relation by transaction. Guarded by
+  // free_mu_.
+  std::unordered_map<PageId, std::vector<TxnId>> withheld_;
+  std::unordered_map<TxnId, std::vector<PageId>> withheld_by_;
   MutationListener mutation_listener_;
 };
 

@@ -207,12 +207,20 @@ Status SlottedPage::Delete(SlotId s) {
 }
 
 Status SlottedPage::Read(SlotId s, std::string* out, SlotFlag* flag) const {
-  if (s >= header()->slot_count) return Status::NotFound("no such slot");
-  const Slot* sl = slot(s);
-  if (sl->flag == FreeFlag()) return Status::NotFound("slot is free");
-  out->assign(page_->data() + sl->offset, sl->length);
-  *flag = static_cast<SlotFlag>(sl->flag);
+  std::string_view cell = View(s, flag);
+  if (*flag == SlotFlag::kFree) return Status::NotFound("no such cell");
+  out->assign(cell);
   return Status::OK();
+}
+
+std::string_view SlottedPage::View(SlotId s, SlotFlag* flag) const {
+  if (s >= header()->slot_count || slot(s)->flag == FreeFlag()) {
+    *flag = SlotFlag::kFree;
+    return {};
+  }
+  const Slot* sl = slot(s);
+  *flag = static_cast<SlotFlag>(sl->flag);
+  return {page_->data() + sl->offset, sl->length};
 }
 
 Result<uint16_t> SlottedPage::Generation(SlotId s) const {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,6 +72,11 @@ class SlottedPage {
 
   /// Read a cell's payload and flag.
   Status Read(SlotId slot, std::string* out, SlotFlag* flag) const;
+
+  /// A cell's payload as a view over the page, and its flag (kFree, with an
+  /// empty view, for a free or missing slot). Valid while the page stays
+  /// pinned and unchanged.
+  std::string_view View(SlotId slot, SlotFlag* flag) const;
 
   /// Generation currently stored for a slot.
   Result<uint16_t> Generation(SlotId slot) const;

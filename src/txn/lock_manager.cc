@@ -52,13 +52,14 @@ bool LockManager::WaitReaches(TxnId waiter, TxnId target,
                               std::unordered_set<TxnId>* visited) const {
   if (waiter == target) return true;
   if (!visited->insert(waiter).second) return false;
-  auto wit = waiting_on_.find(waiter);
-  if (wit == waiting_on_.end()) return false;
-  auto rit = table_.find(wit->second);
-  if (rit == table_.end()) return false;
-  for (const Grant& g : rit->second.grants) {
-    if (g.txn == waiter) continue;
-    if (WaitReaches(g.txn, target, visited)) return true;
+  auto [begin, end] = waiting_on_.equal_range(waiter);
+  for (auto wit = begin; wit != end; ++wit) {
+    auto rit = table_.find(wit->second);
+    if (rit == table_.end()) continue;
+    for (const Grant& g : rit->second.grants) {
+      if (g.txn == waiter) continue;
+      if (WaitReaches(g.txn, target, visited)) return true;
+    }
   }
   return false;
 }
@@ -78,8 +79,8 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
 
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::microseconds(timeout_us);
-  res.waiters.insert(txn);
-  waiting_on_[txn] = resource;
+  ++res.waiters;
+  waiting_on_.emplace(txn, resource);
   Status result = Status::OK();
   while (!CanGrant(res, txn, mode)) {
     // Deadlock check: would blocking here close a cycle? A cycle exists if
@@ -112,9 +113,21 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
       cv_.wait(lock);
     }
   }
-  res.waiters.erase(txn);
-  waiting_on_.erase(txn);
-  if (result.ok()) DoGrant(&res, txn, mode);
+  --res.waiters;
+  // Iterators do not survive other waiters' inserts (rehash), so find an
+  // edge of this call by value: equal edges are interchangeable.
+  auto [begin, end] = waiting_on_.equal_range(txn);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second == resource) {
+      waiting_on_.erase(it);
+      break;
+    }
+  }
+  if (result.ok()) {
+    DoGrant(&res, txn, mode);
+  } else if (res.grants.empty() && res.waiters == 0) {
+    table_.erase(resource);  // refused: leave no entry nothing uses
+  }
   return result;
 }
 
@@ -174,7 +187,7 @@ void LockManager::ReleaseAll(TxnId txn) {
           ++i;
         }
       }
-      if (grants.empty() && it->second.waiters.empty()) {
+      if (grants.empty() && it->second.waiters == 0) {
         it = table_.erase(it);
       } else {
         ++it;

@@ -64,6 +64,11 @@ class LockManager {
     std::lock_guard<std::mutex> lock(mu_);
     return deadlocks_;
   }
+  /// Resources with a grant or a waiter (lock-table entries).
+  size_t locked_resources() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.size();
+  }
 
  private:
   struct Grant {
@@ -72,7 +77,9 @@ class LockManager {
   };
   struct Resource {
     std::vector<Grant> grants;
-    std::unordered_set<TxnId> waiters;
+    // Blocked Acquire calls; one transaction's parallel workers count once
+    // each.
+    size_t waiters = 0;
   };
 
   /// True if `maybe_ancestor` is `txn` or an ancestor of `txn`.
@@ -92,8 +99,10 @@ class LockManager {
   std::condition_variable cv_;
   std::unordered_map<Oid, Resource> table_;
   std::unordered_map<TxnId, TxnId> parent_;
-  // While blocked, a txn records the resource it waits for (wait-for graph).
-  std::unordered_map<TxnId, Oid> waiting_on_;
+  // Wait-for graph: one edge per blocked Acquire call, from its
+  // transaction to the resource it waits for. Parallel workers of one
+  // transaction may wait at once, each on its own resource.
+  std::unordered_multimap<TxnId, Oid> waiting_on_;
   // Deadlock victim -> the holder whose wait closed the cycle.
   std::unordered_map<TxnId, TxnId> victims_;
   uint64_t deadlocks_ = 0;

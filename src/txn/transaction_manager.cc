@@ -195,6 +195,9 @@ Status TransactionManager::Commit(TxnId txn_id) {
       return force;
     }
 
+    // Committed: the space the tree freed is the next inserter's to reuse.
+    storage_->objects()->ReleaseFreedSpace(txn_id);
+    for (TxnId m : merged) storage_->objects()->ReleaseFreedSpace(m);
     locks_.ReleaseAll(txn_id);
     locks_.UnregisterTxn(txn_id);
     {
@@ -308,6 +311,13 @@ Status TransactionManager::DoAbort(TxnId txn_id) {
       if (!st.ok()) result = st;
     }
   }
+  if (result.ok()) {
+    // Undone: the space the transaction freed is back in its cells, and
+    // what undo freed is anyone's. After a failed undo the pages stay
+    // withheld, since recovery's undo may yet restore into them.
+    storage_->objects()->ReleaseFreedSpace(txn_id);
+    for (TxnId m : merged) storage_->objects()->ReleaseFreedSpace(m);
+  }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -318,8 +328,8 @@ Status TransactionManager::DoAbort(TxnId txn_id) {
     FinishLocked(txn_id, /*committed=*/false);
   }
   outcome_cv_.notify_all();
-  // Listeners roll back their in-memory state (object cache, index
-  // entries) while the locks are still held: the next locker of an object
+  // Listeners roll back their in-memory state (index entries, extent
+  // anchors) while the locks are still held: the next locker of an object
   // this transaction wrote must not read the aborted value. The outcome is
   // recorded first, so the abort event names this transaction (RootOf no
   // longer walks up to a still-active parent).

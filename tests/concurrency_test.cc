@@ -290,7 +290,11 @@ TEST_F(ConcurrencyTest, ExtentScansSeeExactlyCommittedObjects) {
         auto extent = s.Extent(classes[c], /*include_subclasses=*/false);
         std::vector<std::shared_ptr<DbObject>> objs;
         if (st.ok()) st = extent.status();
-        if (st.ok()) st = s.FetchMany(*extent, &objs);
+        for (size_t i = 0; st.ok() && i < extent->size(); ++i) {
+          auto obj = s.Fetch((*extent)[i]);
+          st = obj.status();
+          if (st.ok()) objs.push_back(std::move(*obj));
+        }
         if (st.ok()) st = s.Commit();
         if (!st.ok()) {
           (void)s.AbortAll();

@@ -153,6 +153,74 @@ TEST(DbObjectTest, SerializeRoundTrip) {
   EXPECT_TRUE(back->Get("neighbors").is_list());
 }
 
+TEST(RecordViewTest, ReadsAttributesInPlace) {
+  DbObject obj("Reactor");
+  obj.Set("name", Value("Block A"));
+  obj.Set("output", Value(1000000));
+  obj.Set("neighbors", Value(std::vector<Value>{Value(Oid{1, 1, 1})}));
+  obj.Set("load", Value(0.5));
+  const std::string bytes = obj.Serialize();
+  auto view = RecordView::Parse(bytes);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->class_name(), "Reactor");
+  for (const auto& [name, value] : obj.attributes()) {
+    auto got = view->Get(name);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    EXPECT_EQ(*got, value) << name;
+  }
+  EXPECT_TRUE(view->Get("missing").status().IsNotFound());
+  size_t visited = 0;
+  ASSERT_TRUE(view->ForEach([&](std::string_view name, Value v) {
+                    ++visited;
+                    EXPECT_EQ(v, obj.Get(std::string(name)));
+                  }).ok());
+  EXPECT_EQ(visited, obj.attributes().size());
+}
+
+TEST(RecordViewTest, WithPatchesOrAppendsOneAttribute) {
+  DbObject obj("Reactor");
+  obj.Set("name", Value("Block A"));
+  obj.Set("output", Value(7));
+  const std::string bytes = obj.Serialize();
+  auto view = RecordView::Parse(bytes);
+  ASSERT_TRUE(view.ok());
+
+  // Replaced in place, with a value of another size.
+  auto patched = view->With("name", Value("a much longer block name"));
+  ASSERT_TRUE(patched.ok());
+  auto back = DbObject::Deserialize(*patched);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->Get("name"), Value("a much longer block name"));
+  EXPECT_EQ(back->Get("output"), Value(7));
+  EXPECT_EQ(back->attributes().size(), 2u);
+
+  // Appended when the record does not carry it.
+  auto grown = view->With("online", Value(true));
+  ASSERT_TRUE(grown.ok());
+  back = DbObject::Deserialize(*grown);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->Get("online"), Value(true));
+  EXPECT_EQ(back->Get("name"), Value("Block A"));
+  EXPECT_EQ(back->attributes().size(), 3u);
+}
+
+TEST(RecordViewTest, TruncatedRecordIsCorruption) {
+  DbObject obj("Reactor");
+  obj.Set("name", Value("Block A"));
+  const std::string bytes = obj.Serialize();
+  EXPECT_TRUE(RecordView::Parse(std::string_view(bytes).substr(0, 3))
+                  .status()
+                  .IsCorruption());
+  auto view = RecordView::Parse(std::string_view(bytes).substr(
+      0, bytes.size() - 2));  // cuts the string value short
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE(view->Get("name").status().IsCorruption());
+  EXPECT_TRUE(DbObject::Deserialize(std::string_view(bytes).substr(
+                                        0, bytes.size() - 2))
+                  .status()
+                  .IsCorruption());
+}
+
 // ---------------------------------------------------------------------------
 // MetaBus + Sentried
 // ---------------------------------------------------------------------------
@@ -314,11 +382,11 @@ TEST_F(SessionTest, SetAttrWriteThroughAndAbortRollback) {
   ASSERT_TRUE(s.Commit().ok());
 }
 
-// An aborting transaction rolls back its cached writes before it releases
-// its locks: readers blocked on T1's X locks must read the pre-T1 values
-// after T1 aborts, never the aborted ones. Looped with several blocked
-// readers, because the window between a lock release and the cache
-// eviction is a race.
+// An aborting transaction's undo restores the stored records before it
+// releases its locks: readers blocked on T1's X locks must read the pre-T1
+// values after T1 aborts, never the aborted ones. Looped with several
+// blocked readers, because the window between undo and lock release is a
+// race.
 TEST_F(SessionTest, NextLockerNeverSeesAbortedValue) {
   constexpr int kObjects = 64;
   constexpr int kReaders = 3;
@@ -364,6 +432,74 @@ TEST_F(SessionTest, NextLockerNeverSeesAbortedValue) {
     for (auto& th : readers) th.join();
   }
   EXPECT_EQ(stale.load(), 0) << "reads of an aborted value";
+}
+
+// T1 writes and aborts while T2 waits for T1's X lock: T2 is granted only
+// after the undo, so it reads the pre-image, through GetAttr and Fetch.
+TEST_F(SessionTest, BlockedReaderReadsPreImageAfterAbort) {
+  Session setup(db_.get());
+  ASSERT_TRUE(setup.Begin().ok());
+  auto oid = setup.PersistNew("Reactor",
+                              {{"name", Value("pre")}, {"output", Value(1)}});
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(setup.Commit().ok());
+
+  Session t1(db_.get());
+  ASSERT_TRUE(t1.Begin().ok());
+  ASSERT_TRUE(t1.SetAttr(*oid, "output", Value(2)).ok());
+  ASSERT_TRUE(t1.SetAttr(*oid, "name", Value("aborted, and longer")).ok());
+
+  std::atomic<bool> done{false};
+  Result<Value> read = Status::Internal("not read");
+  std::shared_ptr<DbObject> fetched;
+  std::thread t2([&] {
+    Session s(db_.get());
+    if (!s.Begin().ok()) return;
+    read = s.GetAttr(*oid, "output");  // waits for T1's X lock
+    auto obj = s.Fetch(*oid);
+    if (obj.ok()) fetched = *obj;
+    (void)s.Commit();
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());  // still waiting for T1
+  ASSERT_TRUE(t1.Abort().ok());
+  t2.join();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, Value(1));
+  ASSERT_NE(fetched, nullptr);
+  EXPECT_EQ(fetched->Get("name"), Value("pre"));
+  EXPECT_EQ(fetched->Get("output"), Value(1));
+}
+
+// A fetched object is the caller's own copy: changing it changes neither the
+// store nor what any other transaction reads.
+TEST_F(SessionTest, FetchedObjectIsAPrivateCopy) {
+  Session s(db_.get());
+  ASSERT_TRUE(s.Begin().ok());
+  auto oid = s.PersistNew("Reactor", {{"output", Value(10)}});
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(s.Commit().ok());
+
+  ASSERT_TRUE(s.Begin().ok());
+  auto mine = s.Fetch(*oid);
+  ASSERT_TRUE(mine.ok());
+  (*mine)->Set("output", Value(99));
+  (*mine)->Set("name", Value("scribbled"));
+  auto again = s.Fetch(*oid);
+  ASSERT_TRUE(again.ok());
+  EXPECT_NE(again->get(), mine->get());
+  EXPECT_EQ((*again)->Get("output"), Value(10));
+
+  Session other(db_.get());
+  ASSERT_TRUE(other.Begin().ok());
+  EXPECT_EQ(*other.GetAttr(*oid, "output"), Value(10));
+  auto theirs = other.Fetch(*oid);
+  ASSERT_TRUE(theirs.ok());
+  EXPECT_EQ((*theirs)->Get("output"), Value(10));
+  EXPECT_EQ((*theirs)->Get("name"), Value(""));
+  ASSERT_TRUE(other.Commit().ok());
+  ASSERT_TRUE(s.Commit().ok());
 }
 
 TEST_F(SessionTest, InvokeRunsMethodInTransaction) {

@@ -199,7 +199,9 @@ TEST(RecoveryTest, MixedWinnersAndLosers) {
 TEST(RecoveryTest, LoserSpanningScanWindowsIsUndone) {
   // A log several Wal::Scan windows long with one loser whose records sit
   // in every window: redo streams over all of it, and undo restores the
-  // loser's before-images collected on the way, newest first.
+  // loser's before-images collected on the way, newest first. The loser
+  // also deletes committed objects; later winners' inserts must not reuse
+  // the freed slots, or undoing the delete would overwrite them.
   TempDir dir;
   constexpr TxnId kLoser = 1;
   constexpr int kRounds = 1200;
@@ -234,6 +236,9 @@ TEST(RecoveryTest, LoserSpanningScanWindowsIsUndone) {
         const size_t len = committed[r - 50].second.size();
         ASSERT_TRUE(store->Update(kLoser, victim, std::string(len, '1')).ok());
         ASSERT_TRUE(store->Update(kLoser, victim, std::string(len, '2')).ok());
+      }
+      if (r % 100 == 75) {
+        ASSERT_TRUE(store->Delete(kLoser, committed[r - 70].first).ok());
       }
     }
     // Make the loser's page changes durable so undo has to act on disk.

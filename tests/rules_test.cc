@@ -852,8 +852,8 @@ TEST_F(RulesTest, PriorityStillBeatsSimpleFirstPolicy) {
 TEST_F(RulesTest, RuleEffectsOnOtherObjectsRollBackWithTrigger) {
   // Regression: the rule writes an object the triggering transaction never
   // touches. When the trigger aborts, the rule's (sub)transaction effects
-  // must disappear from the object cache and any indexes too, not just
-  // from storage.
+  // must disappear from what later readers see and from any indexes, not
+  // just from storage.
   Oid counter = MakeCounter();
   Oid other = MakeCounter();
   Session setup(db_->database());

@@ -171,6 +171,83 @@ TEST_F(LockManagerTest, ContendedHandoff) {
   EXPECT_EQ(acquired.load(), 4);
 }
 
+// Two workers of one transaction wait at once, each for its own resource.
+// When the first is granted, the second's wait-for edge must survive: a
+// cycle through the still-waiting worker is refused, not left to hang.
+TEST_F(LockManagerTest, EveryWaitingWorkerKeepsItsEdge) {
+  const Oid res_c{3, 0, 1};
+  lm_.RegisterTxn(1, kNoTxn);  // the query, with two workers
+  lm_.RegisterTxn(2, kNoTxn);  // a writer
+  lm_.RegisterTxn(3, kNoTxn);  // another writer
+  ASSERT_TRUE(lm_.Acquire(1, res_c, LockMode::kShared).ok());
+  ASSERT_TRUE(lm_.Acquire(2, res_b_, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm_.Acquire(3, res_a_, LockMode::kExclusive).ok());
+
+  Status worker_a, worker_b;
+  std::thread wb([&] {  // waits for txn 2
+    worker_b = lm_.Acquire(1, res_b_, LockMode::kShared, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread wa([&] {  // waits for txn 3
+    worker_a = lm_.Acquire(1, res_a_, LockMode::kShared, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  lm_.ReleaseAll(3);  // grants worker a
+  wa.join();
+  EXPECT_TRUE(worker_a.ok()) << worker_a.ToString();
+
+  // Txn 2 wants c, held S by txn 1, whose worker b waits for txn 2. The
+  // timeout only bounds the damage if the cycle goes unseen.
+  Status st = lm_.Acquire(2, res_c, LockMode::kExclusive, 5'000'000);
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(lm_.DeadlockPartner(2), 1u);
+  lm_.ReleaseAll(2);
+  wb.join();
+  EXPECT_TRUE(worker_b.ok()) << worker_b.ToString();
+  lm_.ReleaseAll(1);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// One worker of a transaction gives up while another of the same
+// transaction still waits for the same resource: the resource stays in the
+// table for the survivor, who is granted when the holder releases.
+TEST_F(LockManagerTest, TimedOutWorkerLeavesItsSiblingWaiting) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, kNoTxn);
+  ASSERT_TRUE(lm_.Acquire(2, res_a_, LockMode::kExclusive).ok());
+  Status patient;
+  std::thread waiter([&] {
+    patient = lm_.Acquire(1, res_a_, LockMode::kShared, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(
+      lm_.Acquire(1, res_a_, LockMode::kShared, 20'000).IsTimedOut());
+  lm_.ReleaseAll(2);
+  waiter.join();
+  EXPECT_TRUE(patient.ok()) << patient.ToString();
+  EXPECT_TRUE(lm_.Holds(1, res_a_, LockMode::kShared));
+  lm_.ReleaseAll(1);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// Refused and timed-out requests leave no lock-table entry behind once the
+// holders are gone, for single and batched requests alike.
+TEST_F(LockManagerTest, RefusedRequestsLeaveNoEntries) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, kNoTxn);
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kExclusive).ok());
+  EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kShared, 0).IsTimedOut());
+  EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kExclusive, 1000).IsTimedOut());
+  EXPECT_TRUE(
+      lm_.AcquireSharedBatch(2, {res_b_, res_a_}, /*timeout_us=*/1000)
+          .IsTimedOut());
+  EXPECT_TRUE(lm_.Holds(2, res_b_, LockMode::kShared));
+  EXPECT_EQ(lm_.locked_resources(), 2u);
+  lm_.ReleaseAll(1);
+  lm_.ReleaseAll(2);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
 // Parameterized lock-compatibility matrix: {held mode} x {requested mode}
 // x {same txn / sibling / child}.
 struct LockCase {
@@ -264,6 +341,60 @@ TEST_F(TxnManagerTest, AbortUndoesChanges) {
   EXPECT_EQ(*sm_->objects()->Read(*oid), "original");
   EXPECT_TRUE(sm_->objects()->Read(*extra).status().IsNotFound());
   EXPECT_FALSE(*tm_->WaitForOutcome(*txn));
+}
+
+// A slot freed by an unfinished delete is not another transaction's to
+// reuse: undoing the delete restores the object beside the newcomer instead
+// of over it. Once the deleter ends, the space is offered again.
+TEST_F(TxnManagerTest, AbortedDeleteKeepsConcurrentInsert) {
+  const std::string original(3000, 'o');
+  auto setup = tm_->Begin();
+  auto oid = sm_->objects()->Insert(*setup, original);
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(tm_->Commit(*setup).ok());
+
+  auto deleter = tm_->Begin();
+  ASSERT_TRUE(sm_->objects()->Delete(*deleter, *oid).ok());
+  auto inserter = tm_->Begin();
+  auto other = sm_->objects()->Insert(*inserter, std::string(3000, 'n'));
+  ASSERT_TRUE(other.ok());
+  EXPECT_NE(other->page, oid->page);
+  ASSERT_TRUE(tm_->Commit(*inserter).ok());
+  ASSERT_TRUE(tm_->Abort(*deleter).ok());
+  EXPECT_EQ(*sm_->objects()->Read(*oid), original);
+  EXPECT_EQ(*sm_->objects()->Read(*other), std::string(3000, 'n'));
+
+  // A committed delete frees the page for the next inserter.
+  auto again = tm_->Begin();
+  ASSERT_TRUE(sm_->objects()->Delete(*again, *oid).ok());
+  ASSERT_TRUE(tm_->Commit(*again).ok());
+  auto reuse = tm_->Begin();
+  auto next = sm_->objects()->Insert(*reuse, std::string(3000, 'r'));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->page, oid->page);
+  ASSERT_TRUE(tm_->Commit(*reuse).ok());
+}
+
+// The same for a nested deleter: its freed space stays withheld after it
+// commits into its parent, until the parent ends.
+TEST_F(TxnManagerTest, NestedDeleteWithheldUntilTopLevelEnds) {
+  auto setup = tm_->Begin();
+  auto oid = sm_->objects()->Insert(*setup, std::string(3000, 'o'));
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(tm_->Commit(*setup).ok());
+
+  auto parent = tm_->Begin();
+  auto child = tm_->Begin(*parent);
+  ASSERT_TRUE(sm_->objects()->Delete(*child, *oid).ok());
+  ASSERT_TRUE(tm_->Commit(*child).ok());
+  auto inserter = tm_->Begin();
+  auto other = sm_->objects()->Insert(*inserter, std::string(3000, 'n'));
+  ASSERT_TRUE(other.ok());
+  EXPECT_NE(other->page, oid->page);
+  ASSERT_TRUE(tm_->Commit(*inserter).ok());
+  ASSERT_TRUE(tm_->Abort(*parent).ok());
+  EXPECT_EQ(*sm_->objects()->Read(*oid), std::string(3000, 'o'));
+  EXPECT_EQ(*sm_->objects()->Read(*other), std::string(3000, 'n'));
 }
 
 TEST_F(TxnManagerTest, NestedCommitMergesIntoParent) {
