@@ -51,21 +51,35 @@ std::string SentryEvent::ToString() const {
   return out;
 }
 
+MetaBus::MetaBus() { Publish(std::make_unique<Interest>()); }
+
+void MetaBus::Publish(std::unique_ptr<Interest> next) {
+  interest_.store(next.get(), std::memory_order_release);
+  snapshots_.push_back(std::move(next));
+}
+
 void MetaBus::Subscribe(PolicyManager* pm, SentryKind kind,
                         const std::string& class_name,
                         const std::string& member) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t k = static_cast<size_t>(kind);
   subs_[k].push_back({pm, class_name, member});
-  if (class_name.empty() || member.empty()) {
-    wildcard_[k] = true;
+  const Interest& cur = *interest_.load(std::memory_order_relaxed);
+  const bool wildcard = class_name.empty() || member.empty();
+  std::string key = wildcard ? "" : class_name + "::" + member;
+  if (wildcard ? cur.wildcard[k] : cur.exact[k].contains(key)) return;
+  auto next = std::make_unique<Interest>(cur);
+  if (wildcard) {
+    next->wildcard[k] = true;
   } else {
-    exact_[k].insert(class_name + "::" + member);
+    next->exact[k].insert(std::move(key));
   }
+  Publish(std::move(next));
 }
 
 void MetaBus::Unsubscribe(PolicyManager* pm) {
   std::lock_guard<std::mutex> lock(mu_);
+  auto next = std::make_unique<Interest>();
   for (size_t k = 0; k < subs_.size(); ++k) {
     auto& vec = subs_[k];
     vec.erase(std::remove_if(vec.begin(), vec.end(),
@@ -74,27 +88,27 @@ void MetaBus::Unsubscribe(PolicyManager* pm) {
                              }),
               vec.end());
     // Rebuild the interest tables for this kind.
-    wildcard_[k] = false;
-    exact_[k].clear();
     for (const Subscription& s : vec) {
       if (s.class_name.empty() || s.member.empty()) {
-        wildcard_[k] = true;
+        next->wildcard[k] = true;
       } else {
-        exact_[k].insert(s.class_name + "::" + s.member);
+        next->exact[k].insert(s.class_name + "::" + s.member);
       }
     }
   }
+  Publish(std::move(next));
 }
 
 bool MetaBus::Monitored(SentryKind kind, std::string_view class_name,
                         std::string_view member) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const Interest& interest = *interest_.load(std::memory_order_acquire);
   size_t k = static_cast<size_t>(kind);
-  if (wildcard_[k]) return true;
-  if (exact_[k].empty()) return false;
+  if (interest.wildcard[k]) return true;
+  if (interest.exact[k].empty()) return false;
   // Heterogeneous probe: no "<class>::<member>" concatenation (and no
   // allocation) on this per-sentried-call path.
-  return exact_[k].find(InterestKey{class_name, member}) != exact_[k].end();
+  return interest.exact[k].find(InterestKey{class_name, member}) !=
+         interest.exact[k].end();
 }
 
 size_t MetaBus::Announce(const SentryEvent& event) {

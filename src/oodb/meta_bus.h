@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -29,6 +30,8 @@ class PolicyManager {
 
 class MetaBus {
  public:
+  MetaBus();
+
   /// Plug `pm` into the bus for events of `kind`. A member filter of ""
   /// means every class/member; otherwise interest is exact on
   /// "<class>::<member>".
@@ -39,7 +42,8 @@ class MetaBus {
   void Unsubscribe(PolicyManager* pm);
 
   /// Is any policy manager interested? Sentries consult this before
-  /// constructing an event (useful vs. useless overhead).
+  /// constructing an event (useful vs. useless overhead). Lock-free: it
+  /// reads the interest snapshot Subscribe/Unsubscribe last published.
   bool Monitored(SentryKind kind, std::string_view class_name,
                  std::string_view member) const;
 
@@ -125,13 +129,25 @@ class MetaBus {
   using InterestSet =
       std::unordered_set<std::string, InterestHash, InterestEq>;
 
+  /// Fast interest test: per kind, whether a wildcard subscription exists
+  /// plus the set of exact "<class>::<member>" keys (heterogeneous lookup —
+  /// see InterestKey). Immutable once published.
+  struct Interest {
+    std::array<bool, kNumSentryKinds> wildcard{};
+    std::array<InterestSet, kNumSentryKinds> exact;
+  };
+
+  /// Make `next` the interest Monitored reads. Called with mu_ held.
+  void Publish(std::unique_ptr<Interest> next);
+
   mutable std::mutex mu_;
   std::array<std::vector<Subscription>, kNumSentryKinds> subs_;
-  // Fast interest test: per kind, whether a wildcard subscription exists
-  // plus the set of exact "<class>::<member>" keys (heterogeneous lookup —
-  // see InterestKey).
-  std::array<bool, kNumSentryKinds> wildcard_{};
-  std::array<InterestSet, kNumSentryKinds> exact_;
+  // The current interest snapshot. A reader may still hold an earlier one,
+  // so every snapshot lives as long as the bus (in snapshots_, guarded by
+  // mu_); a subscription that adds no interest publishes none, so there
+  // are as many as distinct interest changes.
+  std::atomic<const Interest*> interest_;
+  std::vector<std::unique_ptr<const Interest>> snapshots_;
   std::atomic<uint64_t> useful_{0};
   std::atomic<uint64_t> useless_{0};
 };

@@ -74,6 +74,7 @@ Result<std::string> PersistencePm::Load(TxnId txn, const Oid& oid,
   if (txn == kNoTxn) {
     return Status::FailedPrecondition("fetch outside a transaction");
   }
+  if (mode == LockMode::kExclusive) REACH_RETURN_IF_ERROR(LockOwner(txn, oid));
   REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, oid, mode));
   REACH_ASSIGN_OR_RETURN(std::string record, storage_->objects()->Read(oid));
   REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
@@ -108,6 +109,7 @@ Status PersistencePm::Write(TxnId txn, const Oid& oid,
   if (!oid.valid()) {
     return Status::FailedPrecondition("object is not persistent");
   }
+  REACH_RETURN_IF_ERROR(LockOwner(txn, oid));
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
   return storage_->objects()->Update(txn, oid, record);
@@ -118,9 +120,8 @@ Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
     return Status::FailedPrecondition("delete outside a transaction");
   }
   // Need the class to lock its extent and parameterize the delete event.
-  // The extent X lock comes before the object's: a scan holds the extent S
-  // while it S-locks objects, so the other order would deadlock a delete
-  // with every scan covering its object. Freeing the cell is what takes the
+  // The extent X lock comes before the object's, the order every update
+  // takes its extent IX and object X in. Freeing the cell is what takes the
   // object out of the extent.
   REACH_ASSIGN_OR_RETURN(std::string record,
                          Load(txn, oid, LockMode::kShared));
@@ -195,6 +196,12 @@ Result<Oid> PersistencePm::LockExtent(TxnId txn,
     // Another transaction bound the class first; use its anchor.
     REACH_RETURN_IF_ERROR(storage_->objects()->Delete(txn, anchor));
   }
+}
+
+Status PersistencePm::LockOwner(TxnId txn, const Oid& oid) {
+  const Oid anchor = storage_->objects()->PageOwner(oid.page);
+  if (!anchor.valid()) return Status::OK();
+  return txns_->locks()->Acquire(txn, anchor, LockMode::kIntentExclusive);
 }
 
 Result<std::vector<PageId>> PersistencePm::ExtentPages(

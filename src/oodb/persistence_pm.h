@@ -13,8 +13,9 @@
 // its class, and the extent is read back as the home cells of those pages,
 // so no extent list is written per insert. The anchor — an object bound as
 // "__extent::<Class>" in the dictionary — is also the extent's lock:
-// inserters and deleters hold it X (taken before the store insert), scans
-// hold it S, which keeps phantoms out of a scan.
+// inserters and deleters hold it X (taken before the store insert),
+// updaters IX (taken before the object X), and scans S. A scan locks no
+// object: its extent S keeps out phantoms and uncommitted updates alike.
 #pragma once
 
 #include <memory>
@@ -56,8 +57,8 @@ class PersistencePm : public PolicyManager, public TxnListener {
   Result<Oid> Persist(TxnId txn, DbObject* obj);
 
   /// An object's stored record (RecordView reads it), locked in `mode`
-  /// first: kShared to read it, kExclusive to patch it and Write it back.
-  /// Announces kFetch.
+  /// first: kShared to read it, kExclusive to patch it and Write it back
+  /// (after the IX on its class extent). Announces kFetch.
   Result<std::string> Load(TxnId txn, const Oid& oid, LockMode mode);
 
   /// Fault an object in (S-locks it): a freshly decoded copy, the
@@ -68,7 +69,8 @@ class PersistencePm : public PolicyManager, public TxnListener {
   /// that take the record in place rather than through Load.
   void AnnounceFetch(TxnId txn, const Oid& oid, std::string_view class_name);
 
-  /// Replace an object's stored record (X-locks the OID).
+  /// Replace an object's stored record (IX-locks its class extent, then
+  /// X-locks the OID).
   Status Write(TxnId txn, const Oid& oid, std::string_view record);
 
   /// Delete a persistent object: X-locks its class extent, announces
@@ -96,6 +98,10 @@ class PersistencePm : public PolicyManager, public TxnListener {
   /// a class with no anchor yet.
   Result<Oid> LockExtent(TxnId txn, const std::string& class_name,
                          LockMode mode);
+
+  /// IX-lock the extent anchor owning `oid`'s home page, if any (anchors
+  /// and dictionary records are on unowned pages and in no extent).
+  Status LockOwner(TxnId txn, const Oid& oid);
 
   StorageManager* storage_;
   TransactionManager* txns_;

@@ -119,8 +119,9 @@ Status Session::Unbind(const std::string& name) {
 Status Session::SetAttr(const Oid& oid, const std::string& attr,
                         Value value) {
   REACH_RETURN_IF_ERROR(RequireTxn());
-  // Patch the stored record under an X lock: the encoded value is replaced
-  // in a copy of the record, and the copy written through.
+  // Patch the stored record under an X lock, taken after the IX on the
+  // class extent (Load): the encoded value is replaced in a copy of the
+  // record, and the copy written through.
   REACH_ASSIGN_OR_RETURN(
       std::string record,
       db_->persistence()->Load(current_txn(), oid, LockMode::kExclusive));

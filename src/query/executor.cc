@@ -233,47 +233,41 @@ Status RunMorsel(const ScanContext& ctx, const Session::ExtentMorsel& pages,
     Status st = REACH_FAULT_HIT(faults::kQueryMorsel);
     if (!st.ok()) return st;
   }
-  // List the home cells of the morsel's pages, warming them window by
-  // window so one call never floods the pool. Readahead failure only costs
-  // performance (FetchPage falls back to a per-page read), so it is not
-  // propagated.
-  std::vector<Oid> oids;
-  for (size_t i = 0; i < pages.size(); i += ObjectStore::kScanReadAheadPages) {
-    size_t n = std::min(pages.size() - i, ObjectStore::kScanReadAheadPages);
-    std::vector<PageId> window(pages.begin() + i, pages.begin() + i + n);
-    (void)ctx.pool->ReadAhead(window);
-    for (PageId page : window) {
-      REACH_RETURN_IF_ERROR(ctx.store->AppendHomes(page, &oids));
-    }
-  }
-  // The extent S lock keeps the pages' homes fixed; the object S locks keep
-  // out uncommitted updates. With both held the records can be read in
-  // place.
+  // The extent S lock taken by Session::ExtentMorsels is the scan's whole
+  // guard: inserters and deleters hold the extent X and updaters its IX
+  // until they end, so while it is held no home on these pages changes and
+  // none holds an uncommitted record. The records are read in place, and
+  // no object is locked.
   Database* db = ctx.session->db();
-  REACH_RETURN_IF_ERROR(db->txns()->locks()->AcquireSharedBatch(ctx.txn, oids));
-
   bool use_fast = !ctx.plan->fast_prefix.empty();
   std::vector<std::pair<Oid, std::string>> copies;  // !in_place
   // kFetch announcements run rules, so they wait until no stripe is held.
   std::vector<std::pair<Oid, std::string>> fetched;
   std::string monitored_class;
   bool monitored = false;
-  for (PageId page : pages) {
-    REACH_RETURN_IF_ERROR(ctx.store->VisitHomes(
-        page, [&](const Oid& oid, std::string_view bytes) -> Status {
-          REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(bytes));
-          if (rec.class_name() != monitored_class) {
-            monitored_class = rec.class_name();
-            monitored = db->bus()->Monitored(SentryKind::kFetch,
-                                             monitored_class, "");
-          }
-          if (monitored) fetched.emplace_back(oid, monitored_class);
-          if (!ctx.in_place) {
-            copies.emplace_back(oid, bytes);
-            return Status::OK();
-          }
-          return ProcessRecord(ctx, oid, rec, use_fast, out);
-        }));
+  auto visit = [&](const Oid& oid, std::string_view bytes) -> Status {
+    REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(bytes));
+    if (rec.class_name() != monitored_class) {
+      monitored_class = rec.class_name();
+      monitored = db->bus()->Monitored(SentryKind::kFetch, monitored_class, "");
+    }
+    if (monitored) fetched.emplace_back(oid, monitored_class);
+    if (!ctx.in_place) {
+      copies.emplace_back(oid, bytes);
+      return Status::OK();
+    }
+    return ProcessRecord(ctx, oid, rec, use_fast, out);
+  };
+  // Warm the pages window by window so one call never floods the pool.
+  // Readahead failure only costs performance (FetchPage falls back to a
+  // per-page read), so it is not propagated.
+  for (size_t i = 0; i < pages.size(); i += ObjectStore::kScanReadAheadPages) {
+    size_t n = std::min(pages.size() - i, ObjectStore::kScanReadAheadPages);
+    std::vector<PageId> window(pages.begin() + i, pages.begin() + i + n);
+    (void)ctx.pool->ReadAhead(window);
+    for (PageId page : window) {
+      REACH_RETURN_IF_ERROR(ctx.store->VisitHomes(page, visit));
+    }
   }
   for (const auto& [oid, bytes] : copies) {
     REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(bytes));

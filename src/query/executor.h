@@ -2,9 +2,9 @@
 // index order; extent scans are partitioned into page-aligned morsels and
 // fanned over a shared worker pool (docs/QUERY.md "Morsel execution").
 // A morsel is a run of the extent's pages; each worker warms its pages via
-// BufferPool::ReadAhead, lists their home cells, S-locks those objects in
-// one batch, then reads each stored record in place (ObjectStore::VisitHomes
-// and RecordView — no object is decoded): the plan's fast predicate prefix
+// BufferPool::ReadAhead, then reads each stored record in place
+// (ObjectStore::VisitHomes and RecordView — no object is decoded or locked:
+// the extent S lock guards the scan): the plan's fast predicate prefix
 // runs before full evaluation, and partial results accumulate (rows hold
 // only their projected values and sort key, in page order, and per-group
 // aggregate states). Partials merge in worker order over contiguous morsel

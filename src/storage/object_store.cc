@@ -570,6 +570,12 @@ std::vector<PageId> ObjectStore::OwnedPages(const Oid& owner) {
   return it == owned_.end() ? std::vector<PageId>{} : it->second;
 }
 
+Oid ObjectStore::PageOwner(PageId page) {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  auto it = free_space_.find(page);
+  return it == free_space_.end() ? kInvalidOid : it->second.owner;
+}
+
 Status ObjectStore::AppendHomes(PageId page_id, std::vector<Oid>* out) {
   std::shared_lock<std::shared_mutex> lock(op_mu_);
   std::shared_lock<std::shared_mutex> plock(PageLockFor(page_id));

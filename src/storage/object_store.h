@@ -105,6 +105,10 @@ class ObjectStore {
   /// Data pages owned by `owner`, ascending.
   std::vector<PageId> OwnedPages(const Oid& owner);
 
+  /// The owner of data page `page`; kInvalidOid for an unowned or
+  /// unformatted page.
+  Oid PageOwner(PageId page);
+
   /// Append the home OIDs on `page` (kLive and kForward cells; kMoved
   /// bodies and segments belong to homes elsewhere), in slot order.
   Status AppendHomes(PageId page, std::vector<Oid>* out);

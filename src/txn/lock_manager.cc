@@ -1,8 +1,28 @@
 #include "txn/lock_manager.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace reach {
+
+namespace {
+
+/// The least mode that covers both `a` and `b`: S joined with IX is X.
+LockMode JoinModes(LockMode a, LockMode b) {
+  return a == b ? a : LockMode::kExclusive;
+}
+
+/// True if grants in `a` and `b` by unrelated transactions can coexist.
+bool CompatibleModes(LockMode a, LockMode b) {
+  return a == b && a != LockMode::kExclusive;
+}
+
+/// True if a grant in `held` already gives what `wanted` asks for.
+bool Covers(LockMode held, LockMode wanted) {
+  return JoinModes(held, wanted) == held;
+}
+
+}  // namespace
 
 void LockManager::RegisterTxn(TxnId txn, TxnId parent) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -25,40 +45,55 @@ bool LockManager::IsSelfOrAncestor(TxnId maybe_ancestor, TxnId txn) const {
   return false;
 }
 
-bool LockManager::CanGrant(const Resource& res, TxnId txn,
-                           LockMode mode) const {
+template <typename Fn>
+bool LockManager::AnyBlocker(const Resource& res, TxnId txn, LockMode mode,
+                             uint64_t seq, Fn fn) const {
   for (const Grant& g : res.grants) {
-    if (g.txn == txn) continue;  // own grant: upgrade handled by caller
-    bool conflict =
-        (mode == LockMode::kExclusive || g.mode == LockMode::kExclusive);
-    if (!conflict) continue;
+    if (g.txn == txn || CompatibleModes(mode, g.mode)) continue;
     // Moss rule: conflicting holders that are ancestors do not block.
-    if (!IsSelfOrAncestor(g.txn, txn)) return false;
+    if (!IsSelfOrAncestor(g.txn, txn) && fn(g.txn)) return true;
   }
-  return true;
+  if (res.queue.empty() || res.queue.front().seq >= seq) return false;
+  // A request by a holder of the resource, itself or through an ancestor,
+  // skips the queue.
+  for (const Grant& g : res.grants) {
+    if (IsSelfOrAncestor(g.txn, txn)) return false;
+  }
+  for (const Request& r : res.queue) {
+    if (r.seq >= seq) break;
+    if (CompatibleModes(mode, r.mode) || IsSelfOrAncestor(r.txn, txn)) {
+      continue;
+    }
+    if (fn(r.txn)) return true;
+  }
+  return false;
 }
 
-void LockManager::DoGrant(Resource* res, TxnId txn, LockMode mode) {
+void LockManager::DoGrant(Resource* res, const Oid& resource, TxnId txn,
+                          LockMode mode) {
   for (Grant& g : res->grants) {
     if (g.txn == txn) {
-      if (mode == LockMode::kExclusive) g.mode = LockMode::kExclusive;
+      g.mode = JoinModes(g.mode, mode);
       return;
     }
   }
   res->grants.push_back({txn, mode});
+  held_[txn].push_back(resource);
 }
 
 bool LockManager::WaitReaches(TxnId waiter, TxnId target,
                               std::unordered_set<TxnId>* visited) const {
-  if (waiter == target) return true;
+  if (IsSelfOrAncestor(waiter, target)) return true;
   if (!visited->insert(waiter).second) return false;
   auto [begin, end] = waiting_on_.equal_range(waiter);
   for (auto wit = begin; wit != end; ++wit) {
-    auto rit = table_.find(wit->second);
+    const Wait& w = wit->second;
+    auto rit = table_.find(w.resource);
     if (rit == table_.end()) continue;
-    for (const Grant& g : rit->second.grants) {
-      if (g.txn == waiter) continue;
-      if (WaitReaches(g.txn, target, visited)) return true;
+    if (AnyBlocker(rit->second, waiter, w.mode, w.seq, [&](TxnId blocker) {
+          return WaitReaches(blocker, target, visited);
+        })) {
+      return true;
     }
   }
   return false;
@@ -71,32 +106,32 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
 
   // Fast path: already held in a covering mode.
   for (const Grant& g : res.grants) {
-    if (g.txn == txn &&
-        (g.mode == LockMode::kExclusive || mode == LockMode::kShared)) {
-      return Status::OK();
-    }
+    if (g.txn == txn && Covers(g.mode, mode)) return Status::OK();
+  }
+  const uint64_t seq = ++next_seq_;
+  auto blocked = [&] {
+    return AnyBlocker(res, txn, mode, seq, [](TxnId) { return true; });
+  };
+  if (!blocked()) {
+    DoGrant(&res, resource, txn, mode);
+    return Status::OK();
   }
 
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::microseconds(timeout_us);
-  ++res.waiters;
-  waiting_on_.emplace(txn, resource);
+  res.queue.push_back({txn, mode, seq});
+  waiting_on_.emplace(txn, Wait{resource, mode, seq});
   Status result = Status::OK();
-  while (!CanGrant(res, txn, mode)) {
+  while (blocked()) {
     // Deadlock check: would blocking here close a cycle? A cycle exists if
-    // some conflicting holder (transitively) waits on us.
+    // some blocker (transitively) waits on us.
     TxnId partner = kNoTxn;
-    for (const Grant& g : res.grants) {
-      if (g.txn == txn) continue;
-      bool conflict =
-          (mode == LockMode::kExclusive || g.mode == LockMode::kExclusive);
-      if (!conflict || IsSelfOrAncestor(g.txn, txn)) continue;
+    AnyBlocker(res, txn, mode, seq, [&](TxnId blocker) {
       std::unordered_set<TxnId> visited;
-      if (WaitReaches(g.txn, txn, &visited)) {
-        partner = g.txn;
-        break;
-      }
-    }
+      if (!WaitReaches(blocker, txn, &visited)) return false;
+      partner = blocker;
+      return true;
+    });
     if (partner != kNoTxn) {
       ++deadlocks_;
       victims_[txn] = partner;
@@ -104,61 +139,36 @@ Status LockManager::Acquire(TxnId txn, const Oid& resource, LockMode mode,
       break;
     }
     if (timeout_us >= 0) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-          !CanGrant(res, txn, mode)) {
+      if (res.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
+          blocked()) {
         result = Status::TimedOut("lock wait on " + resource.ToString());
         break;
       }
     } else {
-      cv_.wait(lock);
+      res.cv.wait(lock);
     }
   }
-  --res.waiters;
-  // Iterators do not survive other waiters' inserts (rehash), so find an
-  // edge of this call by value: equal edges are interchangeable.
+  std::erase_if(res.queue, [seq](const Request& r) { return r.seq == seq; });
+  // Iterators do not survive other waiters' inserts (rehash), so find this
+  // call's edge by its sequence number.
   auto [begin, end] = waiting_on_.equal_range(txn);
   for (auto it = begin; it != end; ++it) {
-    if (it->second == resource) {
+    if (it->second.seq == seq) {
       waiting_on_.erase(it);
       break;
     }
   }
+  wait_ended_.notify_all();
   if (result.ok()) {
-    DoGrant(&res, txn, mode);
-  } else if (res.grants.empty() && res.waiters == 0) {
+    DoGrant(&res, resource, txn, mode);
+  } else if (res.grants.empty() && res.queue.empty()) {
     table_.erase(resource);  // refused: leave no entry nothing uses
+    return result;
   }
+  // Requests queued behind this one re-check: it no longer blocks them
+  // as a request (a refused one not at all).
+  WakeWaiters(res);
   return result;
-}
-
-Status LockManager::AcquireSharedBatch(TxnId txn,
-                                       const std::vector<Oid>& resources,
-                                       int64_t timeout_us) {
-  std::vector<Oid> contended;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Oid& oid : resources) {
-      Resource& res = table_[oid];
-      bool held = false;
-      for (const Grant& g : res.grants) {
-        if (g.txn == txn) {  // any own grant covers a shared request
-          held = true;
-          break;
-        }
-      }
-      if (held) continue;
-      if (CanGrant(res, txn, LockMode::kShared)) {
-        DoGrant(&res, txn, LockMode::kShared);
-      } else {
-        contended.push_back(oid);
-      }
-    }
-  }
-  for (const Oid& oid : contended) {
-    Status st = Acquire(txn, oid, LockMode::kShared, timeout_us);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
 }
 
 TxnId LockManager::DeadlockPartner(TxnId victim) const {
@@ -169,55 +179,56 @@ TxnId LockManager::DeadlockPartner(TxnId victim) const {
 
 void LockManager::AwaitNotWaiting(TxnId txn, int64_t timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
-  // Only releases and transfers notify cv_, so a granted `txn` is seen at
-  // the latest when it next releases or transfers its locks.
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [&] { return waiting_on_.count(txn) == 0; });
+  wait_ended_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                       [&] { return waiting_on_.count(txn) == 0; });
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = table_.begin(); it != table_.end();) {
-      auto& grants = it->second.grants;
-      for (size_t i = 0; i < grants.size();) {
-        if (grants[i].txn == txn) {
-          grants.erase(grants.begin() + i);
-        } else {
-          ++i;
-        }
-      }
-      if (grants.empty() && it->second.waiters == 0) {
-        it = table_.erase(it);
-      } else {
-        ++it;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto hit = held_.find(txn);
+  if (hit == held_.end()) return;
+  for (const Oid& oid : hit->second) {
+    auto it = table_.find(oid);
+    if (it == table_.end()) continue;
+    Resource& res = it->second;
+    std::erase_if(res.grants, [txn](const Grant& g) { return g.txn == txn; });
+    if (res.grants.empty() && res.queue.empty()) {
+      table_.erase(it);
+    } else {
+      WakeWaiters(res);
     }
   }
-  cv_.notify_all();
+  held_.erase(hit);
 }
 
 void LockManager::TransferLocks(TxnId child, TxnId parent) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [oid, res] : table_) {
-      int child_idx = -1, parent_idx = -1;
-      for (size_t i = 0; i < res.grants.size(); ++i) {
-        if (res.grants[i].txn == child) child_idx = static_cast<int>(i);
-        if (res.grants[i].txn == parent) parent_idx = static_cast<int>(i);
-      }
-      if (child_idx < 0) continue;
-      if (parent_idx >= 0) {
-        if (res.grants[child_idx].mode == LockMode::kExclusive) {
-          res.grants[parent_idx].mode = LockMode::kExclusive;
-        }
-        res.grants.erase(res.grants.begin() + child_idx);
-      } else {
-        res.grants[child_idx].txn = parent;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto hit = held_.find(child);
+  if (hit == held_.end()) return;
+  std::vector<Oid> moved = std::move(hit->second);
+  held_.erase(hit);
+  std::vector<Oid>& parent_held = held_[parent];
+  for (const Oid& oid : moved) {
+    auto it = table_.find(oid);
+    if (it == table_.end()) continue;
+    Resource& res = it->second;
+    auto grant_of = [&res](TxnId t) {
+      return std::find_if(res.grants.begin(), res.grants.end(),
+                          [t](const Grant& g) { return g.txn == t; });
+    };
+    auto cg = grant_of(child);
+    if (cg == res.grants.end()) continue;
+    auto pg = grant_of(parent);
+    if (pg != res.grants.end()) {
+      pg->mode = JoinModes(pg->mode, cg->mode);
+      res.grants.erase(cg);
+    } else {
+      cg->txn = parent;
+      parent_held.push_back(oid);
     }
+    // The parent's waiting descendants no longer wait for the child.
+    WakeWaiters(res);
   }
-  cv_.notify_all();
 }
 
 bool LockManager::Holds(TxnId txn, const Oid& resource, LockMode mode) {
@@ -225,10 +236,7 @@ bool LockManager::Holds(TxnId txn, const Oid& resource, LockMode mode) {
   auto it = table_.find(resource);
   if (it == table_.end()) return false;
   for (const Grant& g : it->second.grants) {
-    if (!IsSelfOrAncestor(g.txn, txn)) continue;
-    if (g.mode == LockMode::kExclusive || mode == LockMode::kShared) {
-      return true;
-    }
+    if (IsSelfOrAncestor(g.txn, txn) && Covers(g.mode, mode)) return true;
   }
   return false;
 }

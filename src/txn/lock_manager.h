@@ -1,9 +1,27 @@
-// Strict two-phase locking with shared/exclusive modes, Moss-style nested
-// transaction rules (a child may acquire locks its ancestors hold), lock
-// transfer on subtransaction commit, and wait-for-graph deadlock detection.
+// Strict two-phase locking with three modes, Moss-style nested transaction
+// rules (a child may acquire locks its ancestors hold), lock transfer on
+// subtransaction commit, FIFO grants and wait-for-graph deadlock detection.
+//
+// Modes (Gray et al., "Granularity of Locks", 1976): S and X on objects and
+// on class extent anchors, IX on extent anchors only. A scan holds its
+// class's anchor S and locks no object; an update holds the anchor IX and
+// the object X; an insert or delete holds the anchor X. Two grants by
+// unrelated transactions coexist only if both are S or both are IX. A
+// holder whose S and IX meet (a scanner that then updates the class) holds
+// X: without an IS mode, SIX would be compatible with nothing, which is X.
+//
+// Grants are FIFO per resource: a request waits behind every earlier
+// waiting request it conflicts with, so a stream of scans cannot starve a
+// class updater. Requests by a transaction that holds the resource itself
+// or through an ancestor skip the queue (a conversion, or a child working
+// under its ancestor's lock): queued requests may be waiting for that very
+// grant. A waiting request's wait-for edges run to the grants and to the
+// earlier queued requests that block it, and a request whose wait would
+// close a cycle is refused with Aborted.
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,7 +32,7 @@
 
 namespace reach {
 
-enum class LockMode { kShared, kExclusive };
+enum class LockMode { kShared, kIntentExclusive, kExclusive };
 
 class LockManager {
  public:
@@ -26,23 +44,18 @@ class LockManager {
   void UnregisterTxn(TxnId txn);
 
   /// Acquire (or upgrade to) `mode` on `resource`. Blocks while conflicting
-  /// locks are held by non-ancestors. Returns Aborted if waiting would
-  /// create a deadlock — the caller must then abort `txn`.
-  /// `timeout_us` < 0 means wait forever.
+  /// locks are held by non-ancestors or conflicting requests queued before
+  /// it. Returns Aborted if waiting would create a deadlock — the caller
+  /// must then abort `txn`. `timeout_us` < 0 means wait forever.
   Status Acquire(TxnId txn, const Oid& resource, LockMode mode,
                  int64_t timeout_us = -1);
 
-  /// Acquire shared locks on a batch of resources with one mutex hold for
-  /// every uncontended grant; contended resources fall back to the blocking
-  /// per-resource Acquire (keeping deadlock detection). Used by batch object
-  /// fetches (query morsels), where per-OID locking would serialize on mu_.
-  Status AcquireSharedBatch(TxnId txn, const std::vector<Oid>& resources,
-                            int64_t timeout_us = -1);
-
-  /// Release every lock `txn` holds and wake waiters.
+  /// Release every lock `txn` holds and wake the waiters of those
+  /// resources.
   void ReleaseAll(TxnId txn);
 
-  /// Move all of `child`'s locks to `parent` (subtransaction commit).
+  /// Move all of `child`'s locks to `parent` (subtransaction commit),
+  /// joining modes where both hold one.
   void TransferLocks(TxnId child, TxnId parent);
 
   /// True if `txn` holds `resource` in a mode covering `mode` (itself or
@@ -56,7 +69,6 @@ class LockManager {
   TxnId DeadlockPartner(TxnId victim) const;
 
   /// Block until `txn` no longer waits for a lock, or `timeout_us` passes.
-  /// Wakes on lock releases and transfers.
   void AwaitNotWaiting(TxnId txn, int64_t timeout_us);
 
   /// Statistics.
@@ -75,34 +87,62 @@ class LockManager {
     TxnId txn;
     LockMode mode;
   };
+  /// One blocked Acquire call; a transaction's parallel workers each have
+  /// their own. `seq` orders requests across all resources.
+  struct Request {
+    TxnId txn;
+    LockMode mode;
+    uint64_t seq;
+  };
   struct Resource {
     std::vector<Grant> grants;
-    // Blocked Acquire calls; one transaction's parallel workers count once
-    // each.
-    size_t waiters = 0;
+    std::vector<Request> queue;  // waiting requests, in arrival order
+    std::condition_variable cv;  // signalled for this resource's waiters
+  };
+  /// A wait-for edge: the blocked request `seq` on `resource`.
+  struct Wait {
+    Oid resource;
+    LockMode mode;
+    uint64_t seq;
   };
 
   /// True if `maybe_ancestor` is `txn` or an ancestor of `txn`.
   bool IsSelfOrAncestor(TxnId maybe_ancestor, TxnId txn) const;
 
-  /// True if `txn` could be granted `mode` on `res` right now.
-  bool CanGrant(const Resource& res, TxnId txn, LockMode mode) const;
+  /// Calls `fn(blocker)` for every transaction the request (`txn`, `mode`,
+  /// `seq`) on `res` waits for: conflicting grants by non-ancestors and,
+  /// unless the request skips the queue, conflicting earlier requests.
+  /// Stops and returns true as soon as `fn` does.
+  template <typename Fn>
+  bool AnyBlocker(const Resource& res, TxnId txn, LockMode mode,
+                  uint64_t seq, Fn fn) const;
 
-  /// Record the grant (merging with an existing grant on upgrade).
-  void DoGrant(Resource* res, TxnId txn, LockMode mode);
+  /// Record the grant (joining it with `txn`'s grant on upgrade).
+  void DoGrant(Resource* res, const Oid& resource, TxnId txn, LockMode mode);
 
   /// DFS over the wait-for graph: does a wait by `waiter` reach `target`?
+  /// Reaching an ancestor of `target` counts: it keeps its locks until
+  /// `target` ends.
   bool WaitReaches(TxnId waiter, TxnId target,
                    std::unordered_set<TxnId>* visited) const;
 
+  /// Wake the waiters of `res`, if it has any. Called with mu_ held.
+  static void WakeWaiters(Resource& res) {
+    if (!res.queue.empty()) res.cv.notify_all();
+  }
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::unordered_map<Oid, Resource> table_;
   std::unordered_map<TxnId, TxnId> parent_;
-  // Wait-for graph: one edge per blocked Acquire call, from its
-  // transaction to the resource it waits for. Parallel workers of one
-  // transaction may wait at once, each on its own resource.
-  std::unordered_multimap<TxnId, Oid> waiting_on_;
+  // Resources each transaction holds a grant on: what ReleaseAll and
+  // TransferLocks visit, instead of the whole table.
+  std::unordered_map<TxnId, std::vector<Oid>> held_;
+  // Wait-for graph: one edge per blocked Acquire call. Parallel workers of
+  // one transaction may wait at once, each on its own resource.
+  std::unordered_multimap<TxnId, Wait> waiting_on_;
+  uint64_t next_seq_ = 0;
+  // AwaitNotWaiting callers: signalled whenever a blocked Acquire returns.
+  std::condition_variable wait_ended_;
   // Deadlock victim -> the holder whose wait closed the cycle.
   std::unordered_map<TxnId, TxnId> victims_;
   uint64_t deadlocks_ = 0;

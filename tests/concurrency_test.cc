@@ -3,6 +3,7 @@
 // thread-safety.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -318,6 +319,156 @@ TEST_F(ConcurrencyTest, ExtentScansSeeExactlyCommittedObjects) {
   });
   for (auto& t : threads) t.join();
   EXPECT_EQ(errors.load(), 0) << first_error;
+}
+
+// Scans lock no object: the class extent's S is their whole guard, and
+// every update holds the extent IX until its transaction ends. A scan
+// therefore waits for an uncommitted SetAttr — also one a rule
+// subtransaction made and passed to its parent — and sees only what that
+// transaction's outcome leaves.
+TEST_F(ConcurrencyTest, ScanNeverSeesUncommittedSetAttr) {
+  ASSERT_TRUE(db_->RegisterClass(
+                     ClassBuilder("Gauge").Method(
+                         "poke",
+                         [](Session&, DbObject&,
+                            const std::vector<Value>&) -> Result<Value> {
+                           return Value();
+                         }))
+                  .ok());
+  std::vector<Oid> cells;
+  Oid gauge;
+  {
+    Session s(db_->database());
+    ASSERT_TRUE(s.Begin().ok());
+    for (int i = 0; i < 40; ++i) {
+      cells.push_back(*s.PersistNew("Cell", {{"v", Value(1)}}));
+    }
+    gauge = *s.PersistNew("Gauge", {});
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  Oid rule_target;  // set before each poke
+  auto ev = db_->events()->DefineMethodEvent("poke_ev", "Gauge", "poke");
+  ASSERT_TRUE(ev.ok());
+  RuleSpec spec;
+  spec.name = "mark";
+  spec.event = *ev;
+  spec.coupling = CouplingMode::kImmediate;
+  spec.action = [&rule_target](Session& s, const EventOccurrence&) {
+    return s.SetAttr(rule_target, "v", Value(100));
+  };
+  ASSERT_TRUE(db_->rules()->DefineRule(std::move(spec)).ok());
+
+  size_t marked = 0;
+  for (int round = 0; round < 8; ++round) {
+    const bool via_rule = round % 4 >= 2;
+    const bool commit = round % 2 == 1;
+    const Oid target = cells[round * 3];
+    Session writer(db_->database());
+    ASSERT_TRUE(writer.Begin().ok());
+    if (via_rule) {
+      rule_target = target;
+      ASSERT_TRUE(writer.Invoke(gauge, "poke").ok());
+    } else {
+      ASSERT_TRUE(writer.SetAttr(target, "v", Value(100)).ok());
+    }
+    std::atomic<bool> done{false};
+    Result<QueryResult> rows = Status::Internal("not run");
+    std::thread scanner([&] {
+      Session s(db_->database());
+      Status st = s.InTxn([&](Session& txn) -> Status {
+        rows = db_->Query(txn, "select v from Cell where v == 100");
+        return rows.status();
+      });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(done.load()) << "round " << round
+                              << ": scan ran beside an uncommitted update";
+    if (commit) {
+      ASSERT_TRUE(writer.Commit().ok());
+      ++marked;
+    } else {
+      ASSERT_TRUE(writer.Abort().ok());
+    }
+    scanner.join();
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->rows.size(), marked) << "round " << round;
+  }
+}
+
+// FIFO grants: with three sessions scanning the class back to back, some
+// scan holds the extent S at almost every instant. An updater's IX queues,
+// the scans arriving after it queue behind it, so while one update waits
+// only the scans already running finish — not the hundreds that finish
+// while an updater waits for a gap between scans.
+TEST_F(ConcurrencyTest, ClassUpdaterCommitsBesideBackToBackScans) {
+  constexpr int kScanners = 3, kUpdates = 10;
+  std::vector<Oid> cells;
+  {
+    Session s(db_->database());
+    ASSERT_TRUE(s.Begin().ok());
+    for (int i = 0; i < 1000; ++i) {
+      cells.push_back(*s.PersistNew("Cell", {{"v", Value(1)}}));
+    }
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> scans{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kScanners; ++t) {
+    scanners.emplace_back([&] {
+      Session s(db_->database());
+      while (!stop.load()) {
+        Status st = s.InTxn([&](Session& txn) {
+          return db_->Query(txn, "select count(*) from Cell where v >= 0")
+              .status();
+        });
+        if (st.ok()) {
+          scans.fetch_add(1);
+        } else if (!st.IsAborted()) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (scans.load() < 4) std::this_thread::yield();
+
+  std::atomic<int> updated{0};
+  std::vector<int> scans_per_update;  // scans finished while one committed
+  std::thread updater([&] {
+    Session s(db_->database());
+    for (int i = 0; i < kUpdates; ++i) {
+      const int before = scans.load();
+      Status st = s.InTxn([&](Session& txn) {
+        return txn.SetAttr(cells[i], "v", Value(2));
+      });
+      scans_per_update.push_back(scans.load() - before);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      updated.fetch_add(1);
+    }
+  });
+  // A starved updater never finishes while the scans run, so stop them
+  // after a generous bound either way.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (updated.load() < kUpdates &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const int in_time = updated.load();
+  stop.store(true);
+  updater.join();
+  for (auto& t : scanners) t.join();
+  ASSERT_EQ(in_time, kUpdates);
+  EXPECT_EQ(errors.load(), 0);
+  // Each running scan finishes once, and one that had just released its S
+  // when the update began is counted too; the median forgives an updater
+  // the scheduler set aside before it queued.
+  std::sort(scans_per_update.begin(), scans_per_update.end());
+  EXPECT_LE(scans_per_update[kUpdates / 2], 2 * kScanners)
+      << "scans per update, lowest first: "
+      << ::testing::PrintToString(scans_per_update);
 }
 
 }  // namespace

@@ -231,16 +231,17 @@ TEST_F(LockManagerTest, TimedOutWorkerLeavesItsSiblingWaiting) {
 }
 
 // Refused and timed-out requests leave no lock-table entry behind once the
-// holders are gone, for single and batched requests alike.
+// holders are gone, whether or not the requester holds other locks.
 TEST_F(LockManagerTest, RefusedRequestsLeaveNoEntries) {
   lm_.RegisterTxn(1, kNoTxn);
   lm_.RegisterTxn(2, kNoTxn);
   ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kExclusive).ok());
   EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kShared, 0).IsTimedOut());
   EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kExclusive, 1000).IsTimedOut());
+  ASSERT_TRUE(lm_.Acquire(2, res_b_, LockMode::kShared).ok());
+  EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kShared, 1000).IsTimedOut());
   EXPECT_TRUE(
-      lm_.AcquireSharedBatch(2, {res_b_, res_a_}, /*timeout_us=*/1000)
-          .IsTimedOut());
+      lm_.Acquire(2, res_a_, LockMode::kIntentExclusive, 1000).IsTimedOut());
   EXPECT_TRUE(lm_.Holds(2, res_b_, LockMode::kShared));
   EXPECT_EQ(lm_.locked_resources(), 2u);
   lm_.ReleaseAll(1);
@@ -248,8 +249,163 @@ TEST_F(LockManagerTest, RefusedRequestsLeaveNoEntries) {
   EXPECT_EQ(lm_.locked_resources(), 0u);
 }
 
+// A holder whose S and IX meet holds X: it keeps out readers and updaters.
+TEST_F(LockManagerTest, SharedJoinedWithIntentIsExclusive) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, kNoTxn);
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kShared).ok());
+  EXPECT_FALSE(lm_.Holds(1, res_a_, LockMode::kIntentExclusive));
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kIntentExclusive).ok());
+  EXPECT_TRUE(lm_.Holds(1, res_a_, LockMode::kExclusive));
+  EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kShared, 20000).IsTimedOut());
+  EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kIntentExclusive, 20000)
+                  .IsTimedOut());
+
+  // The same join from the other side: IX first, then S.
+  ASSERT_TRUE(lm_.Acquire(2, res_b_, LockMode::kIntentExclusive).ok());
+  EXPECT_TRUE(lm_.Holds(2, res_b_, LockMode::kIntentExclusive));
+  EXPECT_FALSE(lm_.Holds(2, res_b_, LockMode::kShared));
+  ASSERT_TRUE(lm_.Acquire(2, res_b_, LockMode::kShared).ok());
+  EXPECT_TRUE(lm_.Holds(2, res_b_, LockMode::kExclusive));
+  lm_.ReleaseAll(1);
+  lm_.ReleaseAll(2);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// A rule subtransaction updates a class its parent scanned: the child's IX
+// is granted under the parent's S (Moss) and, on subcommit, joins it to X.
+TEST_F(LockManagerTest, TransferJoinsChildIntentWithParentShared) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, 1);
+  lm_.RegisterTxn(3, kNoTxn);
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kShared).ok());
+  ASSERT_TRUE(lm_.Acquire(2, res_a_, LockMode::kIntentExclusive, 0).ok());
+  lm_.TransferLocks(2, 1);
+  lm_.UnregisterTxn(2);
+  EXPECT_TRUE(lm_.Holds(1, res_a_, LockMode::kExclusive));
+  EXPECT_TRUE(lm_.Acquire(3, res_a_, LockMode::kShared, 20000).IsTimedOut());
+  EXPECT_TRUE(lm_.Acquire(3, res_a_, LockMode::kIntentExclusive, 20000)
+                  .IsTimedOut());
+  lm_.ReleaseAll(1);
+  EXPECT_TRUE(lm_.Acquire(3, res_a_, LockMode::kShared).ok());
+  lm_.ReleaseAll(3);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// FIFO: a scan's S arriving while an updater's IX waits queues behind the
+// IX, though it is compatible with the S already granted; the updater is
+// granted first.
+TEST_F(LockManagerTest, SharedQueuesBehindWaitingIntent) {
+  lm_.RegisterTxn(1, kNoTxn);  // a scan in progress
+  lm_.RegisterTxn(2, kNoTxn);  // a class updater
+  lm_.RegisterTxn(3, kNoTxn);  // the next scan
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kShared).ok());
+  Status updater, scan;
+  std::thread t2([&] {
+    updater = lm_.Acquire(2, res_a_, LockMode::kIntentExclusive, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(lm_.Acquire(3, res_a_, LockMode::kShared, 20000).IsTimedOut());
+  std::thread t3([&] {
+    scan = lm_.Acquire(3, res_a_, LockMode::kShared, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  lm_.ReleaseAll(1);
+  t2.join();
+  ASSERT_TRUE(updater.ok()) << updater.ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(lm_.Holds(3, res_a_, LockMode::kShared));
+  lm_.ReleaseAll(2);
+  t3.join();
+  EXPECT_TRUE(scan.ok()) << scan.ToString();
+  EXPECT_TRUE(lm_.Holds(3, res_a_, LockMode::kShared));
+  lm_.ReleaseAll(3);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// A cycle whose one edge is a queued request, not a grant: txn 3 waits for
+// txn 2 only because 2's IX is queued ahead of 3's S. Txn 1 closing the
+// cycle is refused rather than left waiting. The timeout only bounds the
+// damage if the cycle goes unseen.
+TEST_F(LockManagerTest, CycleThroughQueuedRequestIsRefused) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, kNoTxn);
+  lm_.RegisterTxn(3, kNoTxn);
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kShared).ok());
+  ASSERT_TRUE(lm_.Acquire(3, res_b_, LockMode::kExclusive).ok());
+  Status updater, scan;
+  std::thread t2([&] {  // waits for txn 1's S
+    updater = lm_.Acquire(2, res_a_, LockMode::kIntentExclusive, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread t3([&] {  // queued behind txn 2
+    scan = lm_.Acquire(3, res_a_, LockMode::kShared, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto start = std::chrono::steady_clock::now();
+  Status st = lm_.Acquire(1, res_b_, LockMode::kExclusive, 5'000'000);
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(4));
+  EXPECT_EQ(lm_.DeadlockPartner(1), 3u);
+  lm_.ReleaseAll(1);
+  t2.join();
+  EXPECT_TRUE(updater.ok()) << updater.ToString();
+  lm_.ReleaseAll(2);
+  t3.join();
+  EXPECT_TRUE(scan.ok()) << scan.ToString();
+  lm_.ReleaseAll(3);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// A child of the S holder skips the queue: the IX queued ahead of it waits
+// for the child's own parent, which cannot end before the child does.
+TEST_F(LockManagerTest, ChildOfHolderSkipsTheQueue) {
+  lm_.RegisterTxn(1, kNoTxn);
+  lm_.RegisterTxn(2, 1);
+  lm_.RegisterTxn(3, kNoTxn);
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kShared).ok());
+  Status updater;
+  std::thread t3([&] {
+    updater = lm_.Acquire(3, res_a_, LockMode::kIntentExclusive, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(lm_.Acquire(2, res_a_, LockMode::kShared, 0).ok());
+  lm_.TransferLocks(2, 1);
+  lm_.UnregisterTxn(2);
+  lm_.ReleaseAll(1);
+  t3.join();
+  EXPECT_TRUE(updater.ok()) << updater.ToString();
+  lm_.ReleaseAll(3);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
+// A subtransaction's wait that reaches its own ancestor is a cycle: the
+// ancestor keeps its locks until the child ends.
+TEST_F(LockManagerTest, WaitReachingOwnAncestorIsRefused) {
+  lm_.RegisterTxn(1, kNoTxn);  // scanned class a
+  lm_.RegisterTxn(2, 1);       // its rule subtransaction
+  lm_.RegisterTxn(3, kNoTxn);  // updated b, now wants to update a
+  ASSERT_TRUE(lm_.Acquire(1, res_a_, LockMode::kShared).ok());
+  ASSERT_TRUE(lm_.Acquire(3, res_b_, LockMode::kIntentExclusive).ok());
+  Status updater;
+  std::thread t3([&] {
+    updater = lm_.Acquire(3, res_a_, LockMode::kIntentExclusive, 10'000'000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Status st = lm_.Acquire(2, res_b_, LockMode::kShared, 5'000'000);
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(lm_.DeadlockPartner(2), 3u);
+  lm_.ReleaseAll(2);
+  lm_.UnregisterTxn(2);
+  lm_.ReleaseAll(1);
+  t3.join();
+  EXPECT_TRUE(updater.ok()) << updater.ToString();
+  lm_.ReleaseAll(3);
+  EXPECT_EQ(lm_.locked_resources(), 0u);
+}
+
 // Parameterized lock-compatibility matrix: {held mode} x {requested mode}
-// x {same txn / sibling / child}.
+// x {same txn / sibling / child}, over S, IX and X.
 struct LockCase {
   LockMode held;
   LockMode requested;
@@ -274,9 +430,13 @@ TEST_P(LockMatrixTest, CompatibilityMatrix) {
     requester = 2;
   }
   Status st = lm.Acquire(requester, res, c.requested, /*timeout_us=*/10000);
+  auto name = [](LockMode m) {
+    return m == LockMode::kShared            ? "S"
+           : m == LockMode::kIntentExclusive ? "IX"
+                                             : "X";
+  };
   EXPECT_EQ(st.ok(), c.granted)
-      << "held=" << (c.held == LockMode::kShared ? "S" : "X")
-      << " req=" << (c.requested == LockMode::kShared ? "S" : "X")
+      << "held=" << name(c.held) << " req=" << name(c.requested)
       << " rel=" << c.relationship << ": " << st.ToString();
 }
 
@@ -297,7 +457,27 @@ INSTANTIATE_TEST_SUITE_P(
         LockCase{LockMode::kShared, LockMode::kShared, 2, true},
         LockCase{LockMode::kShared, LockMode::kExclusive, 2, true},
         LockCase{LockMode::kExclusive, LockMode::kShared, 2, true},
-        LockCase{LockMode::kExclusive, LockMode::kExclusive, 2, true}));
+        LockCase{LockMode::kExclusive, LockMode::kExclusive, 2, true},
+        // Intention exclusive: same transaction joins, siblings share only
+        // IX-IX, a child of the holder is never blocked.
+        LockCase{LockMode::kShared, LockMode::kIntentExclusive, 0, true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kShared, 0, true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kIntentExclusive, 0,
+                 true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kExclusive, 0, true},
+        LockCase{LockMode::kExclusive, LockMode::kIntentExclusive, 0, true},
+        LockCase{LockMode::kShared, LockMode::kIntentExclusive, 1, false},
+        LockCase{LockMode::kIntentExclusive, LockMode::kShared, 1, false},
+        LockCase{LockMode::kIntentExclusive, LockMode::kIntentExclusive, 1,
+                 true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kExclusive, 1, false},
+        LockCase{LockMode::kExclusive, LockMode::kIntentExclusive, 1, false},
+        LockCase{LockMode::kShared, LockMode::kIntentExclusive, 2, true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kShared, 2, true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kIntentExclusive, 2,
+                 true},
+        LockCase{LockMode::kIntentExclusive, LockMode::kExclusive, 2, true},
+        LockCase{LockMode::kExclusive, LockMode::kIntentExclusive, 2, true}));
 
 // ---------------------------------------------------------------------------
 // TransactionManager
