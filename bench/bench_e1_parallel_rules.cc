@@ -35,7 +35,6 @@ std::unique_ptr<ReachDb> Open(bool parallel, int n_rules, int64_t cost_us,
   options.rules.multi_rule_execution =
       parallel ? RuleEngineOptions::Execution::kParallelSubtransactions
                : RuleEngineOptions::Execution::kSerialRingSequence;
-  options.rules.parallel_rule_threads = 8;
   auto db = ReachDb::Open(base, std::move(options));
   if (!db.ok()) std::abort();
   Status st = (*db)->RegisterClass(

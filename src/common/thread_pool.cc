@@ -1,6 +1,49 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
+
 namespace reach {
+
+namespace {
+
+/// One ForEach call's shared state. Helpers hold it by shared_ptr: a
+/// helper may start after its caller returned, and then claims no index
+/// and never touches `fn`.
+struct FanOut {
+  FanOut(size_t count, const std::function<Status(size_t)>* body)
+      : n(count), fn(body) {}
+
+  /// Claim and run indices until none is left.
+  void Drain() {
+    for (size_t i; (i = next.fetch_add(1)) < n;) {
+      Status st;
+      std::exception_ptr thrown;
+      try {
+        st = (*fn)(i);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (!st.ok() && status.ok()) status = std::move(st);
+      if (thrown && !crash) crash = thrown;
+      if (++finished == n) done_cv.notify_all();
+    }
+  }
+
+  const size_t n;
+  const std::function<Status(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  size_t finished = 0;  // under mu
+  Status status;        // first error, under mu
+  std::exception_ptr crash;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -20,6 +63,22 @@ bool ThreadPool::Submit(std::function<void()> task) {
   }
   work_cv_.notify_one();
   return true;
+}
+
+Status ThreadPool::ForEach(size_t n,
+                           const std::function<Status(size_t)>& fn) {
+  if (n == 0) return Status::OK();
+  auto fan = std::make_shared<FanOut>(n, &fn);
+  const size_t helpers = std::min(n - 1, num_threads());
+  for (size_t h = 0; h < helpers; ++h) {
+    if (!Submit([fan] { fan->Drain(); })) break;
+  }
+  fan->Drain();
+  // Every index is claimed now; wait only for those running helpers took.
+  std::unique_lock<std::mutex> lock(fan->mu);
+  fan->done_cv.wait(lock, [&] { return fan->finished == n; });
+  if (fan->crash) std::rethrow_exception(fan->crash);
+  return fan->status;
 }
 
 void ThreadPool::WaitIdle() {

@@ -1,15 +1,23 @@
-// Fixed-size worker pool used for parallel rule execution, detached
-// transactions, parallel query scans, and the global-history background
-// process.
+// Fixed-size worker pool: the rule engine's detached pool (detached rule
+// transactions, and sibling subtransactions fanned out by ForEach) and the
+// process-wide morsel pool of parallel query scans.
+//
+// ForEach is a caller-runs fan-out: the calling thread claims indices
+// beside the helper tasks it submits, so it only ever waits for an index a
+// running helper has already claimed. No thread waits on work that has not
+// started, which is what lets sibling subtransactions share a pool with
+// tasks that block on locks and fsync, and lets ForEach nest on one pool.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/status.h"
 
 namespace reach {
 
@@ -26,26 +34,12 @@ class ThreadPool {
   /// shutting down.
   bool Submit(std::function<void()> task);
 
-  /// Enqueue a task and get a future for its completion.
-  template <typename F>
-  auto SubmitWithResult(F&& fn) -> std::future<decltype(fn())> {
-    using R = decltype(fn());
-    auto prom = std::make_shared<std::promise<R>>();
-    std::future<R> fut = prom->get_future();
-    bool accepted = Submit([prom, fn = std::forward<F>(fn)]() mutable {
-      if constexpr (std::is_void_v<R>) {
-        fn();
-        prom->set_value();
-      } else {
-        prom->set_value(fn());
-      }
-    });
-    if (!accepted) {
-      prom->set_exception(std::make_exception_ptr(
-          std::runtime_error("thread pool shut down")));
-    }
-    return fut;
-  }
+  /// Run fn(0) .. fn(n-1), each exactly once, on the calling thread and up
+  /// to min(n-1, num_threads()) helper tasks, all claiming indices from one
+  /// counter; returns the first non-OK status. An exception thrown by `fn`
+  /// (an injected crash fault) is parked and rethrown here once every
+  /// claimed index has finished, never on a pool thread.
+  Status ForEach(size_t n, const std::function<Status(size_t)>& fn);
 
   /// Block until the queue is empty and all workers are idle.
   void WaitIdle();

@@ -1,6 +1,7 @@
 #include "core/events/event_history.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace reach {
 
@@ -35,22 +36,37 @@ size_t LocalHistory::size() const {
 }
 
 void GlobalHistory::Merge(std::vector<EventOccurrencePtr> events) {
-  std::sort(events.begin(), events.end(), BySequence);
+  // One run per type, each in sequence order.
+  std::sort(events.begin(), events.end(),
+            [](const EventOccurrencePtr& a, const EventOccurrencePtr& b) {
+              return a->type != b->type ? a->type < b->type
+                                        : a->sequence < b->sequence;
+            });
+  const size_t merged = events.size();
   std::lock_guard<std::mutex> lock(mu_);
-  // Asynchronous merges can arrive out of order; upper_bound keeps each ring
-  // in event order, and since batches mostly arrive in order it almost
-  // always lands at the end.
-  for (EventOccurrencePtr& occ : events) {
-    std::deque<EventOccurrencePtr>& ring = rings_[occ->type];
-    ring.insert(std::upper_bound(ring.begin(), ring.end(), occ, BySequence),
-                std::move(occ));
-    if (ring.size() > capacity_) {
-      ring.pop_front();
-    } else {
-      ++size_;
-    }
+  for (auto run = events.begin(); run != events.end();) {
+    const EventTypeId type = (*run)->type;
+    auto run_end = std::find_if(run, events.end(), [type](const auto& e) {
+      return e->type != type;
+    });
+    // Concurrent transactions' merges interleave in sequence order: append
+    // the run, then merge it with the tail of the ring it overlaps, so a
+    // late batch costs one pass over that tail rather than one shift per
+    // occurrence. The oldest beyond `capacity` are then dropped.
+    std::deque<EventOccurrencePtr>& ring = rings_[type];
+    const size_t before = ring.size();
+    const auto from =
+        std::upper_bound(ring.begin(), ring.end(), *run, BySequence) -
+        ring.begin();
+    ring.insert(ring.end(), std::make_move_iterator(run),
+                std::make_move_iterator(run_end));
+    std::inplace_merge(ring.begin() + from, ring.begin() + before, ring.end(),
+                       BySequence);
+    while (ring.size() > capacity_) ring.pop_front();
+    size_ += ring.size() - before;
+    run = run_end;
   }
-  total_ += events.size();
+  total_ += merged;
   ++merges_;
 }
 

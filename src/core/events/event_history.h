@@ -1,7 +1,8 @@
 // Event histories (§6.3): each ECA-manager keeps a local history of the
-// occurrences it created — avoiding a central logging bottleneck — and a
-// background process merges committed transactions' events into the global
-// history after EOT.
+// occurrences it created — avoiding a central logging bottleneck — and
+// committed transactions' events are merged into the global history after
+// EOT: by the transaction's last task on its composition lane when it may
+// still be composing there, else by the ending thread.
 #pragma once
 
 #include <deque>
@@ -35,7 +36,7 @@ class LocalHistory {
 };
 
 /// Global history of events whose transactions committed (plus temporal
-/// events, which commit by definition). Populated asynchronously. Like the
+/// events, which commit by definition), merged at EOT. Like the
 /// local histories it is bounded per event type: each type keeps its newest
 /// `capacity` occurrences in sequence order, so a hot type never evicts a
 /// rare one and memory does not grow with the number of events processed.

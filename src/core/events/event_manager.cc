@@ -45,9 +45,6 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
         options_.composition_threads,
         [this](ComposeTask& task) { RunTask(task); });
   }
-  if (options_.maintain_global_history) {
-    history_pool_ = std::make_unique<ThreadPool>(1);
-  }
   if (options_.durable_history && db_->storage() != nullptr) {
     Wal* wal = db_->storage()->wal();
     history_log_ = std::make_unique<EventHistoryLog>(wal, &registry_);
@@ -71,7 +68,7 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
     }
   }
   // Transaction lifecycle is always needed (compositor GC, milestones,
-  // pending history flush).
+  // the global history merge).
   db_->bus()->Subscribe(this, SentryKind::kTxnBegin);
   db_->bus()->Subscribe(this, SentryKind::kTxnCommit);
   db_->bus()->Subscribe(this, SentryKind::kTxnAbort);
@@ -81,7 +78,6 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
 EventManager::~EventManager() {
   scheduler_.Stop();
   if (lanes_) lanes_->Shutdown();  // drains every lane
-  if (history_pool_) history_pool_->Shutdown();
   db_->bus()->Unsubscribe(this);
 }
 
@@ -307,7 +303,7 @@ void EventManager::Compose(Compositor* compositor,
 
 void EventManager::RunTask(ComposeTask& task) {
   if (task.occ == nullptr) {
-    SweepTxn(task.txn);
+    EndTxn(task.txn, task.committed);
     return;
   }
   if (task.compositor != nullptr) {
@@ -320,10 +316,24 @@ void EventManager::RunTask(ComposeTask& task) {
   FinishFeed(task.occ);
 }
 
-void EventManager::SweepTxn(TxnId txn) {
+void EventManager::EndTxn(TxnId txn, bool committed) {
+  // Single-transaction composition state dies with the transaction (§3.3).
   for (Compositor* compositor : LoadSnapshot()->single_txn) {
     compositor->OnTxnEnd(txn);
   }
+  std::vector<EventOccurrencePtr> events;
+  {
+    TxnShard& shard = ShardOf(txn);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.markers_reached.erase(txn);
+    auto it = shard.pending.find(txn);
+    if (it != shard.pending.end()) {
+      events = std::move(it->second);
+      shard.pending.erase(it);
+    }
+  }
+  // Only committed transactions' events enter the global history.
+  if (committed && !events.empty()) global_history_.Merge(std::move(events));
 }
 
 void EventManager::Signal(std::shared_ptr<EventOccurrence> occ) {
@@ -378,9 +388,9 @@ void EventManager::Dispatch(std::shared_ptr<EventOccurrence> occ,
     }
   }
 
-  // Track per-transaction events for the post-commit global history merge
-  // and (when any milestone is defined) marker bookkeeping — striped by
-  // txn, and skipped entirely when neither consumer exists.
+  // Track per-transaction events for the EOT global history merge and
+  // (when any milestone is defined) marker bookkeeping — striped by txn,
+  // and skipped entirely when neither consumer exists.
   if (shared->txn != kNoTxn) {
     const bool track_markers =
         milestone_count_.load(std::memory_order_relaxed) > 0;
@@ -394,9 +404,9 @@ void EventManager::Dispatch(std::shared_ptr<EventOccurrence> occ,
         shard.markers_reached[shared->txn].insert(shared->type);
       }
     }
-  } else if (options_.maintain_global_history && history_pool_) {
-    // Temporal / cross-txn composite events enter the history directly.
-    history_pool_->Submit([this, shared] { global_history_.Merge({shared}); });
+  } else if (options_.maintain_global_history) {
+    // Temporal / cross-txn composite events commit by definition.
+    global_history_.Merge({shared});
   }
 
   // 1. Fire the rules registered with this ECA-manager (synchronous: the
@@ -516,51 +526,30 @@ void EventManager::OnTxnBegin(TxnId txn) {
 }
 
 void EventManager::HandleTxnEnd(TxnId txn, bool committed) {
-  std::vector<EventOccurrencePtr> events;
   {
     TxnShard& shard = ShardOf(txn);
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.active_txns.erase(txn);
-    shard.markers_reached.erase(txn);
-    auto it = shard.pending.find(txn);
-    if (it != shard.pending.end()) {
-      events = std::move(it->second);
-      shard.pending.erase(it);
-    }
   }
-  // Single-transaction composition state dies with the transaction (§3.3).
-  // On the lanes the sweep queues behind every task of the transaction, so
-  // no occurrence of it is composed after its instances are gone.
-  if (!LoadSnapshot()->single_txn.empty()) {
-    if (lanes_) {
-      lanes_->Submit(ComposeTask{nullptr, nullptr, nullptr, txn}, txn);
-    } else {
-      SweepTxn(txn);
-    }
-  }
-  // Background merge into the global history (committed events only).
-  if (committed && !events.empty() && history_pool_) {
-    history_pool_->Submit([this, evts = std::move(events)]() mutable {
-      global_history_.Merge(std::move(evts));
-    });
+  if (lanes_ != nullptr && !LoadSnapshot()->single_txn.empty()) {
+    // The EOT task queues behind every task of the transaction on its
+    // lane, so no occurrence of it is composed after its instances are
+    // gone, and the composites those tasks complete are merged with the
+    // rest.
+    lanes_->Submit(ComposeTask{nullptr, nullptr, nullptr, txn, committed},
+                   txn);
+  } else {
+    // Inline, or no single-txn compositor: no task of the transaction can
+    // still be composing, so it ends here.
+    EndTxn(txn, committed);
   }
 }
 
 void EventManager::OnEvent(const SentryEvent& event) {
-  switch (event.kind) {
-    case SentryKind::kTxnBegin:
-      // Milestones and life-span tracking apply to top-level transactions
-      // only (a begin event with a parent parameter is a subtransaction).
-      if (event.args.empty()) OnTxnBegin(event.txn);
-      break;
-    case SentryKind::kTxnCommit:
-      HandleTxnEnd(event.txn, /*committed=*/true);
-      break;
-    case SentryKind::kTxnAbort:
-      HandleTxnEnd(event.txn, /*committed=*/false);
-      break;
-    default:
-      break;
+  // Milestones and life-span tracking apply to top-level transactions only
+  // (a begin event with a parent parameter is a subtransaction).
+  if (event.kind == SentryKind::kTxnBegin && event.args.empty()) {
+    OnTxnBegin(event.txn);
   }
   // Any registered DB event type matching this announcement fires. For txn
   // events the class/member keys are empty.
@@ -570,29 +559,35 @@ void EventManager::OnEvent(const SentryEvent& event) {
     // Allow class-wildcard flow events (e.g. "any persist").
     type = registry_.FindDbEvent(event.kind, "", "");
   }
-  if (type == kInvalidEventType) return;
-  auto occ = std::make_shared<EventOccurrence>();
-  occ->type = type;
-  occ->timestamp = event.timestamp;
-  occ->detect_ns = event.detect_ns;
-  // Occurrences carry the ROOT transaction: rule subtransactions raise
-  // events on behalf of the top-level transaction they belong to, and all
-  // coupling/life-span semantics are defined against that root.
-  occ->txn = event.txn == kNoTxn ? kNoTxn : db_->txns()->RootOf(event.txn);
-  occ->source = event.oid;
-  occ->params = event.args;
-  if (event.kind == SentryKind::kMethodAfter && !event.result.is_null()) {
-    occ->params.push_back(event.result);
+  if (type != kInvalidEventType) {
+    auto occ = std::make_shared<EventOccurrence>();
+    occ->type = type;
+    occ->timestamp = event.timestamp;
+    occ->detect_ns = event.detect_ns;
+    // Occurrences carry the ROOT transaction: rule subtransactions raise
+    // events on behalf of the top-level transaction they belong to, and
+    // all coupling/life-span semantics are defined against that root.
+    occ->txn = event.txn == kNoTxn ? kNoTxn : db_->txns()->RootOf(event.txn);
+    occ->source = event.oid;
+    occ->params = event.args;
+    if (event.kind == SentryKind::kMethodAfter && !event.result.is_null()) {
+      occ->params.push_back(event.result);
+    }
+    Signal(std::move(occ));
   }
-  Signal(std::move(occ));
+  // A transaction's own commit or abort occurrence, signalled above, is
+  // swept and merged with the rest of its events rather than left behind.
+  if (event.kind == SentryKind::kTxnCommit ||
+      event.kind == SentryKind::kTxnAbort) {
+    HandleTxnEnd(event.txn, event.kind == SentryKind::kTxnCommit);
+  }
 }
 
 void EventManager::Quiesce() {
   // Recovered completions first — they may enqueue composition work.
   CompleteRecovery();
-  // Composition next (its completions may enqueue history merges).
+  // Then the lanes, whose EOT tasks merge the global history.
   if (lanes_) lanes_->WaitIdle();
-  if (history_pool_) history_pool_->WaitIdle();
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@
 // mutex, and composition runs on keyed FIFO lanes: one task per occurrence
 // for its single-transaction compositors, on its root transaction's lane,
 // and one per cross-transaction compositor, on that compositor's lane.
+// Once any single-transaction compositor exists, a transaction's end is
+// the last task on its lane: it sweeps the transaction's composition state
+// and merges its committed events, late composites included, into the
+// global history (§6.3's process after EOT). Otherwise the transaction has
+// no lane tasks, and the ending thread does both.
 #pragma once
 
 #include <array>
@@ -35,7 +40,6 @@
 #include <vector>
 
 #include "common/lane_pool.h"
-#include "common/thread_pool.h"
 #include "core/events/compositor.h"
 #include "core/events/event.h"
 #include "core/events/event_durability.h"
@@ -56,7 +60,8 @@ struct EventManagerOptions {
   /// Occurrences kept per event type, in both the local histories and the
   /// global history.
   size_t history_capacity = 4096;
-  /// Background merge of committed events into the global history.
+  /// Merge committed events into the global history at EOT (benches that
+  /// never end their transactions turn it off).
   bool maintain_global_history = true;
   /// Log cross-transaction composite state to the WAL (docs/EVENTS.md
   /// "Durability & recovery"): occurrences feeding cross-txn compositors
@@ -128,7 +133,8 @@ class EventManager : public PolicyManager {
 
   /// Drain the asynchronous composition lanes (pre-commit barrier so
   /// deferred rules see a complete picture). Drained = all lanes empty and
-  /// all workers idle, then the history merge likewise.
+  /// all workers idle; the global history then holds every transaction
+  /// whose end was announced before the call.
   void Quiesce();
 
   // -- Durable event history ----------------------------------------------
@@ -212,7 +218,7 @@ class EventManager : public PolicyManager {
 
   /// One lane task. With `occ` set it feeds `compositor` (a cross-txn
   /// compositor) or, when that is null, every single-txn compositor of
-  /// `table`; without `occ` it is the EOT sweep of `txn`. Tables and
+  /// `table`; without `occ` it is EndTxn(txn, committed). Tables and
   /// compositors live until the manager dies, so raw pointers are safe
   /// in flight.
   struct ComposeTask {
@@ -220,6 +226,7 @@ class EventManager : public PolicyManager {
     const DispatchTable* table = nullptr;
     Compositor* compositor = nullptr;
     TxnId txn = kNoTxn;
+    bool committed = false;
   };
 
   // -- Copy-on-write publication (all require publish_mu_) ----------------
@@ -248,8 +255,11 @@ class EventManager : public PolicyManager {
   /// Lane worker body for one ComposeTask.
   void RunTask(ComposeTask& task);
 
-  /// Single-transaction composition state dies with the transaction (§3.3).
-  void SweepTxn(TxnId txn);
+  /// End of `txn`: sweep its single-txn composition state (§3.3), drop its
+  /// milestone markers, and merge its events into the global history if
+  /// it committed. On the lanes, once a single-txn compositor exists, it
+  /// runs as the transaction's last task.
+  void EndTxn(TxnId txn, bool committed);
 
   /// Restore a freshly created cross-txn compositor from the recovered
   /// checkpoint state and re-feed the logged tail (publish_mu_ held; the
@@ -273,7 +283,6 @@ class EventManager : public PolicyManager {
   TemporalScheduler scheduler_;
   /// Composition lanes; null when composing inline.
   std::unique_ptr<LanePool<ComposeTask>> lanes_;
-  std::unique_ptr<ThreadPool> history_pool_;
 
   /// The current snapshot. Superseded snapshots are retired to
   /// `snapshots_`, not freed, so a reader's plain pointer stays valid

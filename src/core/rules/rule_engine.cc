@@ -1,7 +1,6 @@
 #include "core/rules/rule_engine.h"
 
 #include <algorithm>
-#include <future>
 #include <string>
 
 #include "obs/metric_names.h"
@@ -82,7 +81,8 @@ constexpr int64_t kDeadlockRetryWaitUs = 100'000;
 /// ahead of rules triggered by composite events.
 constexpr bool kSimpleEventsFirst = true;
 
-/// Threads of the pool that runs detached rules.
+/// Threads of the pool that runs detached rules and helps run sibling
+/// subtransactions.
 constexpr size_t kDetachedThreads = 4;
 
 /// Deferred rules may raise events that trigger more deferred rules; a
@@ -198,17 +198,12 @@ RuleEngine::RuleEngine(Database* db, EventManager* events,
                        RuleEngineOptions options)
     : db_(db), events_(events), options_(options) {
   detached_pool_ = std::make_unique<ThreadPool>(kDetachedThreads);
-  if (options_.multi_rule_execution ==
-      RuleEngineOptions::Execution::kParallelSubtransactions) {
-    rule_pool_ = std::make_unique<ThreadPool>(options_.parallel_rule_threads);
-  }
   db_->txns()->AddListener(this);
 }
 
 RuleEngine::~RuleEngine() {
   db_->txns()->RemoveListener(this);
   detached_pool_->Shutdown();
-  if (rule_pool_) rule_pool_->Shutdown();
   for (auto& [id, rule] : rules_) ReleasePerRuleSlot(rule.get());
 }
 
@@ -534,19 +529,24 @@ Status RuleEngine::ExecuteInSubtxn(Rule* rule, const EventOccurrencePtr& occ,
 
 Status RuleEngine::ExecuteSet(const std::vector<Firing>& firings,
                               TxnId parent) {
-  Status first_error = Status::OK();
-  if (rule_pool_ == nullptr || firings.size() == 1) {
+  auto execute = [&](const Firing& f) {
+    Rule* rule;
+    {
+      std::shared_lock lock(mu_);
+      auto it = rules_.find(f.rule);
+      if (it == rules_.end()) return Status::OK();  // dropped meanwhile
+      rule = it->second.get();
+    }
+    return ExecuteInSubtxn(rule, f.occ, parent, f.action_only);
+  };
+  if (options_.multi_rule_execution ==
+          RuleEngineOptions::Execution::kSerialRingSequence ||
+      firings.size() == 1) {
     // Serial ring-sequence (§6.4 first-prototype strategy): the set is
     // already ordered by priority + tie-break.
+    Status first_error = Status::OK();
     for (const Firing& f : firings) {
-      Rule* rule;
-      {
-        std::shared_lock lock(mu_);
-        auto it = rules_.find(f.rule);
-        if (it == rules_.end()) continue;
-        rule = it->second.get();
-      }
-      Status st = ExecuteInSubtxn(rule, f.occ, parent, f.action_only);
+      Status st = execute(f);
       if (first_error.ok() && !st.ok()) first_error = st;
       if (!db_->txns()->IsActive(parent)) {
         // A rule aborted the triggering transaction; stop the sequence.
@@ -555,28 +555,12 @@ Status RuleEngine::ExecuteSet(const std::vector<Firing>& firings,
     }
     return first_error;
   }
-
-  // Parallel sibling subtransactions. Priorities still order lower-level
-  // thread creation (§6.4), hence submission order.
-  std::vector<std::future<Status>> futures;
-  futures.reserve(firings.size());
-  for (const Firing& f : firings) {
-    futures.push_back(rule_pool_->SubmitWithResult([this, f, parent] {
-      Rule* rule;
-      {
-        std::shared_lock lock(mu_);
-        auto it = rules_.find(f.rule);
-        if (it == rules_.end()) return Status::OK();
-        rule = it->second.get();
-      }
-      return ExecuteInSubtxn(rule, f.occ, parent, f.action_only);
-    }));
-  }
-  for (auto& fut : futures) {
-    Status st = fut.get();
-    if (first_error.ok() && !st.ok()) first_error = st;
-  }
-  return first_error;
+  // Parallel sibling subtransactions, fanned out on the detached pool with
+  // the caller running whatever no helper has started: a nested set, or a
+  // pool busy with detached transactions, never leaves it waiting on work
+  // that is not running. Priorities still order the claims (§6.4).
+  return detached_pool_->ForEach(
+      firings.size(), [&](size_t i) { return execute(firings[i]); });
 }
 
 Status RuleEngine::OnPreCommit(TxnId txn) {

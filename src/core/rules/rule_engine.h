@@ -7,7 +7,9 @@
 // ring-sequence (the first-prototype strategy) or as parallel sibling
 // subtransactions (the nested-transaction strategy) — both are implemented
 // so the E1 bench can compare them, exactly the measurement the paper says
-// this design decision enables.
+// this design decision enables. Siblings fan out on the detached pool
+// through ThreadPool::ForEach: the triggering thread runs every sibling no
+// pool thread has started, so nested rule sets cannot exhaust the pool.
 #pragma once
 
 #include <atomic>
@@ -29,7 +31,7 @@ namespace reach {
 struct RuleEngineOptions {
   enum class Execution {
     kSerialRingSequence,        // ordered, one at a time
-    kParallelSubtransactions,   // sibling subtransactions on a pool
+    kParallelSubtransactions,   // sibling subtransactions, caller-runs
   };
   Execution multi_rule_execution = Execution::kSerialRingSequence;
 
@@ -37,8 +39,6 @@ struct RuleEngineOptions {
   /// Equal-priority ordering (§6.4): oldest rule first (default) or newest
   /// rule first.
   TieBreak tie_break = TieBreak::kOldestFirst;
-
-  size_t parallel_rule_threads = 4;
 };
 
 struct RuleEngineStats {
@@ -134,8 +134,8 @@ class RuleEngine : public TxnListener {
   void UnmarkEngineTxn(TxnId txn);
   bool IsEngineTxn(TxnId txn) const;
 
+  // Detached rule transactions, and parallel sibling subtransactions.
   std::unique_ptr<ThreadPool> detached_pool_;
-  std::unique_ptr<ThreadPool> rule_pool_;
 
   // Lock-free engine stats: hot-path increments are relaxed fetch_adds,
   // stats() assembles a RuleEngineStats snapshot. Process-wide totals are

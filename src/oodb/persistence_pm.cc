@@ -69,13 +69,11 @@ Result<Oid> PersistencePm::Persist(TxnId txn, DbObject* obj) {
   return oid;
 }
 
-Result<std::string> PersistencePm::Load(TxnId txn, const Oid& oid,
-                                        LockMode mode) {
+Result<std::string> PersistencePm::Load(TxnId txn, const Oid& oid) {
   if (txn == kNoTxn) {
     return Status::FailedPrecondition("fetch outside a transaction");
   }
-  if (mode == LockMode::kExclusive) REACH_RETURN_IF_ERROR(LockOwner(txn, oid));
-  REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, oid, mode));
+  REACH_RETURN_IF_ERROR(txns_->locks()->Acquire(txn, oid, LockMode::kShared));
   REACH_ASSIGN_OR_RETURN(std::string record, storage_->objects()->Read(oid));
   REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
   AnnounceFetch(txn, oid, view.class_name());
@@ -83,8 +81,7 @@ Result<std::string> PersistencePm::Load(TxnId txn, const Oid& oid,
 }
 
 Result<DbObject> PersistencePm::Fetch(TxnId txn, const Oid& oid) {
-  REACH_ASSIGN_OR_RETURN(std::string record,
-                         Load(txn, oid, LockMode::kShared));
+  REACH_ASSIGN_OR_RETURN(std::string record, Load(txn, oid));
   REACH_ASSIGN_OR_RETURN(DbObject obj, DbObject::Deserialize(record));
   obj.set_oid(oid);
   return obj;
@@ -101,8 +98,8 @@ void PersistencePm::AnnounceFetch(TxnId txn, const Oid& oid,
   bus_->Announce(ev);
 }
 
-Status PersistencePm::Write(TxnId txn, const Oid& oid,
-                            std::string_view record) {
+Status PersistencePm::Update(TxnId txn, const Oid& oid,
+                             const RecordPatch& patch) {
   if (txn == kNoTxn) {
     return Status::FailedPrecondition("write outside a transaction");
   }
@@ -112,7 +109,11 @@ Status PersistencePm::Write(TxnId txn, const Oid& oid,
   REACH_RETURN_IF_ERROR(LockOwner(txn, oid));
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
-  return storage_->objects()->Update(txn, oid, record);
+  REACH_ASSIGN_OR_RETURN(std::string record, storage_->objects()->Read(oid));
+  REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
+  AnnounceFetch(txn, oid, view.class_name());
+  REACH_ASSIGN_OR_RETURN(std::string patched, patch(view));
+  return storage_->objects()->Update(txn, oid, patched);
 }
 
 Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
@@ -123,8 +124,7 @@ Status PersistencePm::Delete(TxnId txn, const Oid& oid) {
   // The extent X lock comes before the object's, the order every update
   // takes its extent IX and object X in. Freeing the cell is what takes the
   // object out of the extent.
-  REACH_ASSIGN_OR_RETURN(std::string record,
-                         Load(txn, oid, LockMode::kShared));
+  REACH_ASSIGN_OR_RETURN(std::string record, Load(txn, oid));
   REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
   const std::string class_name(view.class_name());
   REACH_RETURN_IF_ERROR(

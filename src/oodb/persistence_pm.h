@@ -18,6 +18,7 @@
 // object: its extent S keeps out phantoms and uncommitted updates alike.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,10 +57,9 @@ class PersistencePm : public PolicyManager, public TxnListener {
   /// it on a page of that extent (assigning the OID), announces kPersist.
   Result<Oid> Persist(TxnId txn, DbObject* obj);
 
-  /// An object's stored record (RecordView reads it), locked in `mode`
-  /// first: kShared to read it, kExclusive to patch it and Write it back
-  /// (after the IX on its class extent). Announces kFetch.
-  Result<std::string> Load(TxnId txn, const Oid& oid, LockMode mode);
+  /// An object's stored record (RecordView reads it), S-locked first.
+  /// Announces kFetch.
+  Result<std::string> Load(TxnId txn, const Oid& oid);
 
   /// Fault an object in (S-locks it): a freshly decoded copy, the
   /// caller's own. Announces kFetch.
@@ -69,9 +69,13 @@ class PersistencePm : public PolicyManager, public TxnListener {
   /// that take the record in place rather than through Load.
   void AnnounceFetch(TxnId txn, const Oid& oid, std::string_view class_name);
 
-  /// Replace an object's stored record (IX-locks its class extent, then
-  /// X-locks the OID).
-  Status Write(TxnId txn, const Oid& oid, std::string_view record);
+  /// Maps an object's current record to its replacement.
+  using RecordPatch = std::function<Result<std::string>(const RecordView&)>;
+
+  /// Read-modify-write of an object's stored record: IX-locks its class
+  /// extent, X-locks the OID, announces kFetch, and stores what `patch`
+  /// makes of the current record (nothing when `patch` fails).
+  Status Update(TxnId txn, const Oid& oid, const RecordPatch& patch);
 
   /// Delete a persistent object: X-locks its class extent, announces
   /// kDelete (with the object's class so deletion-triggered rules fire —

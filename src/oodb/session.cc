@@ -119,22 +119,22 @@ Status Session::Unbind(const std::string& name) {
 Status Session::SetAttr(const Oid& oid, const std::string& attr,
                         Value value) {
   REACH_RETURN_IF_ERROR(RequireTxn());
-  // Patch the stored record under an X lock, taken after the IX on the
-  // class extent (Load): the encoded value is replaced in a copy of the
-  // record, and the copy written through.
-  REACH_ASSIGN_OR_RETURN(
-      std::string record,
-      db_->persistence()->Load(current_txn(), oid, LockMode::kExclusive));
-  REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
-  const std::string class_name(view.class_name());
-  if (db_->types()->ResolveAttribute(class_name, attr) == nullptr) {
-    return Status::NotFound("attribute " + class_name + "." + attr);
-  }
-  Result<Value> old = view.Get(attr);
-  if (!old.ok() && !old.status().IsNotFound()) return old.status();
-  REACH_ASSIGN_OR_RETURN(std::string patched, view.With(attr, value));
-  REACH_RETURN_IF_ERROR(
-      db_->persistence()->Write(current_txn(), oid, patched));
+  // One locked read-modify-write (extent IX, then object X): the encoded
+  // value is replaced in a copy of the record, and the copy written
+  // through.
+  std::string class_name;
+  Result<Value> old = Value();
+  REACH_RETURN_IF_ERROR(db_->persistence()->Update(
+      current_txn(), oid,
+      [&](const RecordView& view) -> Result<std::string> {
+        class_name = view.class_name();
+        if (db_->types()->ResolveAttribute(class_name, attr) == nullptr) {
+          return Status::NotFound("attribute " + class_name + "." + attr);
+        }
+        old = view.Get(attr);
+        if (!old.ok() && !old.status().IsNotFound()) return old.status();
+        return view.With(attr, value);
+      }));
 
   if (db_->bus()->Monitored(SentryKind::kStateChange, class_name, attr)) {
     SentryEvent ev;
@@ -153,9 +153,8 @@ Status Session::SetAttr(const Oid& oid, const std::string& attr,
 
 Result<Value> Session::GetAttr(const Oid& oid, const std::string& attr) {
   REACH_RETURN_IF_ERROR(RequireTxn());
-  REACH_ASSIGN_OR_RETURN(
-      std::string record,
-      db_->persistence()->Load(current_txn(), oid, LockMode::kShared));
+  REACH_ASSIGN_OR_RETURN(std::string record,
+                         db_->persistence()->Load(current_txn(), oid));
   REACH_ASSIGN_OR_RETURN(RecordView view, RecordView::Parse(record));
   Result<Value> v = view.Get(attr);
   // An attribute the record does not carry reads as null.

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <iterator>
 #include <map>
-#include <mutex>
 #include <thread>
 
-#include "common/completion.h"
 #include "common/thread_pool.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -279,63 +276,39 @@ Status RunMorsel(const ScanContext& ctx, const Session::ExtentMorsel& pages,
   return Status::OK();
 }
 
-/// Shared scan pool, grown by replacement when a query asks for more
-/// workers than the current pool has: in-flight queries keep the old pool
-/// alive through their shared_ptr until their fan-out drains.
-std::shared_ptr<ThreadPool> ScanPool(size_t workers) {
-  static std::mutex mu;
-  static auto* pool = new std::shared_ptr<ThreadPool>();  // no exit-order dtor
-  std::lock_guard<std::mutex> lock(mu);
-  if (!*pool || (*pool)->num_threads() < workers) {
-    *pool = std::make_shared<ThreadPool>(workers);
-  }
+/// The process-wide morsel pool: one thread per core, created on first use
+/// and never destroyed (no exit-order destructor).
+ThreadPool& MorselPool() {
+  static auto* pool =
+      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));
   return *pool;
 }
 
-Status RunParallel(const ScanContext& ctx,
-                   const std::vector<Session::ExtentMorsel>& morsels,
-                   size_t workers, std::vector<WorkerOutput>* outputs) {
-  std::shared_ptr<ThreadPool> pool = ScanPool(workers);
-  CompletionLatch latch(workers);
+/// Run the morsels as `workers` contiguous slices, slice w into
+/// (*outputs)[w]: inline for one worker, else fanned out over the morsel
+/// pool with the querying thread running a share (ThreadPool::ForEach). A
+/// failed morsel stops the slices that have not passed it yet.
+Status RunSlices(const ScanContext& ctx,
+                 const std::vector<Session::ExtentMorsel>& morsels,
+                 size_t workers, std::vector<WorkerOutput>* outputs) {
+  const size_t base = morsels.size() / workers;
+  const size_t rem = morsels.size() % workers;
   std::atomic<bool> cancel{false};
-  std::mutex crash_mu;
-  std::exception_ptr crash;
-  size_t n = morsels.size();
-  size_t base = n / workers, rem = n % workers;
-  size_t lo = 0;
-  for (size_t w = 0; w < workers; ++w) {
-    size_t hi = lo + base + (w < rem ? 1 : 0);
-    WorkerOutput* out = &(*outputs)[w];
-    bool accepted = pool->Submit([&ctx, &morsels, &latch, &cancel, &crash,
-                                  &crash_mu, lo, hi, out] {
-      Status st;
-      try {
-        for (size_t m = lo;
-             m < hi && !cancel.load(std::memory_order_relaxed); ++m) {
-          st = RunMorsel(ctx, morsels[m], out);
-          if (!st.ok()) {
-            cancel.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-      } catch (...) {
-        // Injected crash fault on a worker: park it and rethrow on the
-        // querying thread after the join (the wal.flusher.batch
-        // convention), never on a pool thread.
-        std::lock_guard<std::mutex> lock(crash_mu);
-        if (!crash) crash = std::current_exception();
+  auto slice = [&](size_t w) {
+    const size_t lo = w * base + std::min(w, rem);
+    const size_t hi = lo + base + (w < rem ? 1 : 0);
+    for (size_t m = lo; m < hi && !cancel.load(std::memory_order_relaxed);
+         ++m) {
+      Status st = RunMorsel(ctx, morsels[m], &(*outputs)[w]);
+      if (!st.ok()) {
         cancel.store(true, std::memory_order_relaxed);
+        return st;
       }
-      latch.CountDown(st);
-    });
-    if (!accepted) {
-      latch.CountDown(Status::Aborted("query worker pool shut down"));
     }
-    lo = hi;
-  }
-  Status st = latch.Wait();
-  if (crash) std::rethrow_exception(crash);
-  return st;
+    return Status::OK();
+  };
+  if (workers == 1) return slice(0);
+  return MorselPool().ForEach(workers, slice);
 }
 
 void EmitAggregateRows(const SelectStatement& stmt, const GroupMap& groups,
@@ -427,9 +400,8 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
     result.used_index = true;
     outputs.resize(1);
     for (const Oid& oid : plan.candidates) {
-      REACH_ASSIGN_OR_RETURN(
-          std::string record,
-          session.db()->persistence()->Load(ctx.txn, oid, LockMode::kShared));
+      REACH_ASSIGN_OR_RETURN(std::string record,
+                             session.db()->persistence()->Load(ctx.txn, oid));
       REACH_ASSIGN_OR_RETURN(RecordView rec, RecordView::Parse(record));
       REACH_RETURN_IF_ERROR(ProcessRecord(ctx, oid, rec, false, &outputs[0]));
     }
@@ -440,21 +412,14 @@ Result<QueryResult> ExecutePlan(Session& session, const SelectStatement& stmt,
     result.morsels = morsels.size();
     ctx.store = session.db()->storage()->objects();
     ctx.pool = session.db()->storage()->buffer_pool();
-    size_t workers = 1;
-    if (options.parallel && morsels.size() > 1) {
-      size_t cap = options.workers != 0 ? options.workers
-                                        : std::thread::hardware_concurrency();
-      workers = std::max<size_t>(1, std::min(cap, morsels.size()));
-    }
+    const size_t cap = options.workers != 0
+                           ? options.workers
+                           : std::thread::hardware_concurrency();
+    const size_t workers =
+        std::max<size_t>(1, std::min(cap, morsels.size()));
     result.workers = workers;
     outputs.resize(workers);
-    if (workers <= 1) {
-      for (const Session::ExtentMorsel& m : morsels) {
-        REACH_RETURN_IF_ERROR(RunMorsel(ctx, m, &outputs[0]));
-      }
-    } else {
-      REACH_RETURN_IF_ERROR(RunParallel(ctx, morsels, workers, &outputs));
-    }
+    REACH_RETURN_IF_ERROR(RunSlices(ctx, morsels, workers, &outputs));
   }
 
   // Merge partials in worker order over contiguous morsel slices, then

@@ -1,14 +1,16 @@
 // Query executor: runs a planned statement. Index plans probe serially in
-// index order; extent scans are partitioned into page-aligned morsels and
-// fanned over a shared worker pool (docs/QUERY.md "Morsel execution").
-// A morsel is a run of the extent's pages; each worker warms its pages via
+// index order; extent scans are partitioned into page-aligned morsels, cut
+// into contiguous slices, and fanned over the process-wide morsel pool
+// with the querying thread running a share (ThreadPool::ForEach;
+// docs/QUERY.md "Morsel execution").
+// A morsel is a run of the extent's pages; each slice warms its pages via
 // BufferPool::ReadAhead, then reads each stored record in place
 // (ObjectStore::VisitHomes and RecordView — no object is decoded or locked:
 // the extent S lock guards the scan): the plan's fast predicate prefix
 // runs before full evaluation, and partial results accumulate (rows hold
 // only their projected values and sort key, in page order, and per-group
-// aggregate states). Partials merge in worker order over contiguous morsel
-// slices, so parallel output is byte-identical to the serial fallback.
+// aggregate states). Partials merge in slice order, so parallel output is
+// byte-identical to the serial fallback.
 #pragma once
 
 #include <memory>

@@ -7,12 +7,11 @@
 namespace reach {
 
 struct QueryOptions {
-  /// Morsel-parallel extent scan. Index plans and 1-morsel extents always
-  /// run serial; parallel output is identical to serial output.
-  bool parallel = true;
   /// Morsel size in distinct home pages.
   size_t morsel_pages = 4;
-  /// Cap on the degree of parallelism; 0 = hardware concurrency.
+  /// Cap on the degree of parallelism of an extent scan: 0 = hardware
+  /// concurrency, 1 = serial. Index plans and 1-morsel extents always run
+  /// serial; parallel output is identical to serial output.
   size_t workers = 0;
 };
 

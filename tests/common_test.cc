@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
@@ -11,9 +13,12 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
+#include "test_util.h"
 
 namespace reach {
 namespace {
+
+using reach::testing::RunBounded;
 
 TEST(StatusTest, DefaultIsOk) {
   Status st;
@@ -138,10 +143,82 @@ TEST(ThreadPoolTest, ExecutesTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, SubmitWithResult) {
+TEST(ThreadPoolTest, ForEachRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (size_t n : {0, 1, 2, 7, 1000}) {
+    std::vector<std::atomic<int>> runs(n);
+    Status st = pool.ForEach(n, [&](size_t i) {
+      runs[i].fetch_add(1);
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok());
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPoolTest, NestedForEachOnOneThreadCompletes) {
+  // The only worker runs an outer index and fans out again; its inner
+  // helper task queues behind itself, so the inner caller must run every
+  // inner index rather than wait for it.
+  ThreadPool pool(1);
+  std::atomic<int> inner{0};
+  RunBounded(
+      [&] {
+        Status st = pool.ForEach(4, [&](size_t) {
+          return pool.ForEach(4, [&](size_t) {
+            inner.fetch_add(1);
+            return Status::OK();
+          });
+        });
+        EXPECT_TRUE(st.ok());
+      },
+      std::chrono::seconds(10));
+  EXPECT_EQ(inner.load(), 16);
+}
+
+TEST(ThreadPoolTest, ForEachFirstErrorWins) {
+  // With the only worker blocked the caller runs every index, in order,
+  // and never waits for the helper it queued.
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.Submit([&] {
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  std::atomic<int> ran{0};
+  Status st;
+  RunBounded(
+      [&] {
+        st = pool.ForEach(6, [&](size_t i) {
+          ran.fetch_add(1);
+          if (i == 2) return Status::Busy("index 2");
+          if (i == 4) return Status::Corruption("index 4");
+          return Status::OK();
+        });
+      },
+      std::chrono::seconds(10));
+  release = true;
+  EXPECT_EQ(ran.load(), 6);  // an error stops no other index
+  EXPECT_TRUE(st.IsBusy()) << st.ToString();
+  pool.WaitIdle();
+}
+
+TEST(ThreadPoolTest, ForEachRethrowsAfterHelpersFinish) {
   ThreadPool pool(2);
-  auto fut = pool.SubmitWithResult([] { return 21 * 2; });
-  EXPECT_EQ(fut.get(), 42);
+  std::vector<std::atomic<bool>> finished(3);
+  bool caught = false;
+  try {
+    (void)pool.ForEach(3, [&](size_t i) {
+      if (i == 0) throw std::runtime_error("crash");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      finished[i] = true;
+      return Status::OK();
+    });
+  } catch (const std::runtime_error&) {
+    caught = true;
+    EXPECT_TRUE(finished[1].load());
+    EXPECT_TRUE(finished[2].load());
+  }
+  EXPECT_TRUE(caught);
 }
 
 TEST(ThreadPoolTest, RejectsAfterShutdown) {

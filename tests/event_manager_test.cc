@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
 
 #include "core/events/event_manager.h"
 #include "oodb/session.h"
@@ -413,6 +416,54 @@ TEST_F(EventManagerTest, GlobalHistoryBoundedPerTypeByHistoryCapacity) {
   EXPECT_EQ(history->total(), committed);
   // The local history saw the aborted occurrences too.
   EXPECT_EQ(em_->HistoryOf(*level)->total(), 120u);
+}
+
+// A single-transaction composite completed on a lane after its
+// transaction's commit was announced still reaches the global history:
+// the transaction's end runs on its lane, behind every task of it. The
+// first h1 completion holds the only lane until the commit has returned,
+// so the second h1 and the h2 completion arrive after it.
+TEST_F(EventManagerTest, LateLaneCompositesReachGlobalHistory) {
+  auto run = [&](bool async) {
+    EventManagerOptions eopts;
+    eopts.async_composition = async;
+    eopts.composition_threads = 1;
+    em_.reset();
+    em_ = std::make_unique<EventManager>(db_.get(), eopts);
+    auto level = em_->DefineStateChangeEvent("lvl", "River", "level");
+    auto h1 = em_->DefineComposite(
+        "h1", EventExpr::History(EventExpr::Prim(*level), 1),
+        CompositeScope::kSingleTxn);
+    auto h2 = em_->DefineComposite(
+        "h2", EventExpr::History(EventExpr::Prim(*level), 2),
+        CompositeScope::kSingleTxn);
+    EXPECT_TRUE(h1.ok() && h2.ok());
+    std::atomic<bool> committed{false};
+    std::atomic<bool> gated{false};
+    em_->AddEventListener(*h1, [&](const EventOccurrencePtr&) {
+      if (!async || gated.exchange(true)) return;
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!committed && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    Session s(db_.get());
+    EXPECT_TRUE(s.Begin().ok());
+    auto oid = s.PersistNew("River", {});
+    EXPECT_TRUE(s.SetAttr(*oid, "level", Value(1)).ok());
+    EXPECT_TRUE(s.SetAttr(*oid, "level", Value(2)).ok());
+    EXPECT_TRUE(s.Commit().ok());
+    committed = true;
+    em_->Quiesce();
+    GlobalHistory* history = em_->global_history();
+    return std::vector<size_t>{history->OfType(*level).size(),
+                               history->OfType(*h1).size(),
+                               history->OfType(*h2).size()};
+  };
+  std::vector<size_t> inline_counts = run(false);
+  EXPECT_EQ(inline_counts, std::vector<size_t>({2, 2, 1}));
+  EXPECT_EQ(run(true), inline_counts);
 }
 
 TEST_F(EventManagerTest, ExplicitRaise) {

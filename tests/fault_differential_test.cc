@@ -34,7 +34,6 @@ std::vector<int64_t> RunMode(Execution mode, uint64_t seed) {
   ReachOptions options;
   options.events.async_composition = false;
   options.rules.multi_rule_execution = mode;
-  options.rules.parallel_rule_threads = 4;
   auto db_or = ReachDb::Open(dir.DbPath(), options);
   EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
   auto db = std::move(*db_or);

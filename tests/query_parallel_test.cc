@@ -33,13 +33,12 @@ using reach::testing::TempDir;
 
 QueryOptions Serial() {
   QueryOptions o;
-  o.parallel = false;
+  o.workers = 1;
   return o;
 }
 
 QueryOptions Parallel(size_t workers, size_t morsel_pages = 4) {
   QueryOptions o;
-  o.parallel = true;
   o.workers = workers;
   o.morsel_pages = morsel_pages;
   return o;

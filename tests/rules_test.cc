@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/reach/reach_db.h"
 #include "obs/metric_names.h"
@@ -500,7 +505,6 @@ TEST_F(RulesTest, ParallelSubtransactionExecution) {
   ReachOptions options;
   options.rules.multi_rule_execution =
       RuleEngineOptions::Execution::kParallelSubtransactions;
-  options.rules.parallel_rule_threads = 4;
   OpenDb(std::move(options));
   Oid counter = MakeCounter();
   auto ev = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
@@ -522,6 +526,114 @@ TEST_F(RulesTest, ParallelSubtransactionExecution) {
   ASSERT_TRUE(s.Invoke(counter, "bump").ok());
   EXPECT_EQ(ran.load(), 4);  // all ran before the go-ahead
   ASSERT_TRUE(s.Commit().ok());
+}
+
+// Four parallel immediate rules, each of whose actions fires a two-rule
+// immediate set: with the caller running every sibling no pool thread has
+// started, the nested sets finish even though they outnumber the pool.
+// The bump runs on its own thread under a deadline, so a hang fails.
+TEST_F(RulesTest, NestedParallelRuleSetsComplete) {
+  auto run = [&](RuleEngineOptions::Execution mode) {
+    ReachOptions options;
+    options.rules.multi_rule_execution = mode;
+    OpenDb(std::move(options));
+    EXPECT_TRUE(db_->RegisterClass(
+                       ClassBuilder("Cell")
+                           .Attribute("n", ValueType::kInt, Value(0))
+                           .Attribute("a", ValueType::kInt, Value(0))
+                           .Attribute("b", ValueType::kInt, Value(0))
+                           .Method("poke",
+                                   [](Session& s, DbObject& self,
+                                      const std::vector<Value>&)
+                                       -> Result<Value> {
+                                     REACH_RETURN_IF_ERROR(s.SetAttr(
+                                         self.oid(), "n",
+                                         Value(self.Get("n").as_int() + 1)));
+                                     return Value();
+                                   }))
+                    .ok());
+    Oid counter = MakeCounter();
+    // Outer rule i pokes cells[i]; the two inner rules its poke fires
+    // tally attribute a, b in their own objects tallies[attr][i]. They run
+    // as siblings under the triggering transaction, so they must not touch
+    // the cell the outer rule holds, nor (lock upgrades deadlock and retry
+    // a sibling) an object the other inner rule writes.
+    std::vector<Oid> cells;
+    std::map<std::string, std::vector<Oid>> tallies;
+    std::map<std::pair<std::string, Oid>, Oid> tally_of;
+    {
+      Session s(db_->database());
+      EXPECT_TRUE(s.Begin().ok());
+      for (int i = 0; i < 4; ++i) {
+        cells.push_back(*s.PersistNew("Cell", {}));
+        for (const char* attr : {"a", "b"}) {
+          tallies[attr].push_back(*s.PersistNew("Cell", {}));
+          tally_of[{attr, cells.back()}] = tallies[attr].back();
+        }
+      }
+      EXPECT_TRUE(s.Commit().ok());
+    }
+    auto bump = db_->events()->DefineMethodEvent("bump_ev", "Counter", "bump");
+    auto poke = db_->events()->DefineMethodEvent("poke_ev", "Cell", "poke");
+    EXPECT_TRUE(bump.ok() && poke.ok());
+    for (int i = 0; i < 4; ++i) {
+      RuleSpec outer;
+      outer.name = "outer" + std::to_string(i);
+      outer.event = *bump;
+      outer.coupling = CouplingMode::kImmediate;
+      outer.action = [cell = cells[i]](Session& s,
+                                       const EventOccurrence&) -> Status {
+        return s.Invoke(cell, "poke").status();
+      };
+      EXPECT_TRUE(db_->rules()->DefineRule(std::move(outer)).ok());
+    }
+    std::atomic<int> inner_runs{0};
+    for (const auto& [attr, delta] : {std::pair<std::string, int64_t>{"a", 1},
+                                      std::pair<std::string, int64_t>{"b", 10}}) {
+      RuleSpec inner;
+      inner.name = "inner_" + attr;
+      inner.event = *poke;
+      inner.coupling = CouplingMode::kImmediate;
+      inner.action = [&inner_runs, &tally_of, attr, delta](
+                         Session& s, const EventOccurrence& occ) -> Status {
+        inner_runs++;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        const Oid tally = tally_of.at({attr, occ.source});
+        auto v = s.GetAttr(tally, attr);
+        if (!v.ok()) return v.status();
+        return s.SetAttr(tally, attr, Value(v->as_int() + delta));
+      };
+      EXPECT_TRUE(db_->rules()->DefineRule(std::move(inner)).ok());
+    }
+    Status bumped;
+    testing::RunBounded(
+        [&] {
+          Session s(db_->database());
+          bumped = s.Begin();
+          if (bumped.ok()) bumped = s.Invoke(counter, "bump").status();
+          if (bumped.ok()) bumped = s.Commit();
+        },
+        std::chrono::seconds(10));
+    EXPECT_TRUE(bumped.ok()) << bumped.ToString();
+    EXPECT_EQ(inner_runs.load(), 8);
+    std::vector<int64_t> state;
+    Session check(db_->database());
+    EXPECT_TRUE(check.Begin().ok());
+    for (int i = 0; i < 4; ++i) {
+      state.push_back(check.GetAttr(cells[i], "n")->as_int());
+      state.push_back(check.GetAttr(tallies["a"][i], "a")->as_int());
+      state.push_back(check.GetAttr(tallies["b"][i], "b")->as_int());
+    }
+    EXPECT_TRUE(check.Commit().ok());
+    return state;
+  };
+  std::vector<int64_t> parallel =
+      run(RuleEngineOptions::Execution::kParallelSubtransactions);
+  std::vector<int64_t> serial =
+      run(RuleEngineOptions::Execution::kSerialRingSequence);
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(serial, std::vector<int64_t>({1, 1, 10, 1, 1, 10, 1, 1, 10, 1, 1,
+                                          10}));
 }
 
 TEST_F(RulesTest, ParallelRulesWritingSameObjectStaySerializable) {

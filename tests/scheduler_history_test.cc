@@ -1,7 +1,11 @@
 // TemporalScheduler, event histories, and the function registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -169,6 +173,42 @@ TEST(GlobalHistoryTest, BoundedPerTypeAcrossOutOfOrderMerges) {
             (std::vector<uint64_t>{9, 10, 11, 12}));
   EXPECT_EQ(history.size(), 6u);
   EXPECT_EQ(history.total(), 13u);
+}
+
+// Batches of concurrent transactions interleave with the retained tail of
+// each ring: whatever the interleaving, each type holds exactly its newest
+// `capacity` sequences, as one sort of everything merged would give.
+TEST(GlobalHistoryTest, InterleavedBatchesMatchReference) {
+  constexpr size_t kCapacity = 16;
+  GlobalHistory history(kCapacity);
+  std::mt19937 rng(7);
+  std::vector<uint64_t> sequences(600);
+  std::iota(sequences.begin(), sequences.end(), 1);
+  std::shuffle(sequences.begin(), sequences.end(), rng);
+  std::map<EventTypeId, std::vector<uint64_t>> all;
+  for (size_t i = 0; i < sequences.size();) {
+    const size_t n = std::min<size_t>(1 + rng() % 40, sequences.size() - i);
+    std::vector<EventOccurrencePtr> batch;
+    for (size_t j = 0; j < n; ++j, ++i) {
+      auto occ = std::make_shared<EventOccurrence>();
+      occ->sequence = sequences[i];
+      occ->type = static_cast<EventTypeId>(1 + sequences[i] % 3);
+      all[occ->type].push_back(occ->sequence);
+      batch.push_back(std::move(occ));
+    }
+    history.Merge(std::move(batch));
+  }
+  size_t retained = 0;
+  for (auto& [type, seqs] : all) {
+    std::sort(seqs.begin(), seqs.end());
+    std::vector<uint64_t> expected(seqs.end() - kCapacity, seqs.end());
+    std::vector<uint64_t> got;
+    for (const auto& e : history.OfType(type)) got.push_back(e->sequence);
+    EXPECT_EQ(got, expected) << "type " << type;
+    retained += expected.size();
+  }
+  EXPECT_EQ(history.size(), retained);
+  EXPECT_EQ(history.total(), sequences.size());
 }
 
 TEST(FunctionRegistryTest, NamingConventionResolution) {

@@ -1,9 +1,14 @@
 // Shared test helpers.
 #pragma once
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -30,6 +35,29 @@ inline Status ScanRecords(Wal* wal, std::vector<WalRecord>* out,
         return Status::OK();
       },
       window_bytes);
+}
+
+/// Run `fn` on its own thread. A run still going after `limit` ends the
+/// whole test binary with a failure instead of hanging it: the stuck
+/// thread cannot be joined, and nothing it holds can be torn down.
+inline void RunBounded(const std::function<void()>& fn,
+                       std::chrono::seconds limit) {
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    fn();
+    done = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!done) {
+    std::fprintf(stderr, "FAILED: still running after %lld s\n",
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  runner.join();
 }
 
 /// Unique scratch directory, removed on destruction.
