@@ -51,7 +51,7 @@ EventManager::EventManager(Database* db, EventManagerOptions options)
     // StorageManager::Open carried the surviving event records into the
     // fresh log epoch; partition them once, consume per DefineComposite.
     std::vector<WalRecord> records;
-    Status st = wal->Scan([&records](WalRecord& rec) {
+    Status st = wal->Scan(kEventRecordTypes, [&records](WalRecord& rec) {
       if (IsEventRecord(rec.type)) records.push_back(std::move(rec));
       return Status::OK();
     });

@@ -1,5 +1,6 @@
 #include "oodb/db_object.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace reach {
@@ -24,15 +25,59 @@ bool GetString(std::string_view data, size_t* pos, std::string_view* s) {
   *pos += len;
   return true;
 }
+
+Result<const ClassDescriptor*> FindClass(const TypeSystem& types,
+                                         const std::string& class_name) {
+  const ClassDescriptor* cls = types.Find(class_name);
+  if (cls == nullptr) {
+    return Status::NotFound("class " + class_name + " not registered");
+  }
+  return cls;
+}
 }  // namespace
+
+std::string EncodeRecord(std::string_view class_name,
+                         std::span<const RecordField> fields) {
+  std::string out;
+  PutString(&out, class_name);
+  uint16_t count = static_cast<uint16_t>(fields.size());
+  out.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  for (const RecordField& f : fields) {
+    PutString(&out, f.name);
+    f.value->Encode(&out);
+  }
+  return out;
+}
+
+Result<std::string> EncodeNewRecord(
+    const TypeSystem& types, const std::string& class_name,
+    std::span<const std::pair<std::string, Value>> attrs) {
+  REACH_ASSIGN_OR_RETURN(const ClassDescriptor* cls,
+                         FindClass(types, class_name));
+  std::vector<RecordField> fields;
+  fields.reserve(cls->record_attributes().size());
+  for (const AttributeDescriptor* attr : cls->record_attributes()) {
+    fields.push_back({attr->name, &attr->default_value});
+  }
+  for (const auto& [name, value] : attrs) {
+    auto it = std::find_if(fields.begin(), fields.end(),
+                           [&name](const RecordField& f) {
+                             return f.name == name;
+                           });
+    if (it == fields.end()) {
+      return Status::NotFound("attribute " + class_name + "." + name);
+    }
+    it->value = &value;
+  }
+  return EncodeRecord(class_name, fields);
+}
 
 Result<DbObject> DbObject::Create(const TypeSystem& types,
                                   const std::string& class_name) {
-  if (!types.IsRegistered(class_name)) {
-    return Status::NotFound("class " + class_name + " not registered");
-  }
+  REACH_ASSIGN_OR_RETURN(const ClassDescriptor* cls,
+                         FindClass(types, class_name));
   DbObject obj(class_name);
-  for (const AttributeDescriptor* attr : types.AllAttributes(class_name)) {
+  for (const AttributeDescriptor* attr : cls->record_attributes()) {
     obj.Set(attr->name, attr->default_value);
   }
   return obj;
@@ -44,15 +89,10 @@ const Value& DbObject::Get(const std::string& attr) const {
 }
 
 std::string DbObject::Serialize() const {
-  std::string out;
-  PutString(&out, class_name_);
-  uint16_t count = static_cast<uint16_t>(attrs_.size());
-  out.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& [name, value] : attrs_) {
-    PutString(&out, name);
-    value.Encode(&out);
-  }
-  return out;
+  std::vector<RecordField> fields;
+  fields.reserve(attrs_.size());
+  for (const auto& [name, value] : attrs_) fields.push_back({name, &value});
+  return EncodeRecord(class_name_, fields);
 }
 
 Result<DbObject> DbObject::Deserialize(std::string_view bytes) {

@@ -3,10 +3,12 @@
 // store format. RecordView reads that format in place.
 //
 // Record format: [u16 len][class name][u16 count], then `count` pairs of
-// [u16 len][attribute name][encoded Value] (Value::Encode).
+// [u16 len][attribute name][encoded Value] (Value::Encode). EncodeRecord is
+// the one writer of it.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +20,28 @@
 #include "oodb/value.h"
 
 namespace reach {
+
+/// One [name][value] pair of a record being encoded.
+struct RecordField {
+  std::string_view name;
+  const Value* value;
+};
+
+/// Encode a record of `class_name` holding `fields` in the given order.
+/// Names and the field count must fit a u16 (TypeSystem::RegisterClass
+/// refuses classes that would not).
+std::string EncodeRecord(std::string_view class_name,
+                         std::span<const RecordField> fields);
+
+/// The record of a new object of `class_name`: every record attribute of
+/// the class (ClassDescriptor::record_attributes) in that order, valued
+/// from `attrs` (the last pair naming it wins) or else its default. The
+/// same record as DbObject::Create, Set for each pair, then Serialize,
+/// with the same statuses: NotFound for an unregistered class or for an
+/// attribute the class lacks.
+Result<std::string> EncodeNewRecord(
+    const TypeSystem& types, const std::string& class_name,
+    std::span<const std::pair<std::string, Value>> attrs);
 
 class DbObject {
  public:

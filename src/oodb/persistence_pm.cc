@@ -50,19 +50,30 @@ Result<Oid> PersistencePm::Persist(TxnId txn, DbObject* obj) {
     return Status::NotFound("class " + obj->class_name() +
                             " not registered");
   }
+  REACH_ASSIGN_OR_RETURN(
+      Oid oid, PersistRecord(txn, obj->class_name(), obj->Serialize()));
+  obj->set_oid(oid);
+  return oid;
+}
+
+Result<Oid> PersistencePm::PersistRecord(TxnId txn,
+                                         const std::string& class_name,
+                                         std::string_view record) {
+  if (txn == kNoTxn) {
+    return Status::FailedPrecondition("persist outside a transaction");
+  }
   // The extent lock comes first: a scan holding it S must never see an
   // uncommitted cell on one of the class's pages.
-  REACH_ASSIGN_OR_RETURN(
-      Oid anchor, LockExtent(txn, obj->class_name(), LockMode::kExclusive));
-  REACH_ASSIGN_OR_RETURN(
-      Oid oid, storage_->objects()->Insert(txn, obj->Serialize(), anchor));
-  obj->set_oid(oid);
+  REACH_ASSIGN_OR_RETURN(Oid anchor,
+                         LockExtent(txn, class_name, LockMode::kExclusive));
+  REACH_ASSIGN_OR_RETURN(Oid oid,
+                         storage_->objects()->Insert(txn, record, anchor));
   REACH_RETURN_IF_ERROR(
       txns_->locks()->Acquire(txn, oid, LockMode::kExclusive));
 
   SentryEvent ev;
   ev.kind = SentryKind::kPersist;
-  ev.class_name = obj->class_name();
+  ev.class_name = class_name;
   ev.oid = oid;
   ev.txn = txn;
   bus_->Announce(ev);

@@ -2,6 +2,13 @@
 // write-through of attribute updates. Announces persist/fetch/delete events
 // on the meta bus.
 //
+// Storing a new object is one record-level step, PersistRecord: the caller
+// hands it the encoded record (oodb/db_object.h EncodeRecord, the one
+// encoder). Session::PersistNew encodes straight from its arguments and the
+// class's record attributes without building a DbObject; Persist(DbObject*)
+// encodes the object with Serialize. Either way the record is encoded once
+// and its bytes are copied, not re-encoded, into the page and the log.
+//
 // The stored record is an object's only copy. A fetch decodes a fresh
 // DbObject that no other reader shares; attribute reads and extent scans
 // read the record through a RecordView, scans straight from the pinned
@@ -53,9 +60,16 @@ class PersistencePm : public PolicyManager, public TxnListener {
   void OnCommit(TxnId txn) override;
   void OnCommitChild(TxnId child, TxnId parent) override;
 
-  /// Make a transient object persistent: X-locks its class extent, stores
-  /// it on a page of that extent (assigning the OID), announces kPersist.
+  /// Make a transient object persistent: PersistRecord of its Serialize,
+  /// then the object takes the new OID.
   Result<Oid> Persist(TxnId txn, DbObject* obj);
+
+  /// Store `record`, an encoded object of the registered class
+  /// `class_name`, as a new object: X-locks the class extent, stores the
+  /// record on a page of that extent, X-locks the new OID, announces
+  /// kPersist.
+  Result<Oid> PersistRecord(TxnId txn, const std::string& class_name,
+                            std::string_view record);
 
   /// An object's stored record (RecordView reads it), S-locked first.
   /// Announces kFetch.

@@ -74,14 +74,10 @@ Result<Oid> Session::Persist(DbObject* obj) {
 Result<Oid> Session::PersistNew(
     const std::string& class_name,
     std::vector<std::pair<std::string, Value>> attrs) {
-  REACH_ASSIGN_OR_RETURN(DbObject obj, New(class_name));
-  for (auto& [name, value] : attrs) {
-    if (db_->types()->ResolveAttribute(class_name, name) == nullptr) {
-      return Status::NotFound("attribute " + class_name + "." + name);
-    }
-    obj.Set(name, std::move(value));
-  }
-  return Persist(&obj);
+  REACH_ASSIGN_OR_RETURN(std::string record,
+                         EncodeNewRecord(*db_->types(), class_name, attrs));
+  REACH_RETURN_IF_ERROR(RequireTxn());
+  return db_->persistence()->PersistRecord(current_txn(), class_name, record);
 }
 
 Result<std::shared_ptr<DbObject>> Session::Fetch(const Oid& oid) {

@@ -49,7 +49,9 @@ class Session {
   /// Make `obj` persistent; returns its new OID.
   Result<Oid> Persist(DbObject* obj);
 
-  /// Create + persist in one step.
+  /// Create + persist in one step: the record is encoded straight from
+  /// `attrs` and the class's defaults (EncodeNewRecord), with the statuses
+  /// of New, Set and Persist.
   Result<Oid> PersistNew(const std::string& class_name,
                          std::vector<std::pair<std::string, Value>> attrs);
 

@@ -1,16 +1,57 @@
 #include "oodb/type_system.h"
 
+#include <string_view>
+
 namespace reach {
 
 Status TypeSystem::RegisterClass(std::unique_ptr<ClassDescriptor> desc) {
-  std::lock_guard<std::mutex> lock(mu_);
   const std::string& name = desc->name();
+  if (name.size() > kMaxRecordField) {
+    return Status::InvalidArgument("class name longer than " +
+                                   std::to_string(kMaxRecordField) +
+                                   " bytes");
+  }
+  for (const AttributeDescriptor& attr : desc->attributes()) {
+    if (attr.name.size() > kMaxRecordField) {
+      return Status::InvalidArgument("attribute name on class " + name +
+                                     " longer than " +
+                                     std::to_string(kMaxRecordField) +
+                                     " bytes");
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu_);
   if (classes_.contains(name)) {
     return Status::AlreadyExists("class " + name);
   }
-  if (!desc->parent().empty() && !classes_.contains(desc->parent())) {
-    return Status::NotFound("parent class " + desc->parent());
+  const ClassDescriptor* parent = nullptr;
+  if (!desc->parent().empty()) {
+    auto it = classes_.find(desc->parent());
+    if (it == classes_.end()) {
+      return Status::NotFound("parent class " + desc->parent());
+    }
+    parent = it->second.get();
   }
+  // The parent's record attributes, then this class's: a redeclared name
+  // keeps its place and takes the newer declaration.
+  std::vector<const AttributeDescriptor*> record;
+  std::unordered_map<std::string_view, size_t> index;
+  if (parent != nullptr) record = parent->record_attributes();
+  for (size_t i = 0; i < record.size(); ++i) index.emplace(record[i]->name, i);
+  for (const AttributeDescriptor& attr : desc->attributes()) {
+    auto [it, fresh] = index.emplace(attr.name, record.size());
+    if (fresh) {
+      record.push_back(&attr);
+    } else {
+      record[it->second] = &attr;
+    }
+  }
+  if (record.size() > kMaxRecordField) {
+    return Status::InvalidArgument(
+        "class " + name + " has " + std::to_string(record.size()) +
+        " attributes; a record holds at most " +
+        std::to_string(kMaxRecordField));
+  }
+  desc->record_attributes_ = std::move(record);
   classes_[name] = std::move(desc);
   return Status::OK();
 }
@@ -62,25 +103,6 @@ const MethodDescriptor* TypeSystem::ResolveMethod(
     cur = it->second->parent();
   }
   return nullptr;
-}
-
-std::vector<const AttributeDescriptor*> TypeSystem::AllAttributes(
-    const std::string& cls) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Collect the chain root-first so base attributes come first.
-  std::vector<const ClassDescriptor*> chain;
-  std::string cur = cls;
-  while (!cur.empty()) {
-    auto it = classes_.find(cur);
-    if (it == classes_.end()) break;
-    chain.push_back(it->second.get());
-    cur = it->second->parent();
-  }
-  std::vector<const AttributeDescriptor*> out;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    for (const auto& a : (*it)->attributes()) out.push_back(&a);
-  }
-  return out;
 }
 
 std::vector<std::string> TypeSystem::SelfAndSubclasses(

@@ -22,6 +22,11 @@ namespace reach {
 class DbObject;
 class Session;
 
+/// Largest class-name or attribute-name length, and largest attribute
+/// count, an object record can hold: it stores each as a u16
+/// (oodb/db_object.h). RegisterClass refuses a class past any of them.
+inline constexpr size_t kMaxRecordField = 0xFFFF;
+
 struct AttributeDescriptor {
   std::string name;
   ValueType type = ValueType::kNull;
@@ -58,6 +63,14 @@ class ClassDescriptor {
   }
   const std::vector<MethodDescriptor>& methods() const { return methods_; }
 
+  /// The attributes every object of the class stores, inherited ones
+  /// included: one per distinct name, base-first, each the most-derived
+  /// declaration of that name (so its default wins). Set when the class is
+  /// registered; empty before.
+  const std::vector<const AttributeDescriptor*>& record_attributes() const {
+    return record_attributes_;
+  }
+
   const AttributeDescriptor* FindAttribute(const std::string& attr) const {
     for (const auto& a : attributes_) {
       if (a.name == attr) return &a;
@@ -76,6 +89,8 @@ class ClassDescriptor {
   std::string parent_;  // empty for root classes
   std::vector<AttributeDescriptor> attributes_;
   std::vector<MethodDescriptor> methods_;
+  std::vector<const AttributeDescriptor*> record_attributes_;
+  friend class TypeSystem;
 };
 
 /// Builder used when registering a class.
@@ -103,7 +118,9 @@ class ClassBuilder {
 
 class TypeSystem {
  public:
-  /// Register a class; its parent (if named) must already exist.
+  /// Register a class; its parent (if named) must already exist. A class
+  /// or attribute name longer than kMaxRecordField bytes, or more than
+  /// kMaxRecordField record attributes, is InvalidArgument.
   Status RegisterClass(std::unique_ptr<ClassDescriptor> desc);
 
   const ClassDescriptor* Find(const std::string& name) const;
@@ -122,10 +139,6 @@ class TypeSystem {
   /// Virtual dispatch: most-derived method implementation.
   const MethodDescriptor* ResolveMethod(const std::string& cls,
                                         const std::string& method) const;
-
-  /// All attributes of `cls` including inherited ones (base-first).
-  std::vector<const AttributeDescriptor*> AllAttributes(
-      const std::string& cls) const;
 
   /// Registered class names, including `cls` and every subclass of it.
   std::vector<std::string> SelfAndSubclasses(const std::string& cls) const;

@@ -85,19 +85,19 @@ Status ObjectStore::Bootstrap() {
 }
 
 Status ObjectStore::LogPhysical(TxnId txn, SlottedPage* sp, PageId page,
-                                SlotId slot, const WalCellImage& before,
-                                const WalCellImage& after) {
+                                SlotId slot, WalCellImage before,
+                                WalCellImage after) {
   WalRecord rec;
   rec.type = WalRecordType::kPhysical;
   rec.txn = txn;
   rec.page = page;
   rec.slot = slot;
-  rec.before = before;
-  rec.after = after;
-  auto lsn = wal_->Append(std::move(rec));
+  rec.before = std::move(before);
+  rec.after = std::move(after);
+  auto lsn = wal_->Append(rec);
   if (!lsn.ok()) return lsn.status();
   if (sp) sp->set_lsn(*lsn);
-  if (mutation_listener_) mutation_listener_(txn, page, slot, before);
+  if (mutation_listener_) mutation_listener_(txn, page, slot, rec.before);
   return Status::OK();
 }
 
@@ -112,12 +112,15 @@ void ObjectStore::NoteFreeSpace(PageId page, const SlottedPage& sp) {
   if (inserted) {
     std::vector<PageId>& pages = owned_[entry.owner];
     pages.insert(std::lower_bound(pages.begin(), pages.end(), page), page);
-  } else {
-    if (entry.space == space) return;
-    by_space_.erase({entry.owner, entry.space, page});
-    entry.space = space;
+    by_space_.emplace(entry.owner, space, page);
+    return;
   }
-  by_space_.emplace(entry.owner, space, page);
+  if (entry.space == space) return;
+  // Re-key the page's index node in place: no free and no allocation.
+  auto node = by_space_.extract({entry.owner, entry.space, page});
+  std::get<1>(node.value()) = space;
+  by_space_.insert(std::move(node));
+  entry.space = space;
 }
 
 void ObjectStore::WithholdPage(TxnId txn, PageId page) {
@@ -220,8 +223,8 @@ Result<Oid> ObjectStore::InsertCellAt(TxnId txn, PageId page_id,
   after.flag = static_cast<uint16_t>(flag);
   after.generation = gen;
   after.bytes.assign(payload.data(), payload.size());
-  REACH_RETURN_IF_ERROR(
-      LogPhysical(txn, &sp, page_id, slot.value(), before, after));
+  REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, page_id, slot.value(),
+                                    std::move(before), std::move(after)));
 
   NoteFreeSpace(page_id, sp);
   Oid oid;
@@ -244,7 +247,8 @@ Status ObjectStore::DeleteCell(TxnId txn, const Oid& oid) {
   WalCellImage after;
   after.flag = static_cast<uint16_t>(SlotFlag::kFree);
   after.generation = oid.generation;
-  REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, oid.page, oid.slot, before, after));
+  REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, oid.page, oid.slot,
+                                    std::move(before), std::move(after)));
   WithholdPage(txn, oid.page);
   NoteFreeSpace(oid.page, sp);
   return Status::OK();
@@ -267,8 +271,10 @@ Status ObjectStore::UpdateCellInPlace(TxnId txn, const Oid& oid,
   after.flag = static_cast<uint16_t>(new_flag);
   after.generation = oid.generation;
   after.bytes.assign(payload.data(), payload.size());
-  REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, oid.page, oid.slot, before, after));
-  if (payload.size() < before.bytes.size()) WithholdPage(txn, oid.page);
+  const bool shrank = payload.size() < before.bytes.size();
+  REACH_RETURN_IF_ERROR(LogPhysical(txn, &sp, oid.page, oid.slot,
+                                    std::move(before), std::move(after)));
+  if (shrank) WithholdPage(txn, oid.page);
   NoteFreeSpace(oid.page, sp);
   return Status::OK();
 }
@@ -696,7 +702,7 @@ Status ObjectStore::ApplyImageLogged(TxnId txn, PageId page_id, SlotId slot,
   if (!st.ok()) return st;
   guard.MarkDirty();
   NoteFreeSpace(page_id, sp);
-  return LogPhysical(txn, &sp, page_id, slot, before, target);
+  return LogPhysical(txn, &sp, page_id, slot, std::move(before), target);
 }
 
 size_t ObjectStore::data_page_count() {

@@ -214,9 +214,10 @@ class ObjectStore {
 
   /// Append a physical record and stamp `sp`'s page LSN with the record's
   /// LSN, maintaining the ARIES invariant that a flushed page image reflects
-  /// exactly the records at or below its pageLSN.
+  /// exactly the records at or below its pageLSN. The images move into the
+  /// record.
   Status LogPhysical(TxnId txn, SlottedPage* sp, PageId page, SlotId slot,
-                     const WalCellImage& before, const WalCellImage& after);
+                     WalCellImage before, WalCellImage after);
 
   /// Record `page`'s owner and insertable bytes in the free-space map.
   void NoteFreeSpace(PageId page, const SlottedPage& sp);

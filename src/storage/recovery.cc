@@ -10,7 +10,8 @@ Status RecoveryManager::Recover(RecoveryStats* stats) {
   std::unordered_set<TxnId> finished;
   std::unordered_set<TxnId> seen;
   size_t scanned = 0, committed = 0, aborted = 0;
-  REACH_RETURN_IF_ERROR(wal_->Scan([&](WalRecord& rec) {
+  // Headers alone: type and txn are all analysis reads.
+  REACH_RETURN_IF_ERROR(wal_->Scan(WalTypeSet{}, [&](WalRecord& rec) {
     ++scanned;
     if (rec.txn != kNoTxn) seen.insert(rec.txn);
     if (rec.type == WalRecordType::kCommit) {
@@ -44,7 +45,8 @@ Status RecoveryManager::Recover(RecoveryStats* stats) {
     WalCellImage before;
   };
   std::vector<UndoImage> undo;
-  REACH_RETURN_IF_ERROR(wal_->Scan([&](WalRecord& rec) {
+  const WalTypeSet redone{WalRecordType::kPhysical, WalRecordType::kPageFormat};
+  REACH_RETURN_IF_ERROR(wal_->Scan(redone, [&](WalRecord& rec) {
     if (rec.type == WalRecordType::kPageFormat) {
       ++stats->records_redone;
       return store_->ApplyFormat(rec.page, rec.owner, rec.lsn);

@@ -1,8 +1,9 @@
 // Crash recovery: repeat history (redo every physical and page-format
-// record in LSN order), then roll back losers (apply before-images of unfinished transactions in
-// reverse LSN order). Full before/after images make both passes idempotent.
-// The log is streamed twice through Wal::Scan (analysis, then redo); only
-// the losers' before-images are held in memory.
+// record in LSN order), then roll back losers (apply before-images of
+// unfinished transactions in reverse LSN order). Full before/after images
+// make both passes idempotent. The log is streamed twice through Wal::Scan:
+// analysis reads record headers only, redo decodes the physical and
+// page-format records; only the losers' before-images are held in memory.
 #pragma once
 
 #include <cstdint>

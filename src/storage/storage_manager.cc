@@ -122,7 +122,7 @@ Status StorageManager::RotateLogKeepingEventHistory(size_t* carried) {
   // Keep the last event checkpoint and every event record after it; with no
   // checkpoint the whole history is the replay tail.
   std::vector<WalRecord> keep;
-  REACH_RETURN_IF_ERROR(wal_->Scan([&keep](WalRecord& rec) {
+  REACH_RETURN_IF_ERROR(wal_->Scan(kEventRecordTypes, [&keep](WalRecord& rec) {
     if (!IsEventRecord(rec.type)) return Status::OK();
     if (rec.type == WalRecordType::kEventCheckpoint) keep.clear();
     keep.push_back(std::move(rec));
@@ -130,9 +130,9 @@ Status StorageManager::RotateLogKeepingEventHistory(size_t* carried) {
   }));
   REACH_RETURN_IF_ERROR(wal_->Truncate());
   if (keep.empty()) return Status::OK();
-  for (WalRecord& rec : keep) {
-    rec.lsn = kInvalidLsn;  // reassigned in the fresh epoch
-    auto lsn = wal_->Append(std::move(rec));
+  for (const WalRecord& rec : keep) {
+    // Append assigns each a fresh LSN in the new epoch.
+    auto lsn = wal_->Append(rec);
     if (!lsn.ok()) return lsn.status();
   }
   if (carried != nullptr) *carried = keep.size();

@@ -41,13 +41,31 @@ struct WalMetrics {
   }
 };
 
-uint32_t Fnv1a(const char* data, size_t len) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
+/// Frame checksum over a record body: eight bytes per step, each step
+/// `h = (h ^ word) * odd` then a xorshift, seeded with the length so a
+/// changed length changes the sum. Both halves of a step are bijections, so
+/// any change to one word changes the 64-bit state for good; the fold to 32
+/// bits is the only place two bodies can collide.
+uint32_t FrameChecksum(const char* data, size_t len) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  uint64_t h = (uint64_t{len} + 1) * kMul;
+  auto step = [&h](uint64_t word) {
+    h = (h ^ word) * kMul;
+    h ^= h >> 29;
+  };
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= len; i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, data + i, sizeof(word));
+    step(word);
   }
-  return h;
+  if (i < len) {
+    uint64_t word = 0;
+    std::memcpy(&word, data + i, len - i);
+    step(word);
+  }
+  h *= kMul;
+  return static_cast<uint32_t>(h >> 32) ^ static_cast<uint32_t>(h);
 }
 
 template <typename T>
@@ -104,7 +122,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
   // Restore next_lsn from the existing log tail; everything already in the
   // file is durable as far as this process can know.
   Lsn next = 1;
-  REACH_RETURN_IF_ERROR(wal->Scan([&next](WalRecord& r) {
+  REACH_RETURN_IF_ERROR(wal->Scan(WalTypeSet{}, [&next](WalRecord& r) {
     next = std::max(next, r.lsn + 1);
     return Status::OK();
   }));
@@ -116,42 +134,43 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
   return wal;
 }
 
-void Wal::EncodeRecord(const WalRecord& rec, std::string* out) {
-  std::string body;
-  PutScalar<uint8_t>(&body, static_cast<uint8_t>(rec.type));
-  PutScalar<uint64_t>(&body, rec.lsn);
-  PutScalar<uint64_t>(&body, rec.txn);
+void Wal::EncodeRecord(const WalRecord& rec, Lsn lsn, std::string* out) {
+  const size_t frame = out->size();
+  PutScalar<uint32_t>(out, 0);  // body_len, known once the body is in
+  PutScalar<uint8_t>(out, static_cast<uint8_t>(rec.type));
+  PutScalar<uint64_t>(out, lsn);
+  PutScalar<uint64_t>(out, rec.txn);
   if (rec.type == WalRecordType::kPhysical) {
-    PutScalar<uint32_t>(&body, rec.page);
-    PutScalar<uint16_t>(&body, rec.slot);
-    PutImage(&body, rec.before);
-    PutImage(&body, rec.after);
+    PutScalar<uint32_t>(out, rec.page);
+    PutScalar<uint16_t>(out, rec.slot);
+    PutImage(out, rec.before);
+    PutImage(out, rec.after);
   } else if (rec.type == WalRecordType::kPageFormat) {
-    PutScalar<uint32_t>(&body, rec.page);
-    PutScalar<uint32_t>(&body, rec.owner.page);
-    PutScalar<uint16_t>(&body, rec.owner.slot);
-    PutScalar<uint16_t>(&body, rec.owner.generation);
+    PutScalar<uint32_t>(out, rec.page);
+    PutScalar<uint32_t>(out, rec.owner.page);
+    PutScalar<uint16_t>(out, rec.owner.slot);
+    PutScalar<uint16_t>(out, rec.owner.generation);
   } else if (IsEventRecord(rec.type)) {
-    PutScalar<uint32_t>(&body, static_cast<uint32_t>(rec.payload.size()));
-    body.append(rec.payload);
+    PutScalar<uint32_t>(out, static_cast<uint32_t>(rec.payload.size()));
+    out->append(rec.payload);
   }
-  uint32_t crc = Fnv1a(body.data(), body.size());
-  PutScalar<uint32_t>(out, static_cast<uint32_t>(body.size()));
-  out->append(body);
-  PutScalar<uint32_t>(out, crc);
+  const size_t body = frame + sizeof(uint32_t);
+  const auto body_len = static_cast<uint32_t>(out->size() - body);
+  std::memcpy(out->data() + frame, &body_len, sizeof(body_len));
+  PutScalar<uint32_t>(out, FrameChecksum(out->data() + body, body_len));
 }
 
-bool Wal::DecodeRecord(const char* data, size_t len, size_t* consumed,
-                       WalRecord* out) {
+bool Wal::DecodeRecord(const char* data, size_t len, WalTypeSet bodies,
+                       size_t* consumed, WalRecord* out) {
   size_t pos = 0;
   uint32_t body_len = 0;
   if (!GetScalar(data, len, &pos, &body_len)) return false;
   if (pos + body_len + sizeof(uint32_t) > len) return false;
   const char* body = data + pos;
-  uint32_t crc_stored = 0;
-  size_t crc_pos = pos + body_len;
-  if (!GetScalar(data, len, &crc_pos, &crc_stored)) return false;
-  if (Fnv1a(body, body_len) != crc_stored) return false;
+  uint32_t sum_stored = 0;
+  size_t sum_pos = pos + body_len;
+  if (!GetScalar(data, len, &sum_pos, &sum_stored)) return false;
+  if (FrameChecksum(body, body_len) != sum_stored) return false;
 
   size_t bpos = 0;
   uint8_t type = 0;
@@ -162,6 +181,8 @@ bool Wal::DecodeRecord(const char* data, size_t len, size_t* consumed,
   out->type = static_cast<WalRecordType>(type);
   out->lsn = lsn;
   out->txn = txn;
+  *consumed = pos + body_len + sizeof(uint32_t);
+  if (!bodies.contains(out->type)) return true;
   if (out->type == WalRecordType::kPhysical) {
     uint32_t page = 0;
     uint16_t slot = 0;
@@ -185,21 +206,19 @@ bool Wal::DecodeRecord(const char* data, size_t len, size_t* consumed,
     if (!GetScalar(body, body_len, &bpos, &n)) return false;
     if (bpos + n > body_len) return false;
     out->payload.assign(body + bpos, n);
-    bpos += n;
   }
-  *consumed = pos + body_len + sizeof(uint32_t);
   return true;
 }
 
-Result<Lsn> Wal::Append(WalRecord record) {
+Result<Lsn> Wal::Append(const WalRecord& record) {
   REACH_FAULT_POINT(faults::kWalAppend);
   std::lock_guard<std::mutex> lock(mu_);
   if (!crash_point_.empty()) throw FaultInjectedCrash(crash_point_);
-  record.lsn = next_lsn_++;
-  EncodeRecord(record, &buffer_);
+  const Lsn lsn = next_lsn_++;
+  EncodeRecord(record, lsn, &buffer_);
   ++buffer_count_;
   WalMetrics::Get().appends->Inc();
-  return record.lsn;
+  return lsn;
 }
 
 Status Wal::WriteAndSync(const std::string& data, bool* wrote) {
@@ -368,7 +387,8 @@ void Wal::EnsureNextLsnAtLeast(Lsn floor) {
   }
 }
 
-Status Wal::Scan(const ScanVisitor& visit, size_t window_bytes) {
+Status Wal::Scan(WalTypeSet bodies, const ScanVisitor& visit,
+                 size_t window_bytes) {
   uint64_t file_size = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -383,7 +403,7 @@ Status Wal::Scan(const ScanVisitor& visit, size_t window_bytes) {
   size_t pos = 0;         // next record's offset in window
   uint64_t read_off = 0;  // next file offset to read
   for (;;) {
-    // A record is framed as [u32 body_len][body][u32 crc].
+    // A record is framed as [u32 body_len][body][u32 checksum].
     const size_t avail = window.size() - pos;
     size_t need = sizeof(uint32_t);
     if (avail >= sizeof(uint32_t)) {
@@ -411,8 +431,11 @@ Status Wal::Scan(const ScanVisitor& visit, size_t window_bytes) {
     }
     WalRecord rec;
     size_t consumed = 0;
-    // A bad CRC ends the log like a torn tail: stop at the last good record.
-    if (!DecodeRecord(window.data() + pos, avail, &consumed, &rec)) break;
+    // A bad checksum ends the log like a torn tail: stop at the last good
+    // record.
+    if (!DecodeRecord(window.data() + pos, avail, bodies, &consumed, &rec)) {
+      break;
+    }
     pos += consumed;
     REACH_RETURN_IF_ERROR(visit(rec));
   }

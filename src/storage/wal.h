@@ -7,11 +7,18 @@
 // write+fsync for all concurrent committers: each committer appends its
 // commit record, then blocks on WaitDurable(lsn) until the watermark passes
 // its LSN, so N concurrent commits share one fsync (see docs/STORAGE.md).
+//
+// Frame: [u32 body_len][body][u32 checksum]. The body is [u8 type][u64 lsn]
+// [u64 txn] and the type's fields; the checksum covers the body 8 bytes a
+// step, seeded with its length (docs/STORAGE.md "Streaming log scans"). A
+// scan names the record types whose bodies it needs; every other record is
+// still length- and checksum-checked but yields only its header.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -44,12 +51,38 @@ enum class WalRecordType : uint8_t {
   kPageFormat = 9,
 };
 
+/// A set of record types: the records whose bodies a Scan decodes.
+class WalTypeSet {
+ public:
+  constexpr WalTypeSet() = default;
+  constexpr WalTypeSet(std::initializer_list<WalRecordType> types) {
+    for (WalRecordType type : types) bits_ |= Bit(type);
+  }
+  static constexpr WalTypeSet All() {
+    WalTypeSet all;
+    all.bits_ = ~uint32_t{0};
+    return all;
+  }
+  constexpr bool contains(WalRecordType type) const {
+    return (bits_ & Bit(type)) != 0;
+  }
+
+ private:
+  static constexpr uint32_t Bit(WalRecordType type) {
+    const auto n = static_cast<uint8_t>(type);
+    return n < 32 ? uint32_t{1} << n : 0;
+  }
+  uint32_t bits_ = 0;
+};
+
 /// Records that belong to the event history rather than data recovery.
 /// Truncation preserves them (see StorageManager carryover).
+inline constexpr WalTypeSet kEventRecordTypes{
+    WalRecordType::kEventOccurrence, WalRecordType::kEventCheckpoint,
+    WalRecordType::kEventTombstone};
+
 inline bool IsEventRecord(WalRecordType type) {
-  return type == WalRecordType::kEventOccurrence ||
-         type == WalRecordType::kEventCheckpoint ||
-         type == WalRecordType::kEventTombstone;
+  return kEventRecordTypes.contains(type);
 }
 
 /// Cell state on a page: flag + generation + payload bytes. flag==0 (kFree)
@@ -93,8 +126,9 @@ class Wal {
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
                                            const WalOptions& options = {});
 
-  /// Append a record; assigns and returns its LSN. Buffered until flushed.
-  Result<Lsn> Append(WalRecord record);
+  /// Append a record under a fresh LSN (record.lsn is ignored) and return
+  /// that LSN. Buffered until flushed.
+  Result<Lsn> Append(const WalRecord& record);
 
   /// Force everything appended so far to stable storage. With group commit
   /// this is WaitDurable(last appended LSN); without, an inline write+fsync.
@@ -117,13 +151,15 @@ class Wal {
   using ScanVisitor = std::function<Status(WalRecord& record)>;
 
   /// Visit every record in the log file in LSN order, stopping at the first
-  /// torn or corrupt record (the tail of a crashed write). Records still
-  /// buffered in memory are not visited. Memory is bounded by
+  /// torn or corrupt record (the tail of a crashed write). A record whose
+  /// type is in `bodies` arrives decoded in full; any other arrives as its
+  /// header alone (type, lsn, txn), though its checksum was still checked.
+  /// Records still buffered in memory are not visited. Memory is bounded by
   /// max(window_bytes, largest record) whatever the log size. mu_ is not
   /// held while `visit` runs, so a visitor may force the log (recovery's
   /// redo can evict a dirty page, whose pre-write hook calls WaitDurable).
   /// Must not run concurrently with Truncate.
-  Status Scan(const ScanVisitor& visit,
+  Status Scan(WalTypeSet bodies, const ScanVisitor& visit,
               size_t window_bytes = kScanWindowBytes);
 
   /// Discard the log contents (after a checkpoint has made them redundant).
@@ -152,9 +188,12 @@ class Wal {
   Wal(std::string path, int fd, WalOptions options)
       : path_(std::move(path)), fd_(fd), options_(options) {}
 
-  static void EncodeRecord(const WalRecord& rec, std::string* out);
-  static bool DecodeRecord(const char* data, size_t len, size_t* consumed,
-                           WalRecord* out);
+  /// Append `rec`'s frame, stamped with `lsn`, to `out`.
+  static void EncodeRecord(const WalRecord& rec, Lsn lsn, std::string* out);
+  /// Decode the frame at data[0, len); false if it is torn or fails its
+  /// checksum. Only a type in `bodies` has its body fields decoded.
+  static bool DecodeRecord(const char* data, size_t len, WalTypeSet bodies,
+                           size_t* consumed, WalRecord* out);
 
   /// write(2) `data` (may be empty: fsync-only retry after a failed sync),
   /// then fsync. *wrote is set once the bytes reached the file — on a write

@@ -10,6 +10,7 @@
 #include "oodb/database.h"
 #include "oodb/sentry.h"
 #include "oodb/session.h"
+#include "query/query_pm.h"
 #include "test_util.h"
 
 namespace reach {
@@ -90,7 +91,7 @@ TEST(TypeSystemTest, RegistrationAndInheritance) {
   EXPECT_NE(ts.ResolveAttribute("TempSensor", "reading"), nullptr);
   EXPECT_NE(ts.ResolveAttribute("TempSensor", "unit"), nullptr);
   EXPECT_EQ(ts.ResolveAttribute("Sensor", "unit"), nullptr);
-  auto all = ts.AllAttributes("TempSensor");
+  const auto& all = ts.Find("TempSensor")->record_attributes();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0]->name, "id");  // base attributes first
   auto subs = ts.SelfAndSubclasses("Sensor");
@@ -103,6 +104,41 @@ TEST(TypeSystemTest, DuplicateAndMissingParentRejected) {
   EXPECT_TRUE(ts.RegisterClass(ClassBuilder("A").Build()).IsAlreadyExists());
   EXPECT_TRUE(
       ts.RegisterClass(ClassBuilder("B", "Nope").Build()).IsNotFound());
+}
+
+// Records store names and the attribute count as u16s: a class that would
+// not fit is refused at registration instead of corrupting its records.
+TEST(TypeSystemTest, ClassesPastTheRecordLimitsRejected) {
+  TypeSystem ts;
+  EXPECT_TRUE(
+      ts.RegisterClass(ClassBuilder(std::string(70000, 'C')).Build())
+          .IsInvalidArgument());
+  EXPECT_TRUE(ts.RegisterClass(ClassBuilder("LongAttr")
+                                   .Attribute(std::string(70000, 'a'),
+                                              ValueType::kInt, Value(0))
+                                   .Build())
+                  .IsInvalidArgument());
+  EXPECT_FALSE(ts.IsRegistered("LongAttr"));
+  const std::string at_limit(kMaxRecordField, 'c');
+  EXPECT_TRUE(ts.RegisterClass(ClassBuilder(at_limit).Build()).ok());
+
+  // 40,000 attributes on the base, the rest on subclasses: the limit counts
+  // inherited attributes, and a redeclared name only once.
+  auto wide = [](const std::string& name, const std::string& parent,
+                 int from, int to) {
+    ClassBuilder b(name, parent);
+    for (int i = from; i < to; ++i) {
+      b.Attribute("a" + std::to_string(i), ValueType::kInt, Value(i));
+    }
+    return b.Build();
+  };
+  ASSERT_TRUE(ts.RegisterClass(wide("Wide", "", 0, 40000)).ok());
+  EXPECT_TRUE(ts.RegisterClass(wide("TooWide", "Wide", 40000, 65536))
+                  .IsInvalidArgument());
+  EXPECT_FALSE(ts.IsRegistered("TooWide"));
+  auto full = wide("Full", "Wide", 39999, 65535);  // a39999 redeclared
+  ASSERT_TRUE(ts.RegisterClass(std::move(full)).ok());
+  EXPECT_EQ(ts.Find("Full")->record_attributes().size(), kMaxRecordField);
 }
 
 TEST(TypeSystemTest, VirtualMethodDispatch) {
@@ -585,6 +621,135 @@ TEST_F(SessionTest, PersistLogsAboutWhatItStores) {
   EXPECT_GT(stored, 1000u * 200);
   EXPECT_LT(logged, 2 * stored)
       << logged << " WAL bytes for " << stored << " serialized bytes";
+}
+
+// Past the u16 name length a class is never registered, so nothing of it
+// reaches a record.
+TEST_F(SessionTest, OverlongClassNameNeverStored) {
+  const std::string name(70000, 'R');
+  EXPECT_TRUE(db_->types()
+                  ->RegisterClass(ClassBuilder(name)
+                                      .Attribute("v", ValueType::kInt,
+                                                 Value(0))
+                                      .Build())
+                  .IsInvalidArgument());
+  Session s(db_.get());
+  ASSERT_TRUE(s.Begin().ok());
+  EXPECT_TRUE(s.PersistNew(name, {{"v", Value(1)}}).status().IsNotFound());
+  ASSERT_TRUE(s.Commit().ok());
+}
+
+/// Register FastReactor under the fixture's Reactor: it adds `speed` and
+/// redeclares `output` with another default.
+void RegisterFastReactor(Database* db) {
+  ASSERT_TRUE(db->types()
+                  ->RegisterClass(
+                      ClassBuilder("FastReactor", "Reactor")
+                          .Attribute("output", ValueType::kInt, Value(10))
+                          .Attribute("speed", ValueType::kInt, Value(3))
+                          .Build())
+                  .ok());
+}
+
+void ExpectSameObject(const DbObject& a, const DbObject& b) {
+  EXPECT_EQ(a.class_name(), b.class_name());
+  EXPECT_EQ(a.attributes(), b.attributes())
+      << a.ToString() << " vs " << b.ToString();
+}
+
+// PersistNew encodes its record without a DbObject; it stores what
+// New + Set + Persist stores.
+TEST_F(SessionTest, PersistNewStoresWhatCreateSetPersistStores) {
+  RegisterFastReactor(db_.get());
+  using Attrs = std::vector<std::pair<std::string, Value>>;
+  struct Case {
+    std::string cls;
+    Attrs attrs;
+  };
+  const std::vector<Case> cases = {
+      {"Reactor", {}},
+      {"Reactor", {{"output", Value(5)}}},
+      {"FastReactor", {}},
+      {"FastReactor", {{"name", Value("F")}, {"speed", Value(7)}}},
+      {"FastReactor",
+       {{"output", Value(1)}, {"name", Value("G")}, {"output", Value(2)}}},
+  };
+  Session s(db_.get());
+  ASSERT_TRUE(s.Begin().ok());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cls + " with " + std::to_string(c.attrs.size()));
+    auto made = s.PersistNew(c.cls, c.attrs);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    auto obj = s.New(c.cls);
+    ASSERT_TRUE(obj.ok());
+    for (const auto& [name, value] : c.attrs) obj->Set(name, value);
+    auto persisted = s.Persist(&*obj);
+    ASSERT_TRUE(persisted.ok());
+    auto a = s.Fetch(*made);
+    auto b = s.Fetch(*persisted);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ExpectSameObject(**a, **b);
+    // One pair per distinct name, in declared order, base first.
+    auto record = db_->storage()->objects()->Read(*made);
+    ASSERT_TRUE(record.ok());
+    auto view = RecordView::Parse(*record);
+    ASSERT_TRUE(view.ok());
+    std::vector<std::string> names;
+    ASSERT_TRUE(view->ForEach([&names](std::string_view name, Value) {
+                      names.emplace_back(name);
+                    })
+                    .ok());
+    const std::vector<std::string> declared =
+        c.cls == "Reactor"
+            ? std::vector<std::string>{"name", "output"}
+            : std::vector<std::string>{"name", "output", "speed"};
+    EXPECT_EQ(names, declared);
+  }
+  auto fast = s.PersistNew("FastReactor", {{"name", Value("D")}});
+  ASSERT_TRUE(fast.ok());
+  auto defaults = s.Fetch(*fast);
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ((*defaults)->Get("output"), Value(10));  // the subclass default
+  EXPECT_EQ((*defaults)->Get("speed"), Value(3));
+  ASSERT_TRUE(s.Commit().ok());
+
+  // Queries see both kinds of record alike, subclasses included.
+  ASSERT_TRUE(s.Begin().ok());
+  QueryPm qpm;
+  auto r = qpm.Execute(s, "select name from Reactor where output == 2");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  for (const QueryRow& row : r->rows) EXPECT_EQ(row.values[0], Value("G"));
+  auto tens = qpm.Execute(s, "select name from Reactor where output == 10");
+  ASSERT_TRUE(tens.ok());
+  EXPECT_EQ(tens->rows.size(), 5u);  // 2 + 2 cases, and D
+  ASSERT_TRUE(s.Commit().ok());
+}
+
+TEST_F(SessionTest, PersistNewStatusesMatchCreateSetPersist) {
+  Session s(db_.get());
+  // No transaction: the class and attribute checks come first.
+  EXPECT_TRUE(s.PersistNew("Nope", {}).status().IsNotFound());
+  EXPECT_TRUE(
+      s.PersistNew("Reactor", {{"nope", Value(1)}}).status().IsNotFound());
+  EXPECT_TRUE(s.PersistNew("Reactor", {{"output", Value(1)}})
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(s.New("Nope").status().IsNotFound());
+  auto obj = s.New("Reactor");
+  ASSERT_TRUE(obj.ok());
+  EXPECT_TRUE(s.Persist(&*obj).status().IsFailedPrecondition());
+  // In a transaction: the same refusals, and nothing is stored.
+  ASSERT_TRUE(s.Begin().ok());
+  EXPECT_TRUE(s.PersistNew("Nope", {}).status().IsNotFound());
+  EXPECT_TRUE(
+      s.PersistNew("Reactor", {{"output", Value(1)}, {"nope", Value(1)}})
+          .status()
+          .IsNotFound());
+  EXPECT_TRUE(s.Extent("Reactor")->empty());
+  ASSERT_TRUE(s.PersistNew("Reactor", {{"output", Value(1)}}).ok());
+  EXPECT_EQ(s.Extent("Reactor")->size(), 1u);
+  ASSERT_TRUE(s.Commit().ok());
 }
 
 TEST_F(SessionTest, NestedSessionTransactions) {

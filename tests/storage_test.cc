@@ -629,11 +629,201 @@ TEST(WalScanTest, VisitorErrorStopsTheScan) {
   auto wal = Wal::Open(dir.DbPath() + ".wal");
   AppendMixedLog(wal->get(), 20, 3);
   int visited = 0;
-  Status st = (*wal)->Scan([&visited](WalRecord&) {
+  Status st = (*wal)->Scan(WalTypeSet::All(), [&visited](WalRecord&) {
     return ++visited == 5 ? Status::Aborted("stop") : Status::OK();
   });
   EXPECT_TRUE(st.IsAborted());
   EXPECT_EQ(visited, 5);
+}
+
+// ---------------------------------------------------------------------------
+// The log frame: [u32 body_len][body][u32 checksum]
+// ---------------------------------------------------------------------------
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes(std::filesystem::file_size(path), '\0');
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    ADD_FAILURE() << "cannot open " << path;
+    return {};
+  }
+  EXPECT_EQ(fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  fclose(f);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, std::string_view bytes) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  fclose(f);
+}
+
+/// The bytes of a log holding `records`, appended and flushed in order.
+std::string EncodedLog(const TempDir& dir,
+                       const std::vector<WalRecord>& records) {
+  const std::string path = dir.DbPath("encode") + ".wal";
+  std::filesystem::remove(path);
+  {
+    auto wal = Wal::Open(path, WalOptions{false});
+    EXPECT_TRUE(wal.ok());
+    for (const WalRecord& rec : records) EXPECT_TRUE((*wal)->Append(rec).ok());
+    EXPECT_TRUE((*wal)->Flush().ok());
+  }
+  return ReadFileBytes(path);
+}
+
+/// Every record a full scan of a log file holding `bytes` yields.
+std::vector<WalRecord> ScanBytes(const TempDir& dir, std::string_view bytes) {
+  const std::string path = dir.DbPath("scan") + ".wal";
+  WriteFileBytes(path, bytes);
+  std::vector<WalRecord> out;
+  auto wal = Wal::Open(path, WalOptions{false});
+  EXPECT_TRUE(wal.ok());
+  EXPECT_TRUE(ScanRecords(wal->get(), &out).ok());
+  return out;
+}
+
+WalRecord PageFormatRecord(PageId page, Oid owner) {
+  WalRecord rec;
+  rec.type = WalRecordType::kPageFormat;
+  rec.page = page;
+  rec.owner = owner;
+  return rec;
+}
+
+TEST(WalFrameTest, AnyFlippedByteFailsDecode) {
+  TempDir dir;
+  WalRecord physical = PhysicalRecord(9, 4, "after image bytes");
+  physical.before.bytes = "before";
+  const std::vector<WalRecord> kinds = {
+      physical, PageFormatRecord(12, Oid{3, 1, 2}),
+      EventRecord(WalRecordType::kEventOccurrence, "occurrence payload!")};
+  for (const WalRecord& rec : kinds) {
+    const std::string log = EncodedLog(dir, {rec});
+    ASSERT_EQ(ScanBytes(dir, log).size(), 1u);
+    for (size_t i = 0; i < log.size(); ++i) {
+      for (unsigned char flip : {0x01, 0x80, 0xff}) {
+        std::string bad = log;
+        bad[i] = static_cast<char>(bad[i] ^ flip);
+        EXPECT_TRUE(ScanBytes(dir, bad).empty())
+            << "type " << static_cast<int>(rec.type) << " byte " << i
+            << " xor " << static_cast<int>(flip);
+      }
+    }
+  }
+}
+
+TEST(WalFrameTest, TailTornAtEveryLengthIgnored) {
+  TempDir dir;
+  WalRecord first;
+  first.type = WalRecordType::kBegin;
+  first.txn = 5;
+  WalRecord torn = PhysicalRecord(5, 8, std::string(40, 'p'));
+  torn.before.bytes = "old";
+  const std::string one = EncodedLog(dir, {first});
+  const std::string both = EncodedLog(dir, {first, torn});
+  ASSERT_EQ(both.compare(0, one.size(), one), 0);
+  for (size_t cut = one.size(); cut < both.size(); ++cut) {
+    std::vector<WalRecord> scanned =
+        ScanBytes(dir, std::string_view(both).substr(0, cut));
+    ASSERT_EQ(scanned.size(), 1u) << "cut at " << cut;
+    EXPECT_EQ(scanned[0].type, WalRecordType::kBegin);
+    EXPECT_EQ(scanned[0].txn, 5u);
+  }
+  EXPECT_EQ(ScanBytes(dir, both).size(), 2u);
+}
+
+TEST(WalScanTest, FilteredScansYieldTheSameHeaders) {
+  TempDir dir;
+  auto sm = StorageManager::Open(dir.DbPath());
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  Wal* wal = (*sm)->wal();
+  auto begin = [](TxnId txn) {
+    WalRecord rec;
+    rec.type = WalRecordType::kBegin;
+    rec.txn = txn;
+    return rec;
+  };
+  WalRecord commit = begin(1);
+  commit.type = WalRecordType::kCommit;
+  const std::vector<WalRecord> log = {
+      begin(1),
+      PhysicalRecord(1, 3, "one"),
+      PageFormatRecord(40, Oid{2, 0, 1}),
+      EventRecord(WalRecordType::kEventOccurrence, "occ-1"),
+      EventRecord(WalRecordType::kEventCheckpoint, "checkpoint-1"),
+      PhysicalRecord(1, 4, "two"),
+      EventRecord(WalRecordType::kEventTombstone, "tomb-1"),
+      EventRecord(WalRecordType::kEventCheckpoint, "checkpoint-2"),
+      PageFormatRecord(41, Oid{2, 0, 1}),
+      EventRecord(WalRecordType::kEventOccurrence, "occ-2"),
+      PhysicalRecord(1, 5, "three"),
+      EventRecord(WalRecordType::kEventTombstone, "tomb-2"),
+      commit,
+  };
+  std::vector<WalRecord> appended;
+  for (WalRecord rec : log) {
+    auto lsn = wal->Append(rec);
+    ASSERT_TRUE(lsn.ok());
+    rec.lsn = *lsn;
+    appended.push_back(std::move(rec));
+  }
+  ASSERT_TRUE(wal->Flush().ok());
+
+  std::vector<WalRecord> full;
+  ASSERT_TRUE(ScanRecords(wal, &full).ok());
+  ExpectSameRecords(appended, full, "full scan");
+  const std::vector<WalTypeSet> filters = {
+      WalTypeSet{},
+      WalTypeSet{WalRecordType::kPhysical},
+      WalTypeSet{WalRecordType::kPhysical, WalRecordType::kPageFormat},
+      kEventRecordTypes,
+  };
+  for (size_t f = 0; f < filters.size(); ++f) {
+    std::vector<WalRecord> scanned;
+    auto collect = [&scanned](WalRecord& rec) {
+      scanned.push_back(std::move(rec));
+      return Status::OK();
+    };
+    ASSERT_TRUE(wal->Scan(filters[f], collect, 64).ok());
+    ASSERT_EQ(scanned.size(), full.size());
+    for (size_t i = 0; i < full.size(); ++i) {
+      SCOPED_TRACE("filter " + std::to_string(f) + " record " +
+                   std::to_string(i));
+      EXPECT_EQ(scanned[i].type, full[i].type);
+      EXPECT_EQ(scanned[i].lsn, full[i].lsn);
+      EXPECT_EQ(scanned[i].txn, full[i].txn);
+      // A filtered-out record is its header alone.
+      WalRecord expect = full[i];
+      if (!filters[f].contains(full[i].type)) {
+        expect = WalRecord{};
+        expect.type = full[i].type;
+        expect.lsn = full[i].lsn;
+        expect.txn = full[i].txn;
+      }
+      ExpectSameRecords({expect}, {scanned[i]}, "body");
+      EXPECT_EQ(scanned[i].owner, expect.owner);
+    }
+  }
+
+  // A checkpoint's rotation keeps the last event checkpoint and the event
+  // records after it, and nothing else.
+  ASSERT_TRUE((*sm)->Checkpoint().ok());
+  std::vector<WalRecord> kept;
+  ASSERT_TRUE(ScanRecords(wal, &kept).ok());
+  ASSERT_EQ(kept.size(), 3u);
+  const std::vector<std::pair<WalRecordType, std::string>> want = {
+      {WalRecordType::kEventCheckpoint, "checkpoint-2"},
+      {WalRecordType::kEventOccurrence, "occ-2"},
+      {WalRecordType::kEventTombstone, "tomb-2"}};
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].type, want[i].first);
+    EXPECT_EQ(kept[i].payload, want[i].second);
+    EXPECT_EQ(kept[i].txn, kNoTxn);
+    EXPECT_GT(kept[i].lsn, appended.back().lsn);
+    if (i > 0) EXPECT_GT(kept[i].lsn, kept[i - 1].lsn);
+  }
 }
 
 class ObjectStoreTest : public ::testing::Test {

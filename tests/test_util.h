@@ -25,11 +25,12 @@ inline Status DurableLogCommit(StorageManager* sm, TxnId txn) {
   return sm->wal()->WaitDurable(*lsn);
 }
 
-/// Collect every record Wal::Scan visits, decoding through a read window of
-/// `window_bytes`.
+/// Collect every record Wal::Scan visits, each decoded in full, through a
+/// read window of `window_bytes`.
 inline Status ScanRecords(Wal* wal, std::vector<WalRecord>* out,
                           size_t window_bytes = Wal::kScanWindowBytes) {
   return wal->Scan(
+      WalTypeSet::All(),
       [out](WalRecord& rec) {
         out->push_back(std::move(rec));
         return Status::OK();
